@@ -17,7 +17,7 @@ from .errors import (
     PosetMismatchError,
 )
 from .linalg import RowReducer, format_rational, parse_rational
-from .poset import segment
+from .poset import inverse_permutation, segment
 
 
 class IncidenceFunction:
@@ -314,13 +314,6 @@ def induced_auto(poset, sigma):
     return AlgebraMorphism(poset, images)
 
 
-def _inverse_perm(sigma):
-    out = [0] * len(sigma)
-    for i, v in enumerate(sigma):
-        out[v] = i
-    return tuple(out)
-
-
 def decompose_automorphism(phi):
     """Split a validated automorphism as inner ∘ multiplicative ∘ induced.
 
@@ -346,7 +339,7 @@ def decompose_automorphism(phi):
     if sorted(sigma) != list(range(poset.n)):
         raise DecompositionError("diagonal tracking did not yield a permutation")
 
-    phi_prime = phi.compose(induced_auto(poset, _inverse_perm(sigma)))
+    phi_prime = phi.compose(induced_auto(poset, inverse_permutation(sigma)))
     r = IncidenceFunction(poset, {})
     for x in range(poset.n):
         r = r + convolve(phi_prime.images[(x, x)], e_basis(poset, x, x))

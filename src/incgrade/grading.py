@@ -9,6 +9,7 @@ spanned by the basis elements of the pairs graded g.
 
 import itertools
 import json
+import math
 import os
 
 from .errors import (
@@ -18,7 +19,13 @@ from .errors import (
     NotComparableError,
     VerificationError,
 )
-from .poset import automorphisms, component_index, connected_components
+from .poset import (
+    automorphisms,
+    component_index,
+    connected_components,
+    inverse_permutation,
+    permutation_cycles,
+)
 
 DEFAULT_BUDGET = 10 ** 6
 
@@ -118,21 +125,7 @@ def cyclic_group(n):
 
 def _cycle_name(perm):
     """Cycle notation over 1-based points, '1' for the identity."""
-    n = len(perm)
-    seen = [False] * n
-    cycles = []
-    for start in range(n):
-        if seen[start] or perm[start] == start:
-            seen[start] = True
-            continue
-        cycle = [start]
-        seen[start] = True
-        nxt = perm[start]
-        while nxt != start:
-            cycle.append(nxt)
-            seen[nxt] = True
-            nxt = perm[nxt]
-        cycles.append(cycle)
+    cycles = [c for c in permutation_cycles(perm) if len(c) > 1]
     if not cycles:
         return "1"
     return "".join("(" + "".join(str(v + 1) for v in c) + ")" for c in cycles)
@@ -168,6 +161,14 @@ def group_from_spec(spec):
             obj = json.loads(spec)
         except json.JSONDecodeError as exc:
             raise InvalidGroupError(f"bad group JSON: {exc}") from None
+        if (not isinstance(obj, dict) or not isinstance(obj.get("names"), list)
+                or not isinstance(obj.get("table"), list)
+                or any(not isinstance(row, list) for row in obj["table"])):
+            raise InvalidGroupError(
+                'group JSON must be an object with a "names" list and a '
+                '"table" list of lists')
+        if any(type(v) is not int for row in obj["table"] for v in row):
+            raise InvalidGroupError("Cayley table entries must be integers")
         return FiniteGroup(obj["names"], obj["table"])
     factors = spec.split("x")
     built = None
@@ -235,12 +236,8 @@ class GradingMap:
 
     def compose_with_automorphism(self, sigma):
         """theta after sigma^{-1}, the right action used in transport."""
-        sigma = tuple(sigma)
-        inv = [0] * len(sigma)
-        for i, v in enumerate(sigma):
-            inv[v] = i
         return GradingMap(self.poset, self.group,
-                          [self.theta[inv[x]] for x in range(self.poset.n)])
+                          [self.theta[i] for i in inverse_permutation(sigma)])
 
     def shift(self, shifts):
         """Left-multiply by one group element per connected component."""
@@ -367,43 +364,49 @@ def burnside_class_count(poset, group):
     one free choice, and the closure condition is that the shifts met around
     the cycle multiply to the identity, so the fixed count is a product of
     |G| or 0 per cycle.
+
+    The sum over h factors over the orbits of sigma on the components. On
+    an orbit of L components let q be the product of the L shifts met going
+    once around it; the shift tuples of the orbit map onto q, |G|^(L-1) to
+    one. The product around an element cycle of length l is a rotation of
+    q^(l/L), hence a conjugate of it. An orbit whose element cycles have
+    lengths l_1..l_r therefore contributes
+    |G|^(L-1) * #{g : g^(l_i/L) = e for all i} * |G|^r, and the orbits
+    multiply, so each sigma costs polynomial time instead of |G|^k terms.
     """
     comps = connected_components(poset)
     owner = component_index(poset)
     auts = automorphisms(poset)
     k = len(comps)
-
-    def cycles_of(sigma):
-        seen = [False] * poset.n
-        out = []
-        for start in range(poset.n):
-            if seen[start]:
-                continue
-            cycle = [start]
-            seen[start] = True
-            nxt = sigma[start]
-            while nxt != start:
-                cycle.append(nxt)
-                seen[nxt] = True
-                nxt = sigma[nxt]
-            out.append(cycle)
-        return out
+    m = group.order
+    orders = []
+    for a in range(m):
+        power, order = a, 1
+        while power != group.identity:
+            power, order = group.mul(power, a), order + 1
+        orders.append(order)
+    # roots[d] = #{g : g^d = e}; each l/L is at most n.
+    roots = [0] + [sum(1 for o in orders if d % o == 0)
+                   for d in range(1, poset.n + 1)]
 
     total = 0
     for sigma in auts:
-        cycles = cycles_of(sigma)
-        for shifts in itertools.product(range(group.order), repeat=k):
-            fixed = 1
-            for cycle in cycles:
-                acc = shifts[owner[cycle[0]]]
-                for t in range(len(cycle) - 1, 0, -1):
-                    acc = group.mul(acc, shifts[owner[cycle[t]]])
-                if acc != group.identity:
-                    fixed = 0
-                    break
-                fixed *= group.order
-            total += fixed
-    denom = (group.order ** k) * len(auts)
+        orbits = permutation_cycles(
+            [owner[sigma[members[0]]] for members in comps])
+        orbit_of = [0] * k
+        for j, orbit in enumerate(orbits):
+            for c in orbit:
+                orbit_of[c] = j
+        exponent = [0] * len(orbits)  # gcd of l/L over the orbit's cycles
+        cycles = permutation_cycles(sigma)
+        for cycle in cycles:
+            j = orbit_of[owner[cycle[0]]]
+            exponent[j] = math.gcd(exponent[j], len(cycle) // len(orbits[j]))
+        fixed = m ** (k - len(orbits) + len(cycles))
+        for d in exponent:
+            fixed *= roots[d]
+        total += fixed
+    denom = (m ** k) * len(auts)
     count, rem = divmod(total, denom)
     if rem:
         raise VerificationError("Burnside sum is not divisible by the group order")
@@ -412,7 +415,16 @@ def burnside_class_count(poset, group):
 
 def classify_gradings(poset, group, budget=None):
     """One representative per equivalence class, each the lexicographically
-    least map in its class; the count is cross-checked against Burnside.
+    least map in its class, in increasing order; the count is cross-checked
+    against Burnside.
+
+    The budget bounds the |G|^n maps of the whole space. Only normalized
+    maps are enumerated, those sending the anchor (least element) of each
+    connected component to group index 0: |G|^(n-k) with k components.
+    Every per-component shift orbit holds exactly one normalized map, its
+    lexicographically least one, so the least normalized map of a class is
+    the least map of the class. A representative's class is marked by
+    acting with each automorphism and renormalizing, |Aut(P)| maps each.
     """
     total = group.order ** poset.n
     limit = enumeration_budget(budget)
@@ -421,22 +433,27 @@ def classify_gradings(poset, group, budget=None):
             f"{total} maps exceed the enumeration budget {limit}")
     comps = connected_components(poset)
     owner = component_index(poset)
-    auts = automorphisms(poset)
-    k = len(comps)
+    anchors = [members[0] for members in comps]
+    m = group.order
+    # normalize[a][v]: v after the shift that sends the anchor value a to 0.
+    normalize = [[group.mul(group.mul(0, group.inv(a)), v) for v in range(m)]
+                 for a in range(m)]
+    # Per automorphism sigma, the map theta o sigma^{-1} reads element x
+    # and its component's anchor from these positions of theta.
+    moves = []
+    for sigma in automorphisms(poset):
+        inv = inverse_permutation(sigma)
+        moves.append(tuple((inv[anchors[owner[x]]], inv[x])
+                           for x in range(poset.n)))
     seen = set()
     reps = []
-    for theta in itertools.product(range(group.order), repeat=poset.n):
+    values = [(0,) if x in anchors else range(m) for x in range(poset.n)]
+    for theta in itertools.product(*values):
         if theta in seen:
             continue
         reps.append(GradingMap(poset, group, theta))
-        for sigma in auts:
-            inv = [0] * poset.n
-            for i, v in enumerate(sigma):
-                inv[v] = i
-            moved = tuple(theta[inv[x]] for x in range(poset.n))
-            for shifts in itertools.product(range(group.order), repeat=k):
-                seen.add(tuple(group.mul(shifts[owner[x]], moved[x])
-                               for x in range(poset.n)))
+        for move in moves:
+            seen.add(tuple(normalize[theta[a]][theta[x]] for a, x in move))
     expected = burnside_class_count(poset, group)
     if len(reps) != expected:
         raise VerificationError(

@@ -282,6 +282,33 @@ def automorphisms(p):
     return tuple(sorted(found))
 
 
+def inverse_permutation(perm):
+    """The inverse of a permutation given as its tuple of images."""
+    out = [0] * len(perm)
+    for i, v in enumerate(perm):
+        out[v] = i
+    return tuple(out)
+
+
+def permutation_cycles(perm):
+    """The cycles of a permutation, fixed points included, each listed
+    from its least point and ordered by that point."""
+    seen = [False] * len(perm)
+    cycles = []
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        cycle = [start]
+        seen[start] = True
+        nxt = perm[start]
+        while nxt != start:
+            cycle.append(nxt)
+            seen[nxt] = True
+            nxt = perm[nxt]
+        cycles.append(tuple(cycle))
+    return cycles
+
+
 def is_chain_transitive(p):
     """Whether Aut(P) acts transitively on the maximal chains.
 

@@ -1,19 +1,26 @@
 import json
-import shutil
+import os
 import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
-BIN = shutil.which("incgrade")
+# Run the CLI module from the source tree, so no installed script is needed.
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+ENV = {**os.environ,
+       "PYTHONPATH": os.pathsep.join(
+           p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
 
 _SCHEMA = json.loads(resources.files("incgrade").joinpath(
     "schemas/run_report.schema.json").read_text())
 
 
 def run_cli(*argv, expect=0):
-    proc = subprocess.run([BIN, *argv], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-m", "incgrade.cli", *argv],
+                          capture_output=True, text=True, env=ENV)
     assert proc.returncode == expect, (proc.returncode, proc.stderr, proc.stdout)
     return proc
 
@@ -237,6 +244,16 @@ class TestCliContract:
         proc = run_cli("grade", "--poset", "c2", "--group", "C2",
                        "--theta", "1,z", expect=2)
         assert proc.stderr.startswith("error:")
+
+    @pytest.mark.parametrize("spec", [
+        '{"names": ["1", "h"]}',
+        '{"names": ["1", "h"], "table": 5}',
+        '{"names": ["1", "h"], "table": [[0, 1], [1, 0.5]]}',
+    ], ids=["missing-key", "non-list-table", "non-integer-entry"])
+    def test_malformed_group_json_is_usage_error(self, spec):
+        proc = run_cli("classify", "--poset", "c2", "--group", spec, expect=2)
+        assert proc.stderr.startswith("error:")
+        assert len(proc.stderr.splitlines()) == 1
 
     def test_malformed_poset_file_is_usage_error(self, tmp_path):
         path = tmp_path / "broken.json"

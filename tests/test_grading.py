@@ -28,10 +28,16 @@ from incgrade.poset import (
     automorphisms,
     connected_components,
     maximal_chains,
+    poset_from_covers,
     subposet,
 )
 
-from util import random_grading
+from util import (
+    brute_force_burnside,
+    brute_force_classes,
+    random_grading,
+    relabelled_group,
+)
 
 CORPUS = corpus_posets()
 
@@ -340,6 +346,42 @@ class TestClassification:
                 g = group_from_spec(spec)
                 assert burnside_class_count(p, g) == len(
                     classify_gradings(p, g)), (name, spec)
+
+    def test_matches_brute_force_oracles(self):
+        groups = [group_from_spec(spec)
+                  for spec in ("C1", "C2", "C3", "C2xC2", "S3")]
+        # Index 0 is not the identity, so anchors normalized to the
+        # identity would not give the least maps.
+        groups.append(relabelled_group(symmetric_group(3), [3, 1, 4, 0, 5, 2]))
+        assert groups[-1].identity != 0
+        rng = random.Random(20)
+        posets = list(CORPUS.values())
+        for _ in range(40):
+            n = rng.randint(1, 6)
+            covers = [(i, j) for i in range(n) for j in range(i + 1, n)
+                      if rng.random() < 0.3]
+            order = rng.sample(range(n), n)
+            posets.append(poset_from_covers(
+                [f"e{i}" for i in range(n)],
+                [(order[i], order[j]) for i, j in covers]))
+        for p in posets:
+            for g in groups:
+                if g.order ** p.n > 8000:
+                    continue
+                reps = [rep.theta for rep in classify_gradings(p, g)]
+                assert reps == brute_force_classes(p, g), (p, g)
+                assert burnside_class_count(p, g) == brute_force_burnside(p, g)
+
+    def test_two_antichain_over_two_elements(self):
+        p = CORPUS["antichain2"]
+        assert burnside_class_count(p, cyclic_group(2)) == 1
+        assert len(classify_gradings(p, cyclic_group(2))) == 1
+
+    def test_antichains_over_s3_have_one_class(self):
+        g = symmetric_group(3)
+        for n in range(1, 8):
+            p = poset_from_covers([f"a{i}" for i in range(n)], [])
+            assert [rep.theta for rep in classify_gradings(p, g)] == [(0,) * n]
 
     def test_burnside_chain_formula(self):
         # Chains are rigid, so classes = distinct gradings = |G|^(n-1).

@@ -5,7 +5,7 @@ import itertools
 from fractions import Fraction
 
 from incgrade.algebra import IncidenceFunction
-from incgrade.grading import GradingMap
+from incgrade.grading import FiniteGroup, GradingMap
 
 SCALARS = [Fraction(n, d) for n in range(-4, 5) for d in (1, 2, 3)]
 NONZERO = [v for v in SCALARS if v]
@@ -87,6 +87,67 @@ def brute_force_components(poset):
         seen.update(members)
         out.append(members)
     return out
+
+
+def relabelled_group(group, order):
+    """The same group with new index i naming old element order[i]."""
+    position = {old: new for new, old in enumerate(order)}
+    table = [[position[group.mul(a, b)] for b in order] for a in order]
+    return FiniteGroup([group.names[a] for a in order], table)
+
+
+def brute_force_classes(poset, group):
+    """The least map of each equivalence class, ascending: walk all |G|^n
+    maps and mark the whole orbit, |Aut| * |G|^k maps, of each new one."""
+    comps = brute_force_components(poset)
+    owner = {x: c for c, members in enumerate(comps) for x in members}
+    auts = brute_force_automorphisms(poset)
+    seen = set()
+    reps = []
+    for theta in itertools.product(range(group.order), repeat=poset.n):
+        if theta in seen:
+            continue
+        reps.append(theta)
+        for sigma in auts:
+            moved = [None] * poset.n
+            for x in range(poset.n):
+                moved[sigma[x]] = theta[x]
+            for shifts in itertools.product(range(group.order),
+                                            repeat=len(comps)):
+                seen.add(tuple(group.mul(shifts[owner[x]], moved[x])
+                               for x in range(poset.n)))
+    return reps
+
+
+def brute_force_burnside(poset, group):
+    """Burnside's lemma summed term by term over all |Aut| * |G|^k pairs
+    (shifts, sigma). A map is fixed when it is constant up to the shifts
+    along each cycle of sigma, which closes when the shifts met around the
+    cycle multiply to the identity; then the cycle has |G| fixed choices."""
+    comps = brute_force_components(poset)
+    owner = {x: c for c, members in enumerate(comps) for x in members}
+    auts = brute_force_automorphisms(poset)
+    total = 0
+    for sigma in auts:
+        cycles = []
+        for start in range(poset.n):
+            if any(start in c for c in cycles):
+                continue
+            cycle = [start]
+            while sigma[cycle[-1]] != start:
+                cycle.append(sigma[cycle[-1]])
+            cycles.append(cycle)
+        for shifts in itertools.product(range(group.order), repeat=len(comps)):
+            fixed = 1
+            for cycle in cycles:
+                acc = group.identity
+                for x in cycle:
+                    acc = group.mul(shifts[owner[x]], acc)
+                fixed *= group.order if acc == group.identity else 0
+            total += fixed
+    count, rem = divmod(total, group.order ** len(comps) * len(auts))
+    assert rem == 0
+    return count
 
 
 def monomial_vanishes_by_products(grading, word):

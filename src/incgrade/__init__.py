@@ -12,7 +12,6 @@ from .errors import IncgradeError
 from .poset import (
     Poset,
     poset_from_covers,
-    poset_from_relation,
     poset_from_json,
     poset_to_json,
     segment,
@@ -67,7 +66,6 @@ __all__ = [
     "IncgradeError",
     "Poset",
     "poset_from_covers",
-    "poset_from_relation",
     "poset_from_json",
     "poset_to_json",
     "segment",

@@ -10,14 +10,16 @@ from fractions import Fraction
 
 from .errors import (
     DecompositionError,
+    MalformedInputError,
     NotAutomorphismError,
     NotComparableError,
     NotInvertibleError,
     NotMultiplicativeError,
     PosetMismatchError,
+    VerificationError,
 )
 from .linalg import RowReducer, format_rational, parse_rational
-from .poset import inverse_permutation, segment
+from .poset import _is_index_pair, inverse_permutation, segment
 
 
 class IncidenceFunction:
@@ -96,11 +98,15 @@ class IncidenceFunction:
 
 
 def function_from_json(poset, obj):
-    """Read entries in the [[x, y, "num/den"], ...] form."""
-    entries = {}
-    for x, y, value in obj["entries"]:
-        entries[(int(x), int(y))] = parse_rational(value)
-    return IncidenceFunction(poset, entries)
+    """Read {"entries": [[x, y, "num/den"], ...]}."""
+    entries = obj.get("entries") if isinstance(obj, dict) else None
+    if not isinstance(entries, list) or not all(
+            isinstance(e, list) and len(e) == 3 and _is_index_pair(e[:2])
+            for e in entries):
+        raise MalformedInputError(
+            'entries must be a list of [x, y, "num/den"] with integer x, y')
+    return IncidenceFunction(
+        poset, {(x, y): parse_rational(value) for x, y, value in entries})
 
 
 def function_to_json(f):
@@ -173,7 +179,7 @@ def invert(f):
     g = IncidenceFunction(poset, inv)
     d = delta(poset)
     if convolve(f, g) != d or convolve(g, f) != d:
-        raise AssertionError("inverse failed verification against the unit")
+        raise VerificationError("inverse failed verification against the unit")
     return g
 
 
@@ -266,12 +272,15 @@ class AlgebraMorphism:
 
 def morphism_from_json(poset, obj):
     """Read a list of {"pair": [x, y], "image": [[u, v, "c"], ...]}."""
-    images = {}
-    for item in obj:
-        x, y = item["pair"]
-        images[(int(x), int(y))] = function_from_json(
-            poset, {"entries": item["image"]})
-    return AlgebraMorphism(poset, images)
+    if not isinstance(obj, list) or not all(
+            isinstance(item, dict) and _is_index_pair(item.get("pair"))
+            for item in obj):
+        raise MalformedInputError(
+            'morphism JSON must be a list of {"pair": [x, y], "image": [...]}')
+    return AlgebraMorphism(poset, {
+        tuple(item["pair"]): function_from_json(
+            poset, {"entries": item.get("image")})
+        for item in obj})
 
 
 def morphism_to_json(phi):

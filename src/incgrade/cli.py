@@ -3,7 +3,8 @@
 Every subcommand reads poset/group/grading inputs, runs one library
 operation, and emits a run report either as deterministic JSON (stable
 key order, canonical rational strings, no timing) or as a human-readable
-table with wall-clock timing.
+table with wall-clock timing. Each subcommand is declared once, in
+COMMANDS.
 
 Exit codes: 0 success, 1 a verification subcommand found a counterexample
 or a cross-check failed, 2 input or usage error.
@@ -47,7 +48,6 @@ from .poset import (
     connected_components,
     is_chain_transitive,
     maximal_chains,
-    poset_to_json,
 )
 
 
@@ -68,8 +68,7 @@ def _labels(poset, indices):
     return [poset.elements[i] for i in indices]
 
 
-def cmd_validate(args):
-    poset = load_poset(args.poset)
+def cmd_validate(args, poset, group):
     return {
         "valid": True,
         "elements": list(poset.elements),
@@ -78,30 +77,25 @@ def cmd_validate(args):
     }
 
 
-def cmd_chains(args):
-    poset = load_poset(args.poset)
+def cmd_chains(args, poset, group):
     return {"chains": [_labels(poset, c) for c in maximal_chains(poset)]}
 
 
-def cmd_components(args):
-    poset = load_poset(args.poset)
+def cmd_components(args, poset, group):
     return {"components": [_labels(poset, c)
                            for c in connected_components(poset)]}
 
 
-def cmd_bound(args):
-    poset = load_poset(args.poset)
+def cmd_bound(args, poset, group):
     return {"bound": bound(poset)}
 
 
-def cmd_aut(args):
-    poset = load_poset(args.poset)
+def cmd_aut(args, poset, group):
     auts = automorphisms(poset)
     return {"order": len(auts), "automorphisms": [list(a) for a in auts]}
 
 
-def cmd_chain_transitive(args):
-    poset = load_poset(args.poset)
+def cmd_chain_transitive(args, poset, group):
     transitive, witness = is_chain_transitive(poset)
     if transitive:
         table = [{"from": i, "to": j, "sigma": list(sigma)}
@@ -110,14 +104,12 @@ def cmd_chain_transitive(args):
     return {"transitive": False, "unreachable": list(witness)}
 
 
-def cmd_mobius(args):
-    poset = load_poset(args.poset)
+def cmd_mobius(args, poset, group):
     mobius = invert(zeta(poset))
     return {"entries": function_to_json(mobius)["entries"]}
 
 
-def cmd_decompose(args):
-    poset = load_poset(args.poset)
+def cmd_decompose(args, poset, group):
     with open(args.morphism) as handle:
         phi = morphism_from_json(poset, json.load(handle))
     r, s, sigma = decompose_automorphism(phi)
@@ -128,9 +120,7 @@ def cmd_decompose(args):
     }
 
 
-def cmd_grade(args):
-    poset = load_poset(args.poset)
-    group = group_from_spec(args.group)
+def cmd_grade(args, poset, group):
     theta = _parse_theta(poset, group, args.theta)
     components = {}
     for g, pairs in theta.components().items():
@@ -141,16 +131,12 @@ def cmd_grade(args):
     }
 
 
-def cmd_count(args):
-    poset = load_poset(args.poset)
-    group = group_from_spec(args.group)
+def cmd_count(args, poset, group):
     count = count_distinct_gradings(poset, group, verify=args.verify)
     return {"count": count, "verified": bool(args.verify)}
 
 
-def cmd_classify(args):
-    poset = load_poset(args.poset)
-    group = group_from_spec(args.group)
+def cmd_classify(args, poset, group):
     reps = classify_gradings(poset, group)
     return {
         "classes": len(reps),
@@ -158,9 +144,7 @@ def cmd_classify(args):
     }
 
 
-def cmd_equiv(args):
-    poset = load_poset(args.poset)
-    group = group_from_spec(args.group)
+def cmd_equiv(args, poset, group):
     theta = _parse_theta(poset, group, args.theta)
     mu = _parse_theta(poset, group, args.mu)
     witness = equivalent(theta, mu)
@@ -175,9 +159,7 @@ def cmd_equiv(args):
     }
 
 
-def cmd_slice(args):
-    poset = load_poset(args.poset)
-    group = group_from_spec(args.group)
+def cmd_slice(args, poset, group):
     theta = _parse_theta(poset, group, args.theta)
     multidegree = _parse_multidegree(group, args.multidegree)
     piece = identity_slice(theta, multidegree)
@@ -189,9 +171,7 @@ def cmd_slice(args):
     }
 
 
-def cmd_compare_identities(args):
-    poset = load_poset(args.poset)
-    group = group_from_spec(args.group)
+def cmd_compare_identities(args, poset, group):
     theta = _parse_theta(poset, group, args.theta)
     mu = _parse_theta(poset, group, args.mu)
     equal, first = slices_equal_upto(theta, mu, args.max_degree)
@@ -203,9 +183,7 @@ def cmd_compare_identities(args):
     }
 
 
-def cmd_verify_reduction(args):
-    poset = load_poset(args.poset)
-    group = group_from_spec(args.group)
+def cmd_verify_reduction(args, poset, group):
     if args.theta:
         theta = _parse_theta(poset, group, args.theta)
     else:
@@ -216,10 +194,9 @@ def cmd_verify_reduction(args):
     if args.multidegree:
         degrees = [_parse_multidegree(group, args.multidegree)]
     else:
-        alphabet = sorted(set(theta.support()) | {group.identity})
         degrees = []
         for m in range(1, args.max_degree + 1):
-            degrees.extend(itertools.product(alphabet, repeat=m))
+            degrees.extend(itertools.product(theta.support(), repeat=m))
     checks = []
     all_equal = True
     for multidegree in degrees:
@@ -239,9 +216,7 @@ def cmd_verify_reduction(args):
     return result
 
 
-def cmd_monomials(args):
-    poset = load_poset(args.poset)
-    group = group_from_spec(args.group)
+def cmd_monomials(args, poset, group):
     theta = _parse_theta(poset, group, args.theta)
     words = monomial_identities(theta, args.max_degree)
     return {
@@ -251,9 +226,7 @@ def cmd_monomials(args):
     }
 
 
-def cmd_transitivity_check(args):
-    poset = load_poset(args.poset)
-    group = group_from_spec(args.group)
+def cmd_transitivity_check(args, poset, group):
     report = chain_transitivity_identity_check(poset, group)
     result = {
         "degree": report["degree"],
@@ -268,45 +241,41 @@ def cmd_transitivity_check(args):
     return result
 
 
-HANDLERS = {
-    "validate": cmd_validate,
-    "chains": cmd_chains,
-    "components": cmd_components,
-    "bound": cmd_bound,
-    "aut": cmd_aut,
-    "chain-transitive": cmd_chain_transitive,
-    "mobius": cmd_mobius,
-    "decompose": cmd_decompose,
-    "grade": cmd_grade,
-    "count": cmd_count,
-    "classify": cmd_classify,
-    "equiv": cmd_equiv,
-    "slice": cmd_slice,
-    "compare-identities": cmd_compare_identities,
-    "verify-reduction": cmd_verify_reduction,
-    "monomials": cmd_monomials,
-    "transitivity-check": cmd_transitivity_check,
+# One entry per subcommand: its handler, the flags it requires, and the
+# optional flags echoed after them in the report's "inputs". A tuple
+# echoes the first of its flags that is set: verify-reduction draws a
+# random theta from --seed only when --theta is absent.
+COMMANDS = {
+    "validate": (cmd_validate, ("poset",), ()),
+    "chains": (cmd_chains, ("poset",), ()),
+    "components": (cmd_components, ("poset",), ()),
+    "bound": (cmd_bound, ("poset",), ()),
+    "aut": (cmd_aut, ("poset",), ()),
+    "chain-transitive": (cmd_chain_transitive, ("poset",), ()),
+    "mobius": (cmd_mobius, ("poset",), ()),
+    "decompose": (cmd_decompose, ("poset", "morphism"), ()),
+    "grade": (cmd_grade, ("poset", "group", "theta"), ()),
+    "count": (cmd_count, ("poset", "group"), ("verify",)),
+    "classify": (cmd_classify, ("poset", "group"), ()),
+    "equiv": (cmd_equiv, ("poset", "group", "theta", "mu"), ()),
+    "slice": (cmd_slice, ("poset", "group", "theta", "multidegree"), ()),
+    "compare-identities": (cmd_compare_identities,
+                           ("poset", "group", "theta", "mu"), ("max_degree",)),
+    "verify-reduction": (cmd_verify_reduction, ("poset", "group"),
+                         ("max_degree", ("theta", "seed"), "multidegree")),
+    "monomials": (cmd_monomials, ("poset", "group", "theta"), ("max_degree",)),
+    "transitivity-check": (cmd_transitivity_check, ("poset", "group"), ()),
 }
 
-NEEDS = {
-    "validate": ("poset",),
-    "chains": ("poset",),
-    "components": ("poset",),
-    "bound": ("poset",),
-    "aut": ("poset",),
-    "chain-transitive": ("poset",),
-    "mobius": ("poset",),
-    "decompose": ("poset", "morphism"),
-    "grade": ("poset", "group", "theta"),
-    "count": ("poset", "group"),
-    "classify": ("poset", "group"),
-    "equiv": ("poset", "group", "theta", "mu"),
-    "slice": ("poset", "group", "theta", "multidegree"),
-    "compare-identities": ("poset", "group", "theta", "mu"),
-    "verify-reduction": ("poset", "group"),
-    "monomials": ("poset", "group", "theta"),
-    "transitivity-check": ("poset", "group"),
-}
+
+def _non_negative_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
 
 
 def build_parser():
@@ -314,7 +283,7 @@ def build_parser():
         prog="incgrade",
         description="Elementary group gradings on incidence algebras of "
                     "finite posets.")
-    parser.add_argument("command", choices=sorted(HANDLERS),
+    parser.add_argument("command", choices=sorted(COMMANDS),
                         help="operation to run")
     parser.add_argument("--poset",
                         help="poset JSON file or fixture name "
@@ -325,7 +294,7 @@ def build_parser():
     parser.add_argument("--multidegree",
                         help="multidegree as CSV of group element names")
     parser.add_argument("--morphism", help="morphism JSON file")
-    parser.add_argument("--max-degree", type=int, default=3,
+    parser.add_argument("--max-degree", type=_non_negative_int, default=3,
                         help="degree limit for identity sweeps (default 3)")
     parser.add_argument("--verify", action="store_true",
                         help="enable brute-force cross-checks")
@@ -336,21 +305,13 @@ def build_parser():
     return parser
 
 
-def _echo_inputs(args, command):
-    echo = {}
-    for field in NEEDS[command]:
-        echo[field] = getattr(args, field)
-    if command in ("compare-identities", "monomials", "verify-reduction"):
-        echo["max_degree"] = args.max_degree
-    if command == "count":
-        echo["verify"] = bool(args.verify)
-    if command == "verify-reduction":
-        if args.theta:
-            echo["theta"] = args.theta
-        else:
-            echo["seed"] = args.seed
-        if args.multidegree:
-            echo["multidegree"] = args.multidegree
+def _echo_flags(args, required, echoed):
+    echo = {flag: getattr(args, flag) for flag in required}
+    for choice in echoed:
+        for flag in choice if isinstance(choice, tuple) else (choice,):
+            if getattr(args, flag) not in (None, ""):
+                echo[flag] = getattr(args, flag)
+                break
     return echo
 
 
@@ -388,17 +349,23 @@ def _table_lines(value, indent):
 
 
 def run(argv):
-    """Run one subcommand; returns (report dict, exit code)."""
+    """Run one subcommand; returns (its rendered output, exit code)."""
     parser = build_parser()
     args = parser.parse_args(argv)
     command = args.command
-    for field in NEEDS[command]:
+    handler, required, echoed = COMMANDS[command]
+    for field in required:
         if getattr(args, field) is None:
             parser.error(f"{command} requires --{field.replace('_', '-')}")
     started = time.monotonic()
     code = 0
     try:
-        results = HANDLERS[command](args)
+        # Every subcommand requires --poset. Loading the poset, then the
+        # group, then the handler's own inputs fixes which error is reported
+        # when several inputs are bad.
+        poset = load_poset(args.poset)
+        group = group_from_spec(args.group) if "group" in required else None
+        results = handler(args, poset, group)
     except CounterexampleFound as exc:
         results = exc.args[0]
         code = 1
@@ -409,25 +376,23 @@ def run(argv):
     report = {
         "command": command,
         "version": __version__,
-        "inputs": _echo_inputs(args, command),
+        "inputs": _echo_flags(args, required, echoed),
         "results": results,
         "timing_ms": None,
     }
-    return report, code, elapsed_ms
+    if args.format == "json":
+        return json.dumps(report, indent=2), code
+    return _render_table(report, elapsed_ms), code
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     try:
-        report, code, elapsed_ms = run(argv)
+        output, code = run(argv)
     except (IncgradeError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    args = build_parser().parse_args(argv)
-    if args.format == "json":
-        print(json.dumps(report, indent=2))
-    else:
-        print(_render_table(report, elapsed_ms))
+    print(output)
     return code
 
 

@@ -45,6 +45,10 @@ class DecompositionError(IncgradeError):
     """A uniqueness step of the automorphism decomposition failed."""
 
 
+class MalformedInputError(IncgradeError):
+    """A poset, function or morphism JSON document has the wrong shape."""
+
+
 class InvalidGroupError(IncgradeError):
     """A group specification violates a group axiom or is malformed."""
 

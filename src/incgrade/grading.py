@@ -275,10 +275,8 @@ def grading_from_json(poset, obj):
 
 
 def grading_to_json(grading, group_spec=None):
-    out = {"theta": grading.names()}
-    if group_spec is not None:
-        out = {"group": group_spec, "theta": grading.names()}
-    return out
+    return ({"theta": grading.names()} if group_spec is None
+            else {"group": group_spec, "theta": grading.names()})
 
 
 class EquivalenceWitness:

@@ -8,7 +8,7 @@ canonical reduced echelon basis one at a time.
 
 from fractions import Fraction
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, VerificationError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -160,7 +160,7 @@ def nullspace(matrix):
     for vec in result.rows:
         for row in matrix.rows:
             if sum(a * b for a, b in zip(row, vec)) != 0:
-                raise AssertionError("nullspace vector fails M v = 0")
+                raise VerificationError("nullspace vector fails M v = 0")
     return result
 
 
@@ -190,5 +190,5 @@ def subspace_intersect(a, b):
             reducer.add(row)
         for vec in result.rows:
             if not reducer.contains(vec):
-                raise AssertionError("intersection vector escapes a factor")
+                raise VerificationError("intersection vector escapes a factor")
     return result

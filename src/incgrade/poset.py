@@ -12,6 +12,7 @@ from .errors import (
     CycleError,
     DuplicateLabelError,
     EmptyPosetError,
+    MalformedInputError,
     NotComparableError,
 )
 
@@ -20,8 +21,7 @@ class Poset:
     """Immutable finite poset over labeled, indexed elements.
 
     leq must already be reflexive, antisymmetric, and transitive; use
-    poset_from_covers or poset_from_relation to close an arbitrary input
-    relation first.
+    poset_from_covers to close an arbitrary input relation first.
     """
 
     def __init__(self, elements, leq):
@@ -102,26 +102,32 @@ def _close(n, edges):
 
 
 def poset_from_covers(labels, covers):
-    """Build a poset from cover pairs; the relation is their
-    reflexive-transitive closure."""
+    """Build a poset from cover pairs, or from any relation: the order is
+    its reflexive-transitive closure."""
     labels = tuple(labels)
     return Poset(labels, _close(len(labels), covers))
-
-
-def poset_from_relation(labels, relation):
-    """Build a poset from an arbitrary (pre-closure) relation."""
-    return poset_from_covers(labels, relation)
 
 
 def poset_from_json(obj):
     """Read {"elements": [...], "covers": [[i,j],...]} or
     {"elements": [...], "relation": [[i,j],...]}."""
-    labels = obj["elements"]
-    if "covers" in obj:
-        return poset_from_covers(labels, [tuple(p) for p in obj["covers"]])
-    if "relation" in obj:
-        return poset_from_relation(labels, [tuple(p) for p in obj["relation"]])
-    raise ValueError("poset JSON needs a 'covers' or 'relation' key")
+    if not isinstance(obj, dict) or not isinstance(obj.get("elements"), list):
+        raise MalformedInputError(
+            'poset JSON must be an object with an "elements" list')
+    key = "covers" if "covers" in obj else "relation"
+    if key not in obj:
+        raise MalformedInputError("poset JSON needs a 'covers' or 'relation' key")
+    pairs = obj[key]
+    if not isinstance(pairs, list) or not all(map(_is_index_pair, pairs)):
+        raise MalformedInputError(
+            f"poset JSON {key!r} must be a list of [i, j] integer pairs")
+    return poset_from_covers(obj["elements"], [tuple(p) for p in pairs])
+
+
+def _is_index_pair(value):
+    """Whether a JSON value is a list of two integers."""
+    return (isinstance(value, list) and len(value) == 2
+            and type(value[0]) is int and type(value[1]) is int)
 
 
 def poset_to_json(p):
@@ -218,28 +224,29 @@ def linear_extension(p):
     return tuple(order)
 
 
+def _heights(p, order, dual=False):
+    """Per element, the number of elements in a longest chain that ends
+    there (starts there, if dual), filled in along order: a linear
+    extension (its reverse, if dual)."""
+    height = [1] * p.n
+    for i in order:
+        below = [height[j] for j in range(p.n)
+                 if j != i and (p.leq[i][j] if dual else p.leq[j][i])]
+        if below:
+            height[i] = 1 + max(below)
+    return height
+
+
 def bound(p):
     """Number of elements in a longest chain."""
-    longest = [1] * p.n
-    for i in linear_extension(p):
-        below = [longest[j] for j in range(p.n) if j != i and p.leq[j][i]]
-        if below:
-            longest[i] = 1 + max(below)
-    return max(longest)
+    return max(_heights(p, linear_extension(p)))
 
 
 def _signatures(p):
     """Per-element invariants preserved by every automorphism."""
-    height = [1] * p.n
-    for i in linear_extension(p):
-        below = [height[j] for j in range(p.n) if j != i and p.leq[j][i]]
-        if below:
-            height[i] = 1 + max(below)
-    depth = [1] * p.n
-    for i in reversed(linear_extension(p)):
-        above = [depth[j] for j in range(p.n) if j != i and p.leq[i][j]]
-        if above:
-            depth[i] = 1 + max(above)
+    order = linear_extension(p)
+    height = _heights(p, order)
+    depth = _heights(p, reversed(order), dual=True)
     up = [sum(1 for j in range(p.n) if j != i and p.leq[i][j]) for i in range(p.n)]
     down = [sum(1 for j in range(p.n) if j != i and p.leq[j][i]) for i in range(p.n)]
     cup = [sum(1 for (a, _) in p.covers if a == i) for i in range(p.n)]

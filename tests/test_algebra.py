@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from incgrade import algebra
 from incgrade.algebra import (
     AlgebraMorphism,
     IncidenceFunction,
@@ -30,6 +31,7 @@ from incgrade.errors import (
     NotInvertibleError,
     NotMultiplicativeError,
     PosetMismatchError,
+    VerificationError,
 )
 from incgrade.poset import automorphisms
 
@@ -163,6 +165,12 @@ class TestInvert:
         p = CORPUS["c2"]
         with pytest.raises(NotInvertibleError):
             invert(e_basis(p, 0, 0))
+
+    def test_failed_unit_check_raises_verification_error(self, monkeypatch):
+        # Checked against zeta instead of the unit, the true inverse fails.
+        monkeypatch.setattr(algebra, "delta", zeta)
+        with pytest.raises(VerificationError):
+            invert(zeta(CORPUS["c2"]))
 
 
 class TestMultiplicative:

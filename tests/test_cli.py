@@ -8,6 +8,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from incgrade import algebra, zeta
+from incgrade.cli import COMMANDS, main
+
 # Run the CLI module from the source tree, so no installed script is needed.
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 ENV = {**os.environ,
@@ -264,3 +267,129 @@ class TestCliContract:
     def test_unknown_command_is_usage_error(self):
         proc = run_cli("frobnicate", expect=2)
         assert "invalid choice" in proc.stderr
+
+    @pytest.mark.parametrize("flag, content", [
+        ("--poset", {"covers": [[0, 1]]}),
+        ("--poset", {"elements": ["a", "b"], "covers": [["x", 1]]}),
+        ("--poset", [1, 2]),
+        ("--morphism", {"foo": 1}),
+    ], ids=["poset-missing-elements", "poset-non-integer-cover",
+            "poset-top-level-list", "morphism-not-a-list"])
+    def test_malformed_input_json_is_usage_error(self, tmp_path, flag, content):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(content))
+        argv = (["validate"] if flag == "--poset"
+                else ["decompose", "--poset", "c2"])
+        proc = run_cli(*argv, flag, str(path), expect=2)
+        assert proc.stderr.startswith("error:")
+        assert len(proc.stderr.splitlines()) == 1
+
+    def test_negative_max_degree_is_usage_error(self):
+        proc = run_cli("monomials", "--poset", "c2", "--group", "C2",
+                       "--theta", "1,h", "--max-degree", "-1", expect=2)
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines()[-1] == (
+            "incgrade: error: argument --max-degree: must not be negative: -1")
+
+    def test_zero_max_degree_is_accepted(self):
+        report = run_json("compare-identities", "--poset", "c2", "--group",
+                          "C2", "--theta", "1,h", "--mu", "1,1",
+                          "--max-degree", "0")
+        assert report["results"]["equal"] is True
+
+    def test_failed_self_check_exits_one(self, monkeypatch, capsys):
+        # invert checks its result against the unit; compare with zeta.
+        monkeypatch.setattr(algebra, "delta", zeta)
+        assert main(["mobius", "--poset", "c2", "--format", "json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["results"] == {
+            "error": "inverse failed verification against the unit"}
+
+
+# One valid invocation per case, and the "inputs" it must echo, in order.
+# The case named after a command is its base invocation.
+_C2 = ["--poset", "c2", "--group", "C2"]
+ECHO_CASES = {
+    "validate": (["validate", "--poset", "c2"], {"poset": "c2"}),
+    "chains": (["chains", "--poset", "c2"], {"poset": "c2"}),
+    "components": (["components", "--poset", "c2"], {"poset": "c2"}),
+    "bound": (["bound", "--poset", "c2"], {"poset": "c2"}),
+    "aut": (["aut", "--poset", "c2"], {"poset": "c2"}),
+    "chain-transitive": (["chain-transitive", "--poset", "c2"],
+                         {"poset": "c2"}),
+    "mobius": (["mobius", "--poset", "c2"], {"poset": "c2"}),
+    "decompose": (["decompose", "--poset", "c2", "--morphism", "m.json"],
+                  {"poset": "c2", "morphism": "m.json"}),
+    "grade": (["grade", *_C2, "--theta", "1,h"],
+              {"poset": "c2", "group": "C2", "theta": "1,h"}),
+    "count": (["count", *_C2],
+              {"poset": "c2", "group": "C2", "verify": False}),
+    "count-verify": (["count", *_C2, "--verify"],
+                     {"poset": "c2", "group": "C2", "verify": True}),
+    "classify": (["classify", *_C2], {"poset": "c2", "group": "C2"}),
+    "equiv": (["equiv", *_C2, "--theta", "1,h", "--mu", "h,1"],
+              {"poset": "c2", "group": "C2", "theta": "1,h", "mu": "h,1"}),
+    "slice": (["slice", *_C2, "--theta", "1,h", "--multidegree", "h,h"],
+              {"poset": "c2", "group": "C2", "theta": "1,h",
+               "multidegree": "h,h"}),
+    "compare-identities": (
+        ["compare-identities", *_C2, "--theta", "1,h", "--mu", "1,1",
+         "--max-degree", "2"],
+        {"poset": "c2", "group": "C2", "theta": "1,h", "mu": "1,1",
+         "max_degree": 2}),
+    "verify-reduction": (
+        ["verify-reduction", *_C2, "--theta", "1,h", "--seed", "5",
+         "--max-degree", "2"],
+        {"poset": "c2", "group": "C2", "max_degree": 2, "theta": "1,h"}),
+    "verify-reduction-theta-multidegree": (
+        ["verify-reduction", *_C2, "--theta", "1,h", "--multidegree", "h,h"],
+        {"poset": "c2", "group": "C2", "max_degree": 3, "theta": "1,h",
+         "multidegree": "h,h"}),
+    "verify-reduction-default-seed": (
+        ["verify-reduction", *_C2, "--max-degree", "2"],
+        {"poset": "c2", "group": "C2", "max_degree": 2, "seed": 0}),
+    "verify-reduction-seed-multidegree": (
+        ["verify-reduction", *_C2, "--seed", "5", "--multidegree", "h,h"],
+        {"poset": "c2", "group": "C2", "max_degree": 3, "seed": 5,
+         "multidegree": "h,h"}),
+    "monomials": (["monomials", *_C2, "--theta", "1,h"],
+                  {"poset": "c2", "group": "C2", "theta": "1,h",
+                   "max_degree": 3}),
+    "transitivity-check": (["transitivity-check", *_C2],
+                           {"poset": "c2", "group": "C2"}),
+}
+
+# The identity automorphism of the 2-chain.
+_IDENTITY_MORPHISM = [
+    {"pair": [0, 0], "image": [[0, 0, "1"]]},
+    {"pair": [0, 1], "image": [[0, 1, "1"]]},
+    {"pair": [1, 1], "image": [[1, 1, "1"]]},
+]
+
+
+class TestCommandTable:
+    def test_every_command_has_a_base_case(self):
+        assert set(COMMANDS) <= set(ECHO_CASES)
+        assert {argv[0] for argv, _ in ECHO_CASES.values()} == set(COMMANDS)
+
+    @pytest.mark.parametrize("case", sorted(ECHO_CASES))
+    def test_inputs_echo(self, case, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "m.json").write_text(json.dumps(_IDENTITY_MORPHISM))
+        argv, expected = ECHO_CASES[case]
+        assert main([*argv, "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        jsonschema.validate(report, _SCHEMA)
+        assert list(report["inputs"].items()) == list(expected.items())
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, (_, required, _) in COMMANDS.items()
+        for flag in required])
+    def test_each_required_flag_is_enforced(self, command, flag, capsys):
+        argv = ECHO_CASES[command][0]
+        at = argv.index(f"--{flag.replace('_', '-')}")
+        with pytest.raises(SystemExit) as exc:
+            main(argv[:at] + argv[at + 2:])
+        assert exc.value.code == 2
+        assert (f"{command} requires --{flag.replace('_', '-')}"
+                in capsys.readouterr().err)

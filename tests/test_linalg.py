@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from incgrade.errors import DimensionMismatchError
+from incgrade import linalg
+from incgrade.errors import DimensionMismatchError, VerificationError
 from incgrade.linalg import (
     RationalMatrix,
     RowReducer,
@@ -147,6 +148,23 @@ class TestSubspaces:
             meet = subspace_intersect(a, b)
             assert (rref(a).nrows + rref(b).nrows
                     == total.nrows + meet.nrows)
+
+
+class TestSelfChecks:
+    def test_nullspace_check_raises_verification_error(self, monkeypatch):
+        # With rref a no-op, [[1, 0], [1, 1]] yields the non-kernel vector
+        # (-1, 1), which the M v = 0 check must catch.
+        monkeypatch.setattr(linalg, "rref", lambda m: m)
+        with pytest.raises(VerificationError):
+            nullspace(mat([[1, 0], [1, 1]]))
+
+    def test_intersection_check_raises_verification_error(self, monkeypatch):
+        # A kernel of everything makes the whole plane the "intersection",
+        # which escapes the line.
+        monkeypatch.setattr(linalg, "nullspace",
+                            lambda m: mat([[1, 0], [0, 1]]))
+        with pytest.raises(VerificationError):
+            subspace_intersect(mat([[1, 0]]), mat([[1, 0]]))
 
 
 class TestRowReducer:

@@ -278,8 +278,16 @@ def _non_negative_int(text):
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as its one "incgrade: error:" line, without
+    the usage text, and exits 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="incgrade",
         description="Elementary group gradings on incidence algebras of "
                     "finite posets.")

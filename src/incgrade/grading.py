@@ -15,6 +15,7 @@ import os
 from .errors import (
     BudgetExceededError,
     InvalidGroupError,
+    MalformedInputError,
     MismatchError,
     NotComparableError,
     VerificationError,
@@ -269,6 +270,10 @@ class GradingMap:
 
 def grading_from_json(poset, obj):
     """Read {"group": "C3", "theta": ["1", "h", "h^2", "1"]}."""
+    if (not isinstance(obj, dict) or "group" not in obj
+            or not isinstance(obj.get("theta"), list)):
+        raise MalformedInputError(
+            'grading JSON must be an object with a "group" and a "theta" list')
     group = group_from_spec(obj["group"])
     theta = [group.index_of(name) for name in obj["theta"]]
     return GradingMap(poset, group, theta)

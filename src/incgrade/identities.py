@@ -8,10 +8,13 @@ A multidegree (g_1, ..., g_m) fixes the degree of each variable; the
 multilinear polynomials of that type live in the m!-dimensional span of
 the monomials x_{pi(1)} ... x_{pi(m)}. Substituting basis elements of the
 matching components is enough to decide identities, so a slice is the
-nullspace of a finite 0/1 evaluation matrix whose rows are streamed into
-an incremental row reduction.
+nullspace of a finite 0/1 evaluation matrix. Its distinct rows are
+collected as bitmasks and handed to linalg.nullspace, which eliminates
+fraction-free; Fractions appear only in the slice bases it returns and in
+polynomial coefficients.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -24,6 +27,8 @@ from .errors import (
 from .algebra import IncidenceFunction, convolve, e_basis
 from .grading import GradingMap, classify_gradings
 from .linalg import (
+    ONE,
+    ZERO,
     RationalMatrix,
     RowReducer,
     format_rational,
@@ -168,44 +173,40 @@ class IdentitySlice:
         return f"IdentitySlice(type={names}, dim={self.dimension})"
 
 
-# Slices depend only on the per-position basis pair lists, so they are
-# memoized on (poset, bases); representatives sharing component patterns
-# reuse each other's work.
-_SLICE_CACHE = {}
+@functools.lru_cache(maxsize=1024)
+def _slice_matrix(bases):
+    """Kernel of the evaluation rows for one tuple of per-position basis
+    pair lists. It depends on nothing else, so it is memoized on bases
+    alone and shared by every grading, on any poset, with those lists.
 
-
-def _slice_matrix(poset, bases):
-    key = (poset, bases)
-    hit = _SLICE_CACHE.get(key)
-    if hit is not None:
-        return hit
+    A row belongs to one substitution (a pair per position) and one output
+    pair: it has a 1 for each permutation whose product chains from the
+    output's left end to its right end. For each permutation, only the
+    pair sequences that chain (each pair starts where the previous one
+    ended) are walked, so every nonzero entry is visited once; each
+    distinct row is kept once, as a bitmask over the permutations.
+    """
     m = len(bases)
-    perms = tuple(itertools.permutations(range(m)))
-    fact = len(perms)
-    reducer = RowReducer(fact)
-    for pairs in itertools.product(*bases):
-        if reducer.rank == fact:
-            break
-        by_output = {}
-        for idx, perm in enumerate(perms):
-            cur = pairs[perm[0]][0]
-            alive = True
-            for pos in perm:
-                u, v = pairs[pos]
-                if u != cur:
-                    alive = False
-                    break
-                cur = v
-            if alive:
-                start = pairs[perm[0]][0]
-                by_output.setdefault((start, cur), set()).add(idx)
-        for hits in by_output.values():
-            row = [Fraction(1) if i in hits else Fraction(0)
-                   for i in range(fact)]
-            reducer.add(row)
-    result = nullspace(reducer.matrix())
-    _SLICE_CACHE[key] = result
-    return result
+    starting = [{} for _ in bases]
+    for pos, basis in enumerate(bases):
+        for pair in basis:
+            starting[pos].setdefault(pair[0], []).append(pair)
+    rows = {}
+    perms = list(itertools.permutations(range(m)))
+    for bit, perm in enumerate(perms):
+        walks = [(pair,) for pair in bases[perm[0]]]
+        for pos in perm[1:]:
+            nexts = starting[pos]
+            walks = [walk + (pair,) for walk in walks
+                     for pair in nexts.get(walk[-1][1], ())]
+        slots = [perm.index(pos) for pos in range(m)]
+        for walk in walks:
+            key = (tuple(walk[k] for k in slots), walk[0][0], walk[-1][1])
+            rows[key] = rows.get(key, 0) | 1 << bit
+    matrix = RationalMatrix(
+        [[ONE if mask >> i & 1 else ZERO for i in range(len(perms))]
+         for mask in sorted(set(rows.values()))], len(perms))
+    return nullspace(matrix)
 
 
 def identity_slice(grading, multidegree, cap=None):
@@ -219,8 +220,7 @@ def identity_slice(grading, multidegree, cap=None):
     _check_cap(len(multidegree), cap)
     bases = tuple(tuple(grading.component_basis(g).basis)
                   for g in multidegree)
-    return IdentitySlice(grading, multidegree,
-                         _slice_matrix(grading.poset, bases))
+    return IdentitySlice(grading, multidegree, _slice_matrix(bases))
 
 
 def _support_alphabet(*gradings):

@@ -1,12 +1,18 @@
 """Exact rational linear algebra: canonical echelon forms, nullspaces,
 subspace equality and intersection.
 
-All arithmetic uses fractions.Fraction. Matrices are immutable once built;
-RowReducer is the single mutable object, meant for streaming rows into a
-canonical reduced echelon basis one at a time.
+Values at the API are fractions.Fraction: RationalMatrix holds them and
+every result is one. Elimination inside is fraction-free: each row is
+scaled to integers once and RowReducer keeps primitive integer rows, so
+Fractions are built only when a result is read out. Matrices are
+immutable once built; RowReducer is the single mutable object, meant for
+streaming rows into a canonical reduced echelon basis one at a time.
 """
 
+from bisect import bisect
 from fractions import Fraction
+from math import gcd, lcm
+from operator import attrgetter, mul
 
 from .errors import DimensionMismatchError, VerificationError
 
@@ -35,7 +41,8 @@ class RationalMatrix:
     """
 
     def __init__(self, rows, ncols=None):
-        converted = [tuple(Fraction(v) for v in row) for row in rows]
+        converted = [tuple(v if type(v) is Fraction else Fraction(v)
+                           for v in row) for row in rows]
         if converted:
             width = len(converted[0])
             if any(len(row) != width for row in converted):
@@ -71,63 +78,114 @@ class RowReducer:
     """Incrementally maintained canonical reduced echelon basis.
 
     add() folds one row into the basis and reports whether the rank grew.
-    The pivot rows are kept fully reduced at all times, so matrix() is the
-    unique RREF of everything added so far with zero rows dropped.
+    Each stored row is a primitive integer multiple of one row of the
+    RREF: its entries have gcd 1, its pivot is positive, and it is zero in
+    every other stored row's pivot column. matrix() divides each row by
+    its pivot once, so it is the unique RREF of everything added so far
+    with zero rows dropped.
     """
 
     def __init__(self, ncols):
         if ncols < 0:
             raise DimensionMismatchError("negative column count")
         self.ncols = ncols
-        self._rows = []      # pivot rows as lists, sorted by pivot column
+        self._rows = []      # primitive integer rows, sorted by pivot column
         self._pivots = []    # pivot column of each stored row
 
     @property
     def rank(self):
         return len(self._rows)
 
-    def reduce_row(self, row):
-        """Return row minus its projection onto the stored pivot rows."""
-        work = [Fraction(v) for v in row]
+    def _reduce(self, row):
+        """Row minus its projection onto the stored rows, scaled by a
+        positive integer to stay integral. The stored rows vanish in each
+        other's pivot columns, so each clears its own column alone."""
+        work = _integer_row(row)
         if len(work) != self.ncols:
             raise DimensionMismatchError(
                 f"row has {len(work)} entries, expected {self.ncols}")
         for prow, pcol in zip(self._rows, self._pivots):
             factor = work[pcol]
             if factor:
-                for j in range(pcol, self.ncols):
-                    work[j] -= factor * prow[j]
+                common = gcd(prow[pcol], factor)
+                a, b = prow[pcol] // common, factor // common
+                work = [a * w - b * p for w, p in zip(work, prow)]
         return work
 
     def add(self, row):
         """Fold a row in; return True iff it was independent of the basis."""
-        work = self.reduce_row(row)
+        work = self._reduce(row)
         lead = next((j for j, v in enumerate(work) if v), None)
         if lead is None:
             return False
-        inv = ONE / work[lead]
-        for j in range(lead, self.ncols):
-            work[j] *= inv
-        for prow in self._rows:
+        content = gcd(*work) if work[lead] > 0 else -gcd(*work)
+        work = [v // content for v in work]
+        pivot = work[lead]
+        for i, prow in enumerate(self._rows):
             factor = prow[lead]
             if factor:
-                for j in range(lead, self.ncols):
-                    prow[j] -= factor * work[j]
-        at = next((i for i, p in enumerate(self._pivots) if p > lead),
-                  len(self._pivots))
+                common = gcd(pivot, factor)
+                a, b = pivot // common, factor // common
+                prow = [a * p - b * w for p, w in zip(prow, work)]
+                content = gcd(*prow)
+                self._rows[i] = [p // content for p in prow]
+        at = bisect(self._pivots, lead)
         self._rows.insert(at, work)
         self._pivots.insert(at, lead)
         return True
 
     def contains(self, row):
         """True iff row lies in the span of the rows added so far."""
-        return all(v == 0 for v in self.reduce_row(row))
+        return not any(self._reduce(row))
 
     def pivot_columns(self):
         return tuple(self._pivots)
 
+    def kernel(self):
+        """Integer basis of the right kernel of the rows added so far, one
+        vector per free column f in ascending order: L at f, zero at the
+        other free columns, and -row[f] * L / pivot at the pivot column of
+        each stored row, where L is the lcm of the pivots involved."""
+        pivots = set(self._pivots)
+        basis = []
+        for free in range(self.ncols):
+            if free in pivots:
+                continue
+            hits = [(prow, pcol) for prow, pcol in zip(self._rows, self._pivots)
+                    if prow[free]]
+            scale = lcm(*(prow[pcol] for prow, pcol in hits))
+            vec = [0] * self.ncols
+            vec[free] = scale
+            for prow, pcol in hits:
+                vec[pcol] = -prow[free] * (scale // prow[pcol])
+            basis.append(vec)
+        return basis
+
     def matrix(self):
-        return RationalMatrix([tuple(r) for r in self._rows], self.ncols)
+        return RationalMatrix([_normalized(row, row[pcol]) for row, pcol
+                               in zip(self._rows, self._pivots)], self.ncols)
+
+
+_RATIONAL_TYPES = frozenset((int, bool, Fraction))
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
+
+
+def _integer_row(row):
+    """The row times the lcm of its denominators: integers, same span.
+    Rows of ints, or of Fractions with denominator 1, take the mapped
+    fast path; anything else Fraction accepts is converted first."""
+    if not _RATIONAL_TYPES.issuperset(map(type, row)):
+        row = [Fraction(v) for v in row]
+    scale = lcm(*map(_denominator, row))
+    if scale == 1:
+        return list(map(_numerator, row))
+    return [v.numerator * (scale // v.denominator) for v in row]
+
+
+def _normalized(row, lead):
+    """The integer row divided by its leading entry, as Fractions."""
+    return [Fraction(v, lead) if v else ZERO for v in row]
 
 
 def rref(matrix):
@@ -139,29 +197,28 @@ def rref(matrix):
 
 
 def nullspace(matrix):
-    """Canonical echelon basis of the right kernel {v : M v = 0}."""
-    reduced = rref(matrix)
-    pivots = set()
-    col_of_row = []
-    for row in reduced.rows:
-        lead = next(j for j, v in enumerate(row) if v)
-        pivots.add(lead)
-        col_of_row.append(lead)
-    basis = []
-    for free in range(matrix.ncols):
-        if free in pivots:
-            continue
-        vec = [ZERO] * matrix.ncols
-        vec[free] = ONE
-        for row, pcol in zip(reduced.rows, col_of_row):
-            vec[pcol] = -row[free]
-        basis.append(vec)
-    result = rref(RationalMatrix(basis, matrix.ncols))
-    for vec in result.rows:
-        for row in matrix.rows:
-            if sum(a * b for a, b in zip(row, vec)) != 0:
-                raise VerificationError("nullspace vector fails M v = 0")
-    return result
+    """Canonical echelon basis of the right kernel {v : M v = 0}.
+
+    The rows are reduced with their columns in reverse order. Read back in
+    the original order, the kernel vector of free column f is nonzero only
+    at f and at pivot columns right of f, and every other kernel vector is
+    zero at f, so these vectors, taken by ascending f, already form the
+    canonical echelon basis. Each is checked against every row of M in
+    integer arithmetic before it is returned.
+    """
+    ncols = matrix.ncols
+    rows = [_integer_row(row) for row in matrix.rows]
+    reducer = RowReducer(ncols)
+    for row in rows:
+        if reducer.rank == ncols:
+            break
+        reducer.add(row[::-1])
+    kernel = [vec[::-1] for vec in reversed(reducer.kernel())]
+    for vec in kernel:
+        if any(sum(map(mul, row, vec)) for row in rows):
+            raise VerificationError("nullspace vector fails M v = 0")
+    return RationalMatrix(
+        [_normalized(vec, next(v for v in vec if v)) for vec in kernel], ncols)
 
 
 def subspace_equal(a, b):

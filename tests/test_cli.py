@@ -291,6 +291,21 @@ class TestCliContract:
         assert proc.stderr.splitlines()[-1] == (
             "incgrade: error: argument --max-degree: must not be negative: -1")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["count", "--poset", "c2"], "count requires --group"),
+        (["monomials", "--poset", "c2", "--group", "C2", "--theta", "1,h",
+          "--max-degree", "-1"], "argument --max-degree: must not be negative"),
+        (["monomials", "--poset", "c2", "--group", "C2", "--theta", "1,h",
+          "--max-degree", "two"], "argument --max-degree: invalid int value"),
+        (["frobnicate"], "argument command: invalid choice"),
+    ], ids=["missing-flag", "negative-max-degree", "bad-max-degree",
+            "unknown-command"])
+    def test_usage_error_is_one_line(self, argv, message):
+        proc = run_cli(*argv, expect=2)
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith(f"incgrade: error: {message}")
+
     def test_zero_max_degree_is_accepted(self):
         report = run_json("compare-identities", "--poset", "c2", "--group",
                           "C2", "--theta", "1,h", "--mu", "1,1",

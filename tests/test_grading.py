@@ -8,6 +8,7 @@ from incgrade.corpus import corpus_posets
 from incgrade.errors import (
     BudgetExceededError,
     InvalidGroupError,
+    MalformedInputError,
     MismatchError,
 )
 from incgrade.grading import (
@@ -173,6 +174,15 @@ class TestGradingMap:
         rng = random.Random(42)
         theta = random_grading(rng, p, g)
         assert grading_from_json(p, grading_to_json(theta, "C2xC2")) == theta
+
+    @pytest.mark.parametrize("obj", [
+        {},
+        {"group": "C2", "theta": 5},
+        ["C2", ["1", "h"]],
+    ], ids=["empty-object", "non-list-theta", "top-level-list"])
+    def test_malformed_json_rejected(self, obj):
+        with pytest.raises(MalformedInputError):
+            grading_from_json(CORPUS["c2"], obj)
 
     def test_label_count_must_match(self):
         with pytest.raises(MismatchError):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from incgrade import identities
 from incgrade.corpus import corpus_posets
 from incgrade.errors import (
     CapExceededError,
@@ -26,7 +27,12 @@ from incgrade.identities import (
 )
 from incgrade.poset import automorphisms, maximal_chains, subposet
 
-from util import monomial_vanishes_by_products, random_grading
+from util import (
+    brute_force_slice,
+    monomial_vanishes_by_products,
+    random_grading,
+    random_poset,
+)
 
 CORPUS = corpus_posets()
 
@@ -176,6 +182,33 @@ class TestIdentitySlice:
             hits = [sub for sub in itertools.product(*bases)
                     if not evaluate(poly, theta, Substitution(sub)).is_zero()]
             assert hits
+
+    @pytest.mark.parametrize("spec", ["C2", "C3", "S3"])
+    def test_matches_brute_force_slice(self, spec):
+        # Every multidegree up to length 4 over the grading's support; any
+        # other degree has an empty component and a full slice on both
+        # sides. Theta takes at most three values, so the support has at
+        # most four elements and the oracle stays affordable.
+        g = group_from_spec(spec)
+        rng = random.Random(60 + g.order)
+        posets = list(CORPUS.values()) + [random_poset(rng, 6)
+                                          for _ in range(10)]
+        for p in posets:
+            values = rng.sample(range(g.order), min(g.order, 3))
+            theta = GradingMap(p, g, [rng.choice(values) for _ in range(p.n)])
+            for m in range(1, 5):
+                for multidegree in itertools.product(theta.support(), repeat=m):
+                    assert (identity_slice(theta, multidegree).basis
+                            == brute_force_slice(theta, multidegree)), (
+                                p, theta.theta, multidegree)
+
+    def test_slice_cache_is_bounded(self):
+        slice_matrix = identities._slice_matrix
+        slice_matrix.cache_clear()
+        for i in range(slice_matrix.cache_info().maxsize + 100):
+            assert slice_matrix((((i, i + 1),),)).nrows == 0
+        assert slice_matrix.cache_info().currsize <= 1024
+        slice_matrix.cache_clear()
 
 
 class TestSliceComparison:

@@ -15,6 +15,7 @@ from incgrade.linalg import (
     subspace_equal,
     subspace_intersect,
 )
+from util import fraction_nullspace, fraction_row_reducer
 
 
 def mat(rows, ncols=None):
@@ -152,9 +153,10 @@ class TestSubspaces:
 
 class TestSelfChecks:
     def test_nullspace_check_raises_verification_error(self, monkeypatch):
-        # With rref a no-op, [[1, 0], [1, 1]] yields the non-kernel vector
-        # (-1, 1), which the M v = 0 check must catch.
-        monkeypatch.setattr(linalg, "rref", lambda m: m)
+        # [[1, 0], [1, 1]] has a trivial kernel; a kernel step that yields
+        # (1, 1) anyway must be caught by the M v = 0 check.
+        monkeypatch.setattr(linalg.RowReducer, "kernel",
+                            lambda self: [[1] * self.ncols])
         with pytest.raises(VerificationError):
             nullspace(mat([[1, 0], [1, 1]]))
 
@@ -181,3 +183,66 @@ class TestRowReducer:
         assert not reducer.add([2, 2])
         assert reducer.add([1, 0])
         assert reducer.rank == 2
+
+
+def random_rows(rng, nrows, ncols):
+    """Rational rows with negative and non-integer entries, some rows
+    zero and some repeated or scaled copies of earlier ones."""
+    rows = []
+    for _ in range(nrows):
+        pick = rng.random()
+        if pick < 0.15:
+            rows.append([Fraction(0)] * ncols)
+        elif pick < 0.35 and rows:
+            scale = Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))
+            rows.append([scale * v for v in rng.choice(rows)])
+        else:
+            rows.append([Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                         if rng.random() < 0.6 else Fraction(0)
+                         for _ in range(ncols)])
+    return rows
+
+
+class TestAgainstFractionOracle:
+    def test_reducer_matches_oracle(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            ncols = rng.randint(0, 6)
+            rows = random_rows(rng, rng.randint(0, 8), ncols)
+            oracle = fraction_row_reducer(ncols, [])
+            reducer = RowReducer(ncols)
+            for row in rows:
+                assert reducer.add(row) == oracle.add(row)
+                assert reducer.rank == oracle.rank
+                assert reducer.pivot_columns() == oracle.pivot_columns()
+                assert reducer.matrix() == oracle.matrix()
+            for probe in random_rows(rng, 4, ncols) + rows:
+                assert reducer.contains(probe) == oracle.contains(probe)
+
+    def test_mixed_input_types(self):
+        rows = [[1, "1/2", 0.25], [Fraction(2, 3), True, -4], [0, 0, 0]]
+        reducer = RowReducer(3)
+        oracle = fraction_row_reducer(3, [])
+        for row in rows:
+            assert reducer.add(row) == oracle.add(row)
+        assert reducer.matrix() == oracle.matrix()
+
+    def test_nullspace_matches_oracle(self):
+        rng = random.Random(32)
+        for _ in range(200):
+            ncols = rng.randint(0, 6)
+            m = mat(random_rows(rng, rng.randint(0, 7), ncols), ncols=ncols)
+            assert nullspace(m) == fraction_nullspace(m)
+
+    def test_nullspace_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(33)
+        for _ in range(60):
+            ncols = rng.randint(1, 6)
+            m = mat(random_rows(rng, rng.randint(1, 6), ncols), ncols=ncols)
+            kernel = sympy.Matrix([list(row) for row in m.rows]).nullspace()
+            expected = (sympy.Matrix.hstack(*kernel).T.rref()[0].tolist()
+                        if kernel else [])
+            assert nullspace(m) == mat(
+                [[Fraction(str(v)) for v in row] for row in expected],
+                ncols=ncols)

@@ -1,0 +1,44 @@
+"""Property tests of the integer row reducer against the Fraction oracle."""
+
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+from incgrade.linalg import RationalMatrix, RowReducer, nullspace  # noqa: E402
+from util import fraction_nullspace, fraction_row_reducer  # noqa: E402
+
+ENTRIES = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@st.composite
+def matrices(draw):
+    ncols = draw(st.integers(0, 5))
+    rows = draw(st.lists(st.lists(ENTRIES, min_size=ncols, max_size=ncols),
+                         max_size=6))
+    return RationalMatrix(rows, ncols)
+
+
+SETTINGS = hypothesis.settings(max_examples=80, deadline=None)
+
+
+@SETTINGS
+@hypothesis.given(matrices())
+def test_reducer_matches_oracle(m):
+    reducer = RowReducer(m.ncols)
+    for row in m.rows:
+        reducer.add(row)
+    oracle = fraction_row_reducer(m.ncols, m.rows)
+    assert reducer.matrix() == oracle.matrix()
+    assert reducer.pivot_columns() == oracle.pivot_columns()
+
+
+@SETTINGS
+@hypothesis.given(matrices())
+def test_nullspace_matches_oracle(m):
+    kernel = nullspace(m)
+    assert kernel == fraction_nullspace(m)
+    assert all(sum(a * b for a, b in zip(row, vec)) == Fraction(0)
+               for vec in kernel.rows for row in m.rows)

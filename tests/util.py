@@ -5,7 +5,10 @@ import itertools
 from fractions import Fraction
 
 from incgrade.algebra import IncidenceFunction
+from incgrade.errors import DimensionMismatchError, VerificationError
 from incgrade.grading import FiniteGroup, GradingMap
+from incgrade.linalg import RationalMatrix
+from incgrade.poset import poset_from_covers
 
 SCALARS = [Fraction(n, d) for n in range(-4, 5) for d in (1, 2, 3)]
 NONZERO = [v for v in SCALARS if v]
@@ -40,6 +43,16 @@ def random_multiplicative(rng, poset):
 def random_grading(rng, poset, group):
     return GradingMap(poset, group,
                       [rng.randrange(group.order) for _ in range(poset.n)])
+
+
+def random_poset(rng, max_n):
+    """A poset on 1..max_n elements from random covers, relabelled."""
+    n = rng.randint(1, max_n)
+    covers = [(i, j) for i in range(n) for j in range(i + 1, n)
+              if rng.random() < 0.3]
+    order = rng.sample(range(n), n)
+    return poset_from_covers([f"e{i}" for i in range(n)],
+                             [(order[i], order[j]) for i, j in covers])
 
 
 def brute_force_chains(poset):
@@ -166,3 +179,129 @@ def monomial_vanishes_by_products(grading, word):
         if not product.is_zero():
             return False
     return True
+
+
+class FractionRowReducer:
+    """Canonical reduced echelon basis kept in Fractions: every row is
+    scaled to a leading 1 as soon as it is added."""
+
+    def __init__(self, ncols):
+        if ncols < 0:
+            raise DimensionMismatchError("negative column count")
+        self.ncols = ncols
+        self._rows = []      # pivot rows as lists, sorted by pivot column
+        self._pivots = []    # pivot column of each stored row
+
+    @property
+    def rank(self):
+        return len(self._rows)
+
+    def reduce_row(self, row):
+        """Return row minus its projection onto the stored pivot rows."""
+        work = [Fraction(v) for v in row]
+        if len(work) != self.ncols:
+            raise DimensionMismatchError(
+                f"row has {len(work)} entries, expected {self.ncols}")
+        for prow, pcol in zip(self._rows, self._pivots):
+            factor = work[pcol]
+            if factor:
+                for j in range(pcol, self.ncols):
+                    work[j] -= factor * prow[j]
+        return work
+
+    def add(self, row):
+        """Fold a row in; return True iff it was independent of the basis."""
+        work = self.reduce_row(row)
+        lead = next((j for j, v in enumerate(work) if v), None)
+        if lead is None:
+            return False
+        inv = Fraction(1) / work[lead]
+        for j in range(lead, self.ncols):
+            work[j] *= inv
+        for prow in self._rows:
+            factor = prow[lead]
+            if factor:
+                for j in range(lead, self.ncols):
+                    prow[j] -= factor * work[j]
+        at = next((i for i, p in enumerate(self._pivots) if p > lead),
+                  len(self._pivots))
+        self._rows.insert(at, work)
+        self._pivots.insert(at, lead)
+        return True
+
+    def contains(self, row):
+        """True iff row lies in the span of the rows added so far."""
+        return all(v == 0 for v in self.reduce_row(row))
+
+    def pivot_columns(self):
+        return tuple(self._pivots)
+
+    def matrix(self):
+        return RationalMatrix([tuple(r) for r in self._rows], self.ncols)
+
+
+def fraction_row_reducer(ncols, rows):
+    """A FractionRowReducer with the given rows added in order."""
+    reducer = FractionRowReducer(ncols)
+    for row in rows:
+        reducer.add(row)
+    return reducer
+
+
+def fraction_nullspace(matrix):
+    """Kernel basis from the Fraction RREF: one vector per free column,
+    then reduced once more to the canonical echelon form."""
+    reduced = fraction_row_reducer(matrix.ncols, matrix.rows).matrix()
+    pivots = set()
+    col_of_row = []
+    for row in reduced.rows:
+        lead = next(j for j, v in enumerate(row) if v)
+        pivots.add(lead)
+        col_of_row.append(lead)
+    basis = []
+    for free in range(matrix.ncols):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * matrix.ncols
+        vec[free] = Fraction(1)
+        for row, pcol in zip(reduced.rows, col_of_row):
+            vec[pcol] = -row[free]
+        basis.append(vec)
+    result = fraction_row_reducer(matrix.ncols, basis).matrix()
+    for vec in result.rows:
+        for row in matrix.rows:
+            if sum(a * b for a, b in zip(row, vec)) != 0:
+                raise VerificationError("nullspace vector fails M v = 0")
+    return result
+
+
+def brute_force_slice(grading, multidegree):
+    """The identity slice of one multidegree from every substitution in
+    the product of the components, each tested against all m!
+    permutations, streamed into a FractionRowReducer."""
+    bases = [grading.component_basis(g).basis for g in multidegree]
+    m = len(bases)
+    perms = tuple(itertools.permutations(range(m)))
+    fact = len(perms)
+    reducer = FractionRowReducer(fact)
+    for pairs in itertools.product(*bases):
+        if reducer.rank == fact:
+            break
+        by_output = {}
+        for idx, perm in enumerate(perms):
+            cur = pairs[perm[0]][0]
+            alive = True
+            for pos in perm:
+                u, v = pairs[pos]
+                if u != cur:
+                    alive = False
+                    break
+                cur = v
+            if alive:
+                start = pairs[perm[0]][0]
+                by_output.setdefault((start, cur), set()).add(idx)
+        for hits in by_output.values():
+            row = [Fraction(1) if i in hits else Fraction(0)
+                   for i in range(fact)]
+            reducer.add(row)
+    return fraction_nullspace(reducer.matrix())

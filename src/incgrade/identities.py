@@ -217,6 +217,8 @@ def identity_slice(grading, multidegree, cap=None):
     component admits no substitutions, so the slice is the full space.
     """
     multidegree = tuple(multidegree)
+    if not multidegree:
+        raise DegreeMismatchError("multidegree must have length >= 1")
     _check_cap(len(multidegree), cap)
     bases = tuple(tuple(grading.component_basis(g).basis)
                   for g in multidegree)

@@ -14,15 +14,19 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter, mul
 
-from .errors import DimensionMismatchError, VerificationError
+from .errors import DimensionMismatchError, MalformedInputError, VerificationError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
 def parse_rational(text):
-    """Parse 'num' or 'num/den' into a Fraction."""
-    return Fraction(str(text).strip())
+    """Parse 'num' or 'num/den' into a Fraction; a zero denominator is
+    malformed input."""
+    try:
+        return Fraction(str(text).strip())
+    except ZeroDivisionError:
+        raise MalformedInputError(f"zero denominator in {text!r}") from None
 
 
 def format_rational(value):

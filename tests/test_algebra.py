@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from incgrade.algebra import (
 from incgrade.corpus import corpus_posets
 from incgrade.errors import (
     DecompositionError,
+    MalformedInputError,
     NotAutomorphismError,
     NotComparableError,
     NotInvertibleError,
@@ -33,9 +35,18 @@ from incgrade.errors import (
     PosetMismatchError,
     VerificationError,
 )
-from incgrade.poset import automorphisms
+from incgrade.poset import Poset, automorphisms, poset_from_covers
 
-from util import random_function, random_invertible, random_multiplicative
+from util import (
+    NONZERO,
+    all_pairs_convolve,
+    all_pairs_validate,
+    random_function,
+    random_invertible,
+    random_multiplicative,
+    random_poset,
+    segment_ordered_invert,
+)
 
 CORPUS = corpus_posets()
 
@@ -359,8 +370,153 @@ class TestSerialization:
         f = IncidenceFunction(p, {(0, 1): Fraction(-1, 2)})
         assert function_to_json(f) == {"entries": [[0, 1, "-1/2"]]}
 
+    @pytest.mark.parametrize("x, y", [(2, 0), (0, 2), (-2, -2), (-1, 1)])
+    def test_entry_index_out_of_range_rejected(self, x, y):
+        with pytest.raises(MalformedInputError, match="out of range"):
+            function_from_json(CORPUS["c2"], {"entries": [[x, y, "1"]]})
+
     def test_morphism_round_trip(self):
         rng = random.Random(39)
         p = CORPUS["c3"]
         phi = inner_auto(random_invertible(rng, p))
         assert morphism_from_json(p, morphism_to_json(phi)) == phi
+
+
+PRODUCT_MESSAGE = re.compile(
+    r"image of e\((\d+),(\d+)\) \* e\((\d+),(\d+)\) is not the image of the product")
+
+
+def random_automorphism(rng, poset):
+    """inner(r) . mult(s) . induced(sigma) for seeded random r, s, sigma."""
+    return inner_auto(random_invertible(rng, poset)).compose(
+        mult_auto(random_multiplicative(rng, poset))).compose(
+        induced_auto(poset, rng.choice(automorphisms(poset))))
+
+
+def near_misses(rng, phi):
+    """phi itself and three perturbed image tables: one image entry
+    changed, two images swapped, one image scaled."""
+    poset = phi.poset
+    pairs = poset.comparable_pairs()
+    changed = dict(phi.images)
+    p, q = rng.choice(pairs), rng.choice(pairs)
+    changed[p] = changed[p] + rng.choice(NONZERO) * e_basis(poset, *q)
+    swapped = dict(phi.images)
+    a, b = rng.sample(pairs, 2)
+    swapped[a], swapped[b] = swapped[b], swapped[a]
+    scaled = dict(phi.images)
+    p = rng.choice(pairs)
+    scaled[p] = rng.choice([v for v in NONZERO if v != 1]) * scaled[p]
+    return [phi] + [AlgebraMorphism(poset, images)
+                    for images in (changed, swapped, scaled)]
+
+
+def rejection(check, phi):
+    try:
+        check(phi)
+    except NotAutomorphismError as exc:
+        return str(exc)
+    return None
+
+
+class TestAgainstOracles:
+    """The sparse convolve, the up-set ordered invert and the reduced
+    product check against the code they replaced, on seeded random
+    posets of at most 7 elements."""
+
+    def test_convolve_matches_all_pairs(self):
+        rng = random.Random(40)
+        for _ in range(60):
+            p = random_poset(rng, 7)
+            f1 = random_function(rng, p, density=rng.random())
+            f2 = random_function(rng, p, density=rng.random())
+            assert convolve(f1, f2) == all_pairs_convolve(f1, f2)
+
+    def test_invert_matches_segment_order(self):
+        rng = random.Random(41)
+        for _ in range(60):
+            p = random_poset(rng, 7)
+            f = random_invertible(rng, p, density=rng.random())
+            assert invert(f) == segment_ordered_invert(f)
+            assert invert(zeta(p)) == segment_ordered_invert(zeta(p))
+
+    def test_zero_diagonal_rejected_by_both(self):
+        rng = random.Random(42)
+        for _ in range(20):
+            p = random_poset(rng, 7)
+            f = random_invertible(rng, p)
+            x = rng.randrange(p.n)
+            f = IncidenceFunction(p, {q: v for q, v in f.entries.items()
+                                      if q != (x, x)})
+            with pytest.raises(NotInvertibleError):
+                invert(f)
+            with pytest.raises(NotInvertibleError):
+                segment_ordered_invert(f)
+
+    def test_validate_rejects_exactly_when_all_pairs_does(self):
+        rng = random.Random(43)
+        outcomes = set()
+        for _ in range(40):
+            p = random_poset(rng, 7, min_n=3)
+            families = [inner_auto(random_invertible(rng, p)),
+                        mult_auto(random_multiplicative(rng, p)),
+                        induced_auto(p, rng.choice(automorphisms(p))),
+                        random_automorphism(rng, p)]
+            for phi in (m for f in families for m in near_misses(rng, f)):
+                got = rejection(AlgebraMorphism.validate, phi)
+                want = rejection(all_pairs_validate, phi)
+                assert (got is None) == (want is None), (got, want)
+                outcomes.add(got is None)
+                if got is None:
+                    continue
+                match = PRODUCT_MESSAGE.fullmatch(got)
+                if match is None:
+                    assert got == want
+                    continue
+                assert PRODUCT_MESSAGE.fullmatch(want)
+                x, y, u, v = map(int, match.groups())
+                product = convolve(phi.images[(x, y)], phi.images[(u, v)])
+                expected = (phi.images[(x, v)] if y == u
+                            else IncidenceFunction(p, {}))
+                assert product != expected
+        assert outcomes == {True, False}
+
+
+def ten_chain():
+    return poset_from_covers([str(i) for i in range(10)],
+                             [(i, i + 1) for i in range(9)])
+
+
+class TestWorkCounts:
+    """Work done, counted rather than timed."""
+
+    def test_invert_builds_no_poset(self, monkeypatch):
+        posets = list(CORPUS.values()) + [ten_chain()]
+        built = []
+        original = Poset.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Poset, "__init__", counting)
+        for p in posets:
+            invert(zeta(p))
+        assert not built
+
+    def test_validate_convolve_count(self, monkeypatch):
+        p = ten_chain()
+        phi = inner_auto(random_invertible(random.Random(44), p))
+        pairs = p.comparable_pairs()
+        up = [sum(row) for row in p.leq]
+        budget = p.n ** 2 + 2 * len(pairs) + sum(up[y] for (_, y) in pairs)
+        calls = []
+        original = algebra.convolve
+
+        def counting(f1, f2):
+            calls.append(1)
+            return original(f1, f2)
+
+        monkeypatch.setattr(algebra, "convolve", counting)
+        phi.validate()
+        assert 0 < len(calls) <= budget == 430

@@ -21,6 +21,14 @@ _SCHEMA = json.loads(resources.files("incgrade").joinpath(
     "schemas/run_report.schema.json").read_text())
 
 
+def c2_morphism(entry):
+    """The identity morphism on the 2-chain with entry added to the image
+    of e(0,0)."""
+    return [{"pair": [0, 0], "image": [[0, 0, "1"], entry]},
+            {"pair": [0, 1], "image": [[0, 1, "1"]]},
+            {"pair": [1, 1], "image": [[1, 1, "1"]]}]
+
+
 def run_cli(*argv, expect=0):
     proc = subprocess.run([sys.executable, "-m", "incgrade.cli", *argv],
                           capture_output=True, text=True, env=ENV)
@@ -273,8 +281,13 @@ class TestCliContract:
         ("--poset", {"elements": ["a", "b"], "covers": [["x", 1]]}),
         ("--poset", [1, 2]),
         ("--morphism", {"foo": 1}),
+        ("--morphism", c2_morphism([0, 0, "1/0"])),
+        ("--morphism", c2_morphism([2, 0, "1"])),
+        ("--morphism", c2_morphism([-2, -2, "1"])),
     ], ids=["poset-missing-elements", "poset-non-integer-cover",
-            "poset-top-level-list", "morphism-not-a-list"])
+            "poset-top-level-list", "morphism-not-a-list",
+            "morphism-zero-denominator", "morphism-index-too-large",
+            "morphism-negative-index"])
     def test_malformed_input_json_is_usage_error(self, tmp_path, flag, content):
         path = tmp_path / "input.json"
         path.write_text(json.dumps(content))

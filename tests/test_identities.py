@@ -138,6 +138,10 @@ class TestIdentitySlice:
         with pytest.raises(DegreeMismatchError):
             s.contains_polynomial(poly)
 
+    def test_empty_multidegree_rejected(self):
+        with pytest.raises(DegreeMismatchError):
+            identity_slice(trivial_grading(CORPUS["c2"]), ())
+
     def test_degree_cap(self):
         theta = trivial_grading(CORPUS["c2"])
         with pytest.raises(CapExceededError):
@@ -264,6 +268,10 @@ class TestChainReduction:
         assert equal
         assert report["chain_dimensions"] == [report["whole_dimension"]]
         assert report["intersection_dimension"] == report["whole_dimension"]
+
+    def test_empty_multidegree_rejected(self):
+        with pytest.raises(DegreeMismatchError):
+            verify_chain_reduction(trivial_grading(CORPUS["c3"]), ())
 
     def test_worked_example_dimensions(self):
         # theta = (1, h, h^2, 1) on the N-shaped poset, degree type (1, 1).

@@ -4,11 +4,16 @@ small brute-force oracles kept independent of the library internals."""
 import itertools
 from fractions import Fraction
 
-from incgrade.algebra import IncidenceFunction
-from incgrade.errors import DimensionMismatchError, VerificationError
+from incgrade.algebra import IncidenceFunction, delta
+from incgrade.errors import (
+    DimensionMismatchError,
+    NotAutomorphismError,
+    NotInvertibleError,
+    VerificationError,
+)
 from incgrade.grading import FiniteGroup, GradingMap
-from incgrade.linalg import RationalMatrix
-from incgrade.poset import poset_from_covers
+from incgrade.linalg import RationalMatrix, RowReducer
+from incgrade.poset import poset_from_covers, segment
 
 SCALARS = [Fraction(n, d) for n in range(-4, 5) for d in (1, 2, 3)]
 NONZERO = [v for v in SCALARS if v]
@@ -45,9 +50,9 @@ def random_grading(rng, poset, group):
                       [rng.randrange(group.order) for _ in range(poset.n)])
 
 
-def random_poset(rng, max_n):
-    """A poset on 1..max_n elements from random covers, relabelled."""
-    n = rng.randint(1, max_n)
+def random_poset(rng, max_n, min_n=1):
+    """A poset on min_n..max_n elements from random covers, relabelled."""
+    n = rng.randint(min_n, max_n)
     covers = [(i, j) for i in range(n) for j in range(i + 1, n)
               if rng.random() < 0.3]
     order = rng.sample(range(n), n)
@@ -305,3 +310,71 @@ def brute_force_slice(grading, multidegree):
                    for i in range(fact)]
             reducer.add(row)
     return fraction_nullspace(reducer.matrix())
+
+
+def all_pairs_convolve(f1, f2):
+    """Convolution testing every pair of entries for a matching endpoint."""
+    f1._check_same(f2)
+    out = {}
+    for (x, z), a in f1.entries.items():
+        for (z2, y), b in f2.entries.items():
+            if z == z2:
+                out[(x, y)] = out.get((x, y), Fraction(0)) + a * b
+    return IncidenceFunction(f1.poset, out)
+
+
+def segment_ordered_invert(f):
+    """Convolution inverse by back-substitution over pairs sorted by the
+    size of their segment, each segment built as a Poset."""
+    poset = f.poset
+    for i in range(poset.n):
+        if f(i, i) == 0:
+            raise NotInvertibleError(
+                f"zero diagonal at {poset.elements[i]!r}")
+    pairs = sorted(poset.comparable_pairs(), key=lambda p: segment(poset, *p).n)
+    inv = {}
+    for (x, y) in pairs:
+        if x == y:
+            inv[(x, y)] = 1 / f(x, x)
+            continue
+        acc = Fraction(0)
+        for z in range(poset.n):
+            if z != x and poset.leq[x][z] and poset.leq[z][y]:
+                acc += f(x, z) * inv.get((z, y), Fraction(0))
+        inv[(x, y)] = -acc / f(x, x)
+    g = IncidenceFunction(poset, inv)
+    d = delta(poset)
+    if all_pairs_convolve(f, g) != d or all_pairs_convolve(g, f) != d:
+        raise VerificationError("inverse failed verification against the unit")
+    return g
+
+
+def all_pairs_validate(phi):
+    """AlgebraMorphism.validate by every one of the |P|^2 basis products,
+    in lexicographic order, then the unit and the rank."""
+    poset = phi.poset
+    pairs = poset.comparable_pairs()
+    for (x, y) in pairs:
+        for (u, v) in pairs:
+            left = all_pairs_convolve(phi.images[(x, y)], phi.images[(u, v)])
+            if y == u:
+                right = phi.images[(x, v)]
+            else:
+                right = IncidenceFunction(poset, {})
+            if left != right:
+                raise NotAutomorphismError(
+                    f"image of e({x},{y}) * e({u},{v}) is not the image of the product")
+    unit = IncidenceFunction(poset, {})
+    for i in range(poset.n):
+        unit = unit + phi.images[(i, i)]
+    if unit != delta(poset):
+        raise NotAutomorphismError("unit is not preserved")
+    reducer = RowReducer(len(pairs))
+    col = {pair: k for k, pair in enumerate(pairs)}
+    for pair in pairs:
+        row = [Fraction(0)] * len(pairs)
+        for q, value in phi.images[pair].entries.items():
+            row[col[q]] = value
+        reducer.add(row)
+    if reducer.rank != len(pairs):
+        raise NotAutomorphismError("image table is not invertible")

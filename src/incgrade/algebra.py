@@ -4,9 +4,15 @@ functions e_xy with the unit delta and all-ones zeta, multiplicative
 functions, and the inner / multiplicative / induced automorphism families
 with constructive decomposition of an arbitrary automorphism into the
 three.
+
+Values at the API are fractions.Fraction. Convolution, inversion and the
+automorphism checks run fraction-free inside: each operand is read once
+as integer numerators over one common denominator, and Fractions are
+built only for the values a routine returns.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import (
     DecompositionError,
@@ -99,19 +105,24 @@ class IncidenceFunction:
 
 
 def function_from_json(poset, obj):
-    """Read {"entries": [[x, y, "num/den"], ...]} with 0 <= x, y < n."""
+    """Read {"entries": [[x, y, "num/den"], ...]} with 0 <= x, y < n, each
+    index pair listed at most once."""
     entries = obj.get("entries") if isinstance(obj, dict) else None
     if not isinstance(entries, list) or not all(
             isinstance(e, list) and len(e) == 3 and _is_index_pair(e[:2])
             for e in entries):
         raise MalformedInputError(
             'entries must be a list of [x, y, "num/den"] with integer x, y')
-    for x, y, _ in entries:
+    values = {}
+    for x, y, value in entries:
         if not (0 <= x < poset.n and 0 <= y < poset.n):
             raise MalformedInputError(
                 f"entry index pair ({x}, {y}) out of range for {poset.n} elements")
+        if (x, y) in values:
+            raise MalformedInputError(f"entry index pair ({x}, {y}) listed twice")
+        values[(x, y)] = value
     return IncidenceFunction(
-        poset, {(x, y): parse_rational(value) for x, y, value in entries})
+        poset, {pair: parse_rational(value) for pair, value in values.items()})
 
 
 def function_to_json(f):
@@ -139,21 +150,52 @@ def zeta(poset):
         poset, {pair: Fraction(1) for pair in poset.comparable_pairs()})
 
 
+def _integer_entries(f):
+    """f's values as integer numerators over one common denominator, the
+    lcm of theirs: (numerators by pair, denominator)."""
+    den = lcm(*[v.denominator for v in f.entries.values()])
+    return {pair: v.numerator * (den // v.denominator)
+            for pair, v in f.entries.items()}, den
+
+
+def _function(poset, numerators, den):
+    """The IncidenceFunction with values numerators / den."""
+    return IncidenceFunction(
+        poset, {pair: Fraction(v, den) for pair, v in numerators.items()})
+
+
+def _product(a, b):
+    """Convolution of two numerator tables: the numerators of f1 f2 over
+    the product of their denominators, zeros dropped. b is bucketed by
+    left endpoint once, so each entry (x, z) of a meets only the entries
+    (z, y) of b that it multiplies with."""
+    starting = {}
+    for (z, y), v in b.items():
+        starting.setdefault(z, []).append((y, v))
+    out = {}
+    for (x, z), u in a.items():
+        for y, v in starting.get(z, ()):
+            out[(x, y)] = out.get((x, y), 0) + u * v
+    return {pair: v for pair, v in out.items() if v}
+
+
+def _same(a, da, b, db):
+    """Whether a / da = b / db, for numerator tables without zeros and
+    nonzero denominators, by cross-multiplication."""
+    return a.keys() == b.keys() and all(
+        v * db == b[pair] * da for pair, v in a.items())
+
+
 def convolve(f1, f2):
     """(f1 f2)(x, y) = sum over x <= z <= y of f1(x, z) f2(z, y).
 
-    f2 is bucketed by left endpoint once, so each entry (x, z) of f1 meets
-    only the entries (z, y) of f2 that it multiplies with.
+    Multiplies and adds integer numerators; one Fraction is built per
+    nonzero entry of the result.
     """
     f1._check_same(f2)
-    starting = {}
-    for (z, y), b in f2.entries.items():
-        starting.setdefault(z, []).append((y, b))
-    out = {}
-    for (x, z), a in f1.entries.items():
-        for y, b in starting.get(z, ()):
-            out[(x, y)] = out.get((x, y), 0) + a * b
-    return IncidenceFunction(f1.poset, out)
+    a, da = _integer_entries(f1)
+    b, db = _integer_entries(f2)
+    return _function(f1.poset, _product(a, b), da * db)
 
 
 def hadamard(f1, f2):
@@ -162,6 +204,44 @@ def hadamard(f1, f2):
     out = {pair: value * f2.entries[pair]
            for pair, value in f1.entries.items() if pair in f2.entries}
     return IncidenceFunction(f1.poset, out)
+
+
+def _inverse(poset, numerators, den):
+    """The convolution inverse of numerators / den, checked against the
+    unit, as (numerators, denominator); see invert."""
+    for i in range(poset.n):
+        if (i, i) not in numerators:
+            raise NotInvertibleError(
+                f"zero diagonal at {poset.elements[i]!r}")
+    above = {}
+    for (x, z), a in numerators.items():
+        if x != z:
+            above.setdefault(x, []).append((z, a))
+    rows = {}
+    for x in sorted(range(poset.n), key=lambda i: sum(poset.leq[i])):
+        terms = above.get(x, ())
+        scale = lcm(*[rows[z][1] for z, _ in terms])
+        acc = {}
+        for z, a in terms:
+            row, d = rows[z]
+            a *= scale // d
+            for y, b in row.items():
+                acc[y] = acc.get(y, 0) + a * b
+        row = {y: -v for y, v in acc.items() if v}
+        row[x] = den * scale
+        d = numerators[(x, x)] * scale
+        content = gcd(d, *row.values())
+        if d < 0:
+            content = -content
+        rows[x] = {y: v // content for y, v in row.items()}, d // content
+    common = lcm(*[d for _, d in rows.values()])
+    g = {(x, y): v * (common // d)
+         for x, (row, d) in rows.items() for y, v in row.items()}
+    unit, unit_den = _integer_entries(delta(poset))
+    if not (_same(_product(numerators, g), den * common, unit, unit_den)
+            and _same(_product(g, numerators), den * common, unit, unit_den)):
+        raise VerificationError("inverse failed verification against the unit")
+    return g, common
 
 
 def invert(f):
@@ -173,32 +253,16 @@ def invert(f):
     in ascending size of the up-set |up(x)| (counted from leq), a reverse
     linear extension, since z > x forces up(z) to be a proper subset of
     up(x). Only the nonzero entries f(x, z) and g(z, y) are visited.
+
+    The work is on integers: f is read once as numerators over one
+    denominator, and each row of g is kept as integer numerators over its
+    own positive denominator, divided by their common gcd. The check
+    f g = delta = g f compares cross-multiplied integers, so on a unit
+    diagonal (the Mobius function, the inverse of zeta) no Fraction is
+    built before the result.
     """
-    poset = f.poset
-    entries = f.entries
-    for i in range(poset.n):
-        if (i, i) not in entries:
-            raise NotInvertibleError(
-                f"zero diagonal at {poset.elements[i]!r}")
-    above = {}
-    for (x, z), a in entries.items():
-        if x != z:
-            above.setdefault(x, []).append((z, a))
-    rows = {}
-    for x in sorted(range(poset.n), key=lambda i: sum(poset.leq[i])):
-        acc = {}
-        for z, a in above.get(x, ()):
-            for y, b in rows[z].items():
-                acc[y] = acc.get(y, 0) + a * b
-        inv = 1 / entries[(x, x)]
-        rows[x] = {y: -value * inv for y, value in acc.items() if value}
-        rows[x][x] = inv
-    g = IncidenceFunction(poset, {(x, y): value for x, row in rows.items()
-                                  for y, value in row.items()})
-    d = delta(poset)
-    if convolve(f, g) != d or convolve(g, f) != d:
-        raise VerificationError("inverse failed verification against the unit")
-    return g
+    g, den = _inverse(f.poset, *_integer_entries(f))
+    return _function(f.poset, g, den)
 
 
 def is_multiplicative(s):
@@ -264,20 +328,26 @@ class AlgebraMorphism:
         (b) is (c) at y = x and at v = y, so the products checked are
         (a) and (c), n^2 - n + sum over x <= y of |up(y)| in all instead of
         |P|^2, in lexicographic order of the pair of factors. The first
-        failing one is named.
+        failing one is named. Each image is read once as integer
+        numerators over one denominator, and each product is compared
+        with its expected image by cross-multiplication; the rank check
+        reduces the integer numerator rows, which span the same space.
         """
         poset = self.poset
-        images = self.images
         pairs = poset.comparable_pairs()
-        zero = IncidenceFunction(poset, {})
+        images = {pair: _integer_entries(img) for pair, img in self.images.items()}
+        zero = ({}, 1)
         diagonal = [(u, u) for u in range(poset.n)]
         for (x, y) in pairs:
+            left, left_den = images[(x, y)]
             right_factors = [(y, v) for v in range(poset.n) if poset.leq[y][v]]
             if x == y:
                 right_factors = sorted(set(right_factors).union(diagonal))
             for (u, v) in right_factors:
-                right = images[(x, v)] if y == u else zero
-                if convolve(images[(x, y)], images[(u, v)]) != right:
+                right, right_den = images[(u, v)]
+                want, want_den = images[(x, v)] if y == u else zero
+                if not _same(_product(left, right), left_den * right_den,
+                             want, want_den):
                     raise NotAutomorphismError(
                         f"image of e({x},{y}) * e({u},{v}) is not the image of the product")
         unit = IncidenceFunction(poset, {})
@@ -288,8 +358,8 @@ class AlgebraMorphism:
         reducer = RowReducer(len(pairs))
         col = {pair: k for k, pair in enumerate(pairs)}
         for pair in pairs:
-            row = [Fraction(0)] * len(pairs)
-            for q, value in self.images[pair].entries.items():
+            row = [0] * len(pairs)
+            for q, value in images[pair][0].items():
                 row[col[q]] = value
             reducer.add(row)
         if reducer.rank != len(pairs):
@@ -305,16 +375,20 @@ class AlgebraMorphism:
 
 
 def morphism_from_json(poset, obj):
-    """Read a list of {"pair": [x, y], "image": [[u, v, "c"], ...]}."""
+    """Read a list of {"pair": [x, y], "image": [[u, v, "c"], ...]}, each
+    pair listed at most once."""
     if not isinstance(obj, list) or not all(
             isinstance(item, dict) and _is_index_pair(item.get("pair"))
             for item in obj):
         raise MalformedInputError(
             'morphism JSON must be a list of {"pair": [x, y], "image": [...]}')
-    return AlgebraMorphism(poset, {
-        tuple(item["pair"]): function_from_json(
-            poset, {"entries": item.get("image")})
-        for item in obj})
+    images = {}
+    for item in obj:
+        pair = tuple(item["pair"])
+        if pair in images:
+            raise MalformedInputError(f"pair ({pair[0]}, {pair[1]}) listed twice")
+        images[pair] = function_from_json(poset, {"entries": item.get("image")})
+    return AlgebraMorphism(poset, images)
 
 
 def morphism_to_json(phi):
@@ -323,13 +397,38 @@ def morphism_to_json(phi):
             for (x, y) in sorted(phi.images)]
 
 
+def _conjugator(r):
+    """(conjugate, den) for an invertible r: conjugate(x, y) returns the
+    integer numerators of r e_xy r^-1 over den, the outer product of
+    column x of r and row y of r^-1 (see inner_auto)."""
+    numerators, r_den = _integer_entries(r)
+    inverse, inverse_den = _inverse(r.poset, numerators, r_den)
+    columns, rows = {}, {}
+    for (u, x), a in numerators.items():
+        columns.setdefault(x, []).append((u, a))
+    for (y, v), b in inverse.items():
+        rows.setdefault(y, []).append((v, b))
+
+    def conjugate(x, y):
+        return {(u, v): a * b for u, a in columns[x] for v, b in rows[y]}
+
+    return conjugate, r_den * inverse_den
+
+
 def inner_auto(r):
-    """Conjugation f -> r f r^{-1} by an invertible r."""
-    r_inv = invert(r)
+    """Conjugation f -> r f r^{-1} by an invertible r.
+
+    Each image is an outer product, with no convolution:
+    (r e_xy r^-1)(u, v) = sum over w, z of r(u, w) e_xy(w, z) r^-1(z, v)
+    = r(u, x) r^-1(y, v), as e_xy(w, z) is 1 at (x, y) and 0 elsewhere.
+    r^-1 comes from the integer kernel of invert, with its check, and
+    the products are taken on integer numerators.
+    """
     poset = r.poset
-    images = {pair: convolve(convolve(r, e_basis(poset, *pair)), r_inv)
-              for pair in poset.comparable_pairs()}
-    return AlgebraMorphism(poset, images)
+    conjugate, den = _conjugator(r)
+    return AlgebraMorphism(poset, {
+        pair: _function(poset, conjugate(*pair), den)
+        for pair in poset.comparable_pairs()})
 
 
 def mult_auto(s):
@@ -342,16 +441,22 @@ def mult_auto(s):
     return AlgebraMorphism(poset, images)
 
 
-def induced_auto(poset, sigma):
-    """Relabeling automorphism e_xy -> e_{sigma(x) sigma(y)} from a poset
-    automorphism sigma given as a permutation tuple."""
-    sigma = tuple(sigma)
+def _check_automorphism(poset, sigma):
+    """Raise NotAutomorphismError unless the tuple sigma is an order
+    automorphism of poset."""
     if sorted(sigma) != list(range(poset.n)):
         raise NotAutomorphismError("sigma is not a permutation")
     for i in range(poset.n):
         for j in range(poset.n):
             if poset.leq[i][j] != poset.leq[sigma[i]][sigma[j]]:
                 raise NotAutomorphismError("sigma does not preserve the order")
+
+
+def induced_auto(poset, sigma):
+    """Relabeling automorphism e_xy -> e_{sigma(x) sigma(y)} from a poset
+    automorphism sigma given as a permutation tuple."""
+    sigma = tuple(sigma)
+    _check_automorphism(poset, sigma)
     images = {(x, y): e_basis(poset, sigma[x], sigma[y])
               for (x, y) in poset.comparable_pairs()}
     return AlgebraMorphism(poset, images)
@@ -363,13 +468,22 @@ def decompose_automorphism(phi):
     Returns (r, s, sigma) with phi = inner_auto(r) ∘ mult_auto(s) ∘
     induced_auto(sigma); sigma is the unique such poset automorphism.
 
-    Steps: sigma(x) is the unique y where phi(e_xx) has diagonal value 1;
-    peeling sigma off leaves phi' whose idempotent images define
-    r = sum of phi'(e_xx) e_xx; conjugating back by r leaves a map that
-    scales each e_xy by a multiplicative factor, which is s.
+    Steps: sigma(x) is the unique y where phi(e_xx) has diagonal value 1.
+    Peeling sigma off leaves phi' = phi ∘ induced_auto(sigma^-1), read by
+    relabelling: phi'(e_xy) = phi(e_{sigma^-1(x) sigma^-1(y)}). Column x
+    of r = sum of phi'(e_xx) e_xx is column x of phi'(e_xx). Conjugating
+    back by r must leave a map that scales each e_xy by a factor s(x, y):
+    r^-1 phi'(e_xy) r = c e_xy with c != 0. Conjugation is bijective, so
+    that is phi'(e_xy) = c r e_xy r^-1, tested against the closed-form
+    outer product of inner_auto. Evaluating both sides at (x, y) gives
+    c = phi'(e_xy)(x, y) r(y, y) / r(x, x). Then s must be multiplicative,
+    and phi(e_uv) = s(sigma u, sigma v) r e_{sigma u sigma v} r^-1 is
+    checked again for every pair as the rebuild. All comparisons run on
+    integer numerators by cross-multiplication.
     """
     phi.validate()
     poset = phi.poset
+    pairs = poset.comparable_pairs()
     sigma = []
     for x in range(poset.n):
         image = phi.images[(x, x)]
@@ -382,28 +496,34 @@ def decompose_automorphism(phi):
     if sorted(sigma) != list(range(poset.n)):
         raise DecompositionError("diagonal tracking did not yield a permutation")
 
-    phi_prime = phi.compose(induced_auto(poset, inverse_permutation(sigma)))
-    r = IncidenceFunction(poset, {})
-    for x in range(poset.n):
-        r = r + convolve(phi_prime.images[(x, x)], e_basis(poset, x, x))
+    back = inverse_permutation(sigma)
+    _check_automorphism(poset, back)
+    images = {pair: _integer_entries(img) for pair, img in phi.images.items()}
+    r = IncidenceFunction(poset, {
+        (u, x): value for x in range(poset.n)
+        for (u, v), value in phi.images[(back[x], back[x])].entries.items()
+        if v == x})
     if any(r(x, x) == 0 for x in range(poset.n)):
         raise DecompositionError("reconstructed conjugator has a zero diagonal")
 
-    peel = inner_auto(invert(r)).compose(phi_prime)
+    conjugate, den = _conjugator(r)
     values = {}
-    for (x, y) in poset.comparable_pairs():
-        image = peel.images[(x, y)]
-        c = image(x, y)
-        if c == 0 or image != c * e_basis(poset, x, y):
+    for (x, y) in pairs:
+        image, image_den = images[(back[x], back[y])]
+        target = conjugate(x, y)
+        a, t = image.get((x, y), 0), target[(x, y)]
+        if not a or not _same(image, a, target, t):
             raise DecompositionError(
                 f"residual map does not scale e({x},{y})")
-        values[(x, y)] = c
+        values[(x, y)] = Fraction(a * den, image_den * t)
     s = IncidenceFunction(poset, values)
     if not is_multiplicative(s):
         raise DecompositionError("residual scaling is not multiplicative")
 
-    rebuilt = inner_auto(r).compose(mult_auto(s)).compose(
-        induced_auto(poset, sigma))
-    if rebuilt != phi:
-        raise DecompositionError("reconstruction does not match the input")
+    for (u, v) in pairs:
+        image, image_den = images[(u, v)]
+        c = values[(sigma[u], sigma[v])]
+        if not _same(image, image_den * c.numerator,
+                     conjugate(sigma[u], sigma[v]), den * c.denominator):
+            raise DecompositionError("reconstruction does not match the input")
     return r, s, sigma

@@ -13,6 +13,7 @@ or a cross-check failed, 2 input or usage error.
 import argparse
 import itertools
 import json
+import os
 import random
 import sys
 import time
@@ -400,7 +401,14 @@ def main(argv=None):
     except (IncgradeError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(output)
+    try:
+        print(output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away. Point stdout at devnull so the flush at
+        # interpreter exit does not fail again, and keep the exit code.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
     return code
 
 

@@ -37,32 +37,27 @@ class Poset:
         matrix = tuple(tuple(bool(v) for v in row) for row in leq)
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise ValueError("leq must be an n x n matrix")
+        # Bit j of up[i] is leq[i][j]; bit i of down[j] is leq[i][j].
+        up = [sum(1 << j for j in range(n) if row[j]) for row in matrix]
+        down = [sum(1 << i for i in range(n) if matrix[i][j]) for j in range(n)]
+        above = [[j for j in range(n) if j != i and matrix[i][j]]
+                 for i in range(n)]
         for i in range(n):
             if not matrix[i][i]:
                 raise ValueError(f"relation not reflexive at {elements[i]!r}")
-            for j in range(n):
-                if i != j and matrix[i][j] and matrix[j][i]:
+            for j in above[i]:
+                if matrix[j][i]:
                     raise CycleError(
                         f"{elements[i]!r} and {elements[j]!r} are mutually comparable")
-                for k in range(n):
-                    if matrix[i][j] and matrix[j][k] and not matrix[i][k]:
-                        raise ValueError("relation not transitive")
+                if up[j] & ~up[i]:
+                    raise ValueError("relation not transitive")
         self.elements = elements
         self.leq = matrix
         self.n = n
-        self.covers = self._compute_covers()
-
-    def _compute_covers(self):
-        covers = []
-        for i in range(self.n):
-            for j in range(self.n):
-                if i == j or not self.leq[i][j]:
-                    continue
-                if any(self.leq[i][z] and self.leq[z][j]
-                       for z in range(self.n) if z != i and z != j):
-                    continue
-                covers.append((i, j))
-        return tuple(sorted(covers))
+        # i < j is a cover when nothing else lies between: [i, j] = {i, j}.
+        self.covers = tuple(
+            (i, j) for i in range(n) for j in above[i]
+            if up[i] & down[j] == (1 << i) | (1 << j))
 
     def index_of(self, label):
         return self.elements.index(str(label))

@@ -41,6 +41,8 @@ from util import (
     NONZERO,
     all_pairs_convolve,
     all_pairs_validate,
+    compose_chain_decompose,
+    convolution_inner_auto,
     random_function,
     random_invertible,
     random_multiplicative,
@@ -375,6 +377,17 @@ class TestSerialization:
         with pytest.raises(MalformedInputError, match="out of range"):
             function_from_json(CORPUS["c2"], {"entries": [[x, y, "1"]]})
 
+    def test_repeated_entry_rejected(self):
+        with pytest.raises(MalformedInputError, match=r"\(0, 1\) listed twice"):
+            function_from_json(CORPUS["c2"], {"entries": [
+                [0, 1, "1"], [1, 1, "1"], [0, 1, "1"]]})
+
+    def test_repeated_pair_rejected(self):
+        p = CORPUS["c2"]
+        items = morphism_to_json(induced_auto(p, (0, 1)))
+        with pytest.raises(MalformedInputError, match=r"\(0, 0\) listed twice"):
+            morphism_from_json(p, items + items[:1])
+
     def test_morphism_round_trip(self):
         rng = random.Random(39)
         p = CORPUS["c3"]
@@ -481,6 +494,47 @@ class TestAgainstOracles:
                 assert product != expected
         assert outcomes == {True, False}
 
+    def test_inner_auto_matches_convolutions(self):
+        rng = random.Random(46)
+        for _ in range(40):
+            p = random_poset(rng, 7)
+            r = random_invertible(rng, p, density=rng.random())
+            assert inner_auto(r) == convolution_inner_auto(r)
+
+    def test_decompose_matches_compose_chain(self):
+        rng = random.Random(47)
+        for _ in range(40):
+            p = random_poset(rng, 7)
+            phi = random_automorphism(rng, p)
+            assert decompose_automorphism(phi) == compose_chain_decompose(phi)
+
+    @pytest.mark.parametrize("validated", [True, False],
+                             ids=["validated", "unvalidated"])
+    def test_decompose_fails_like_compose_chain(self, monkeypatch, validated):
+        # With validate skipped, the near-misses reach the decomposition
+        # steps, which must reject them as the oracle's steps do.
+        if not validated:
+            monkeypatch.setattr(AlgebraMorphism, "validate", lambda self: None)
+        rng = random.Random(48)
+        messages = set()
+        for _ in range(30):
+            p = random_poset(rng, 7, min_n=2)
+            for phi in near_misses(rng, random_automorphism(rng, p)):
+                got = outcome(decompose_automorphism, phi)
+                assert got == outcome(compose_chain_decompose, phi)
+                messages.add(got[1] if got[0] == "raised" else "ok")
+        assert "ok" in messages and len(messages) > 1
+        if not validated:
+            assert "residual map does not scale" in " ".join(messages)
+
+
+def outcome(decompose, phi):
+    """("ok", result) or ("raised", message, exception type)."""
+    try:
+        return ("ok", decompose(phi))
+    except Exception as exc:
+        return ("raised", str(exc), type(exc))
+
 
 def ten_chain():
     return poset_from_covers([str(i) for i in range(10)],
@@ -505,18 +559,40 @@ class TestWorkCounts:
         assert not built
 
     def test_validate_convolve_count(self, monkeypatch):
+        # validate multiplies the images on the integer kernel, so its
+        # products are counted at the kernel's product helper.
         p = ten_chain()
         phi = inner_auto(random_invertible(random.Random(44), p))
         pairs = p.comparable_pairs()
         up = [sum(row) for row in p.leq]
         budget = p.n ** 2 + 2 * len(pairs) + sum(up[y] for (_, y) in pairs)
         calls = []
-        original = algebra.convolve
+        original = algebra._product
 
-        def counting(f1, f2):
+        def counting(a, b):
             calls.append(1)
-            return original(f1, f2)
+            return original(a, b)
 
-        monkeypatch.setattr(algebra, "convolve", counting)
+        monkeypatch.setattr(algebra, "_product", counting)
         phi.validate()
         assert 0 < len(calls) <= budget == 430
+
+    def test_decompose_neither_convolves_nor_applies(self, monkeypatch):
+        rng = random.Random(45)
+        posets = [ten_chain(), CORPUS["diamond"], CORPUS["c2_disjoint_c3"]]
+        planted = [random_automorphism(rng, p) for p in posets]
+        calls = []
+
+        def counting(name, original):
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+            return wrapper
+
+        monkeypatch.setattr(algebra, "convolve",
+                            counting("convolve", algebra.convolve))
+        monkeypatch.setattr(AlgebraMorphism, "apply",
+                            counting("apply", AlgebraMorphism.apply))
+        for phi in planted:
+            decompose_automorphism(phi)
+        assert calls == []

@@ -9,17 +9,23 @@ st = hypothesis.strategies
 from incgrade.algebra import (  # noqa: E402
     IncidenceFunction,
     convolve,
+    decompose_automorphism,
     delta,
+    induced_auto,
+    inner_auto,
     invert,
+    mult_auto,
 )
-from incgrade.poset import poset_from_covers  # noqa: E402
+from incgrade.poset import automorphisms, poset_from_covers  # noqa: E402
+
+from util import compose_chain_decompose  # noqa: E402
 
 VALUES = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
 
 @st.composite
-def posets(draw):
-    n = draw(st.integers(1, 5))
+def posets(draw, max_n=5):
+    n = draw(st.integers(1, max_n))
     below = [(i, j) for i in range(n) for j in range(i + 1, n)]
     covers = [pair for pair, keep in zip(
         below, draw(st.lists(st.booleans(), min_size=len(below),
@@ -70,3 +76,17 @@ def test_invert_is_two_sided_inverse(data):
     f = data.draw(functions(p, invertible=True))
     g = invert(f)
     assert convolve(f, g) == delta(p) == convolve(g, f)
+
+
+@SETTINGS
+@hypothesis.given(st.data())
+def test_decompose_matches_compose_chain(data):
+    p = data.draw(posets(max_n=7))
+    r = data.draw(functions(p, invertible=True))
+    weights = data.draw(st.lists(VALUES.filter(bool), min_size=p.n,
+                                 max_size=p.n))
+    s = IncidenceFunction(p, {(x, y): weights[y] / weights[x]
+                              for (x, y) in p.comparable_pairs()})
+    sigma = data.draw(st.sampled_from(automorphisms(p)))
+    phi = inner_auto(r).compose(mult_auto(s)).compose(induced_auto(p, sigma))
+    assert decompose_automorphism(phi) == compose_chain_decompose(phi)

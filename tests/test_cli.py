@@ -284,10 +284,14 @@ class TestCliContract:
         ("--morphism", c2_morphism([0, 0, "1/0"])),
         ("--morphism", c2_morphism([2, 0, "1"])),
         ("--morphism", c2_morphism([-2, -2, "1"])),
+        ("--morphism", c2_morphism([0, 0, "5"])),
+        ("--morphism", c2_morphism([0, 1, "0"])
+         + [{"pair": [0, 0], "image": [[0, 0, "1"]]}]),
     ], ids=["poset-missing-elements", "poset-non-integer-cover",
             "poset-top-level-list", "morphism-not-a-list",
             "morphism-zero-denominator", "morphism-index-too-large",
-            "morphism-negative-index"])
+            "morphism-negative-index", "morphism-repeated-entry",
+            "morphism-repeated-pair"])
     def test_malformed_input_json_is_usage_error(self, tmp_path, flag, content):
         path = tmp_path / "input.json"
         path.write_text(json.dumps(content))
@@ -296,6 +300,20 @@ class TestCliContract:
         proc = run_cli(*argv, flag, str(path), expect=2)
         assert proc.stderr.startswith("error:")
         assert len(proc.stderr.splitlines()) == 1
+
+    def test_closed_stdout_keeps_exit_code(self):
+        # The reader of stdout is gone before the first write.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "incgrade.cli", "aut", "--poset",
+                 "antichain4", "--format", "json"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=ENV)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
 
     def test_negative_max_degree_is_usage_error(self):
         proc = run_cli("monomials", "--poset", "c2", "--group", "C2",

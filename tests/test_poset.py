@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from incgrade.corpus import corpus_posets, load_poset
@@ -8,6 +10,7 @@ from incgrade.errors import (
     NotComparableError,
 )
 from incgrade.poset import (
+    Poset,
     automorphisms,
     bound,
     connected_components,
@@ -21,7 +24,13 @@ from incgrade.poset import (
     subposet,
 )
 
-from util import brute_force_automorphisms, brute_force_chains, brute_force_components
+from util import (
+    brute_force_automorphisms,
+    brute_force_chains,
+    brute_force_components,
+    loop_poset_covers,
+    random_poset,
+)
 
 CORPUS = corpus_posets()
 
@@ -82,6 +91,35 @@ class TestConstruction:
                              "relation": [[0, 1], [1, 2], [0, 2]]})
         assert p == poset_from_covers(["a", "b", "c"], [(0, 1), (1, 2)])
         assert p.covers == ((0, 1), (1, 2))
+
+
+class TestAgainstLoopOracle:
+    """Poset's bitmask validation and cover search against the triple
+    loops they replaced."""
+
+    @staticmethod
+    def build(build, elements, leq):
+        try:
+            return ("covers", build(elements, leq))
+        except (ValueError, CycleError) as exc:
+            return (type(exc), str(exc))
+
+    def test_errors_and_covers_match(self):
+        rng = random.Random(70)
+        seen = set()
+        for _ in range(400):
+            p = random_poset(rng, 7)
+            leq = [list(row) for row in p.leq]
+            for _ in range(rng.choice((0, 1, 1, 2, 3))):
+                i, j = rng.randrange(p.n), rng.randrange(p.n)
+                leq[i][j] = not leq[i][j]
+            got = self.build(lambda e, m: Poset(e, m).covers, p.elements, leq)
+            want = self.build(loop_poset_covers, p.elements, leq)
+            assert got == want
+            seen.add("covers" if want[0] == "covers" else next(
+                kind for kind in ("reflexive", "mutually", "transitive")
+                if kind in want[1]))
+        assert seen == {"covers", "reflexive", "mutually", "transitive"}
 
 
 class TestSegment:

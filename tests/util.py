@@ -4,8 +4,18 @@ small brute-force oracles kept independent of the library internals."""
 import itertools
 from fractions import Fraction
 
-from incgrade.algebra import IncidenceFunction, delta
+from incgrade.algebra import (
+    AlgebraMorphism,
+    IncidenceFunction,
+    delta,
+    e_basis,
+    induced_auto,
+    is_multiplicative,
+    mult_auto,
+)
 from incgrade.errors import (
+    CycleError,
+    DecompositionError,
     DimensionMismatchError,
     NotAutomorphismError,
     NotInvertibleError,
@@ -13,7 +23,7 @@ from incgrade.errors import (
 )
 from incgrade.grading import FiniteGroup, GradingMap
 from incgrade.linalg import RationalMatrix, RowReducer
-from incgrade.poset import poset_from_covers, segment
+from incgrade.poset import inverse_permutation, poset_from_covers, segment
 
 SCALARS = [Fraction(n, d) for n in range(-4, 5) for d in (1, 2, 3)]
 NONZERO = [v for v in SCALARS if v]
@@ -378,3 +388,86 @@ def all_pairs_validate(phi):
         reducer.add(row)
     if reducer.rank != len(pairs):
         raise NotAutomorphismError("image table is not invertible")
+
+
+def convolution_inner_auto(r):
+    """inner_auto with each image r e_xy r^-1 multiplied out by two
+    convolutions."""
+    r_inv = segment_ordered_invert(r)
+    poset = r.poset
+    images = {pair: all_pairs_convolve(
+        all_pairs_convolve(r, e_basis(poset, *pair)), r_inv)
+        for pair in poset.comparable_pairs()}
+    return AlgebraMorphism(poset, images)
+
+
+def compose_chain_decompose(phi):
+    """decompose_automorphism by composing whole morphisms: peel sigma off
+    with induced_auto(sigma^-1), sum r from the idempotent images, peel r
+    off with the inner automorphism of r^-1, read s from what is left, and
+    compare the rebuilt composite with phi."""
+    phi.validate()
+    poset = phi.poset
+    sigma = []
+    for x in range(poset.n):
+        image = phi.images[(x, x)]
+        hits = [y for y in range(poset.n) if image(y, y) == 1]
+        if len(hits) != 1:
+            raise DecompositionError(
+                f"image of e({x},{x}) has no unique unit diagonal entry")
+        sigma.append(hits[0])
+    sigma = tuple(sigma)
+    if sorted(sigma) != list(range(poset.n)):
+        raise DecompositionError("diagonal tracking did not yield a permutation")
+
+    phi_prime = phi.compose(induced_auto(poset, inverse_permutation(sigma)))
+    r = IncidenceFunction(poset, {})
+    for x in range(poset.n):
+        r = r + all_pairs_convolve(phi_prime.images[(x, x)], e_basis(poset, x, x))
+    if any(r(x, x) == 0 for x in range(poset.n)):
+        raise DecompositionError("reconstructed conjugator has a zero diagonal")
+
+    peel = convolution_inner_auto(segment_ordered_invert(r)).compose(phi_prime)
+    values = {}
+    for (x, y) in poset.comparable_pairs():
+        image = peel.images[(x, y)]
+        c = image(x, y)
+        if c == 0 or image != c * e_basis(poset, x, y):
+            raise DecompositionError(
+                f"residual map does not scale e({x},{y})")
+        values[(x, y)] = c
+    s = IncidenceFunction(poset, values)
+    if not is_multiplicative(s):
+        raise DecompositionError("residual scaling is not multiplicative")
+
+    rebuilt = convolution_inner_auto(r).compose(mult_auto(s)).compose(
+        induced_auto(poset, sigma))
+    if rebuilt != phi:
+        raise DecompositionError("reconstruction does not match the input")
+    return r, s, sigma
+
+
+def loop_poset_covers(elements, leq):
+    """Poset's validation and cover search by triple loops over the
+    matrix: the same errors, raised in the same order, or the covers."""
+    n = len(elements)
+    for i in range(n):
+        if not leq[i][i]:
+            raise ValueError(f"relation not reflexive at {elements[i]!r}")
+        for j in range(n):
+            if i != j and leq[i][j] and leq[j][i]:
+                raise CycleError(
+                    f"{elements[i]!r} and {elements[j]!r} are mutually comparable")
+            for k in range(n):
+                if leq[i][j] and leq[j][k] and not leq[i][k]:
+                    raise ValueError("relation not transitive")
+    covers = []
+    for i in range(n):
+        for j in range(n):
+            if i == j or not leq[i][j]:
+                continue
+            if any(leq[i][z] and leq[z][j]
+                   for z in range(n) if z != i and z != j):
+                continue
+            covers.append((i, j))
+    return tuple(sorted(covers))

@@ -220,13 +220,10 @@ class GradingMap:
 
     def support(self):
         """The realized degrees, ascending by element index."""
-        return tuple(sorted({self.grade_of_pair(x, y)
-                             for (x, y) in self.poset.comparable_pairs()}))
+        return tuple(self.components())
 
     def component_basis(self, g):
-        pairs = [(x, y) for (x, y) in self.poset.comparable_pairs()
-                 if self.grade_of_pair(x, y) == g]
-        return GradedComponent(self, g, pairs)
+        return GradedComponent(self, g, self.components().get(g, ()))
 
     def components(self):
         """Map from degree to basis pairs, realized degrees only."""

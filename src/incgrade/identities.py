@@ -34,7 +34,6 @@ from .linalg import (
     format_rational,
     parse_rational,
     nullspace,
-    subspace_equal,
     subspace_intersect,
 )
 from .poset import bound, is_chain_transitive, maximal_chains, subposet
@@ -220,8 +219,8 @@ def identity_slice(grading, multidegree, cap=None):
     if not multidegree:
         raise DegreeMismatchError("multidegree must have length >= 1")
     _check_cap(len(multidegree), cap)
-    bases = tuple(tuple(grading.component_basis(g).basis)
-                  for g in multidegree)
+    components = grading.components()
+    bases = tuple(components.get(g, ()) for g in multidegree)
     return IdentitySlice(grading, multidegree, _slice_matrix(bases))
 
 
@@ -256,26 +255,24 @@ def verify_chain_reduction(grading, multidegree, cap=None):
     """Check that the whole-poset slice equals the intersection of the
     slices of the grading restricted to each maximal chain.
 
-    Returns (equal, report) with the dimensions of the whole slice, each
-    chain slice, and the intersection.
+    All chain slices are intersected in one subspace_intersect call, and
+    the result is compared with the whole slice as canonical echelon
+    bases, which are equal exactly when the spaces are. Returns
+    (equal, report) with the dimensions of the whole slice, each chain
+    slice, and the intersection.
     """
     multidegree = tuple(multidegree)
     _check_cap(len(multidegree), cap)
     whole = identity_slice(grading, multidegree, cap=cap)
-    chains = maximal_chains(grading.poset)
-    chain_dims = []
-    meet = None
-    for chain in chains:
-        sub = subposet(grading.poset, chain)
-        restricted = grading.restrict(sub, chain)
-        piece = identity_slice(restricted, multidegree, cap=cap)
-        chain_dims.append(piece.dimension)
-        meet = piece.basis if meet is None else subspace_intersect(
-            meet, piece.basis)
-    equal = subspace_equal(whole.basis, meet)
+    poset = grading.poset
+    pieces = [identity_slice(grading.restrict(subposet(poset, chain), chain),
+                             multidegree, cap=cap)
+              for chain in maximal_chains(poset)]
+    meet = subspace_intersect(*(piece.basis for piece in pieces))
+    equal = whole.basis == meet
     report = {
         "whole_dimension": whole.dimension,
-        "chain_dimensions": chain_dims,
+        "chain_dimensions": [piece.dimension for piece in pieces],
         "intersection_dimension": meet.nrows,
         "equal": equal,
     }
@@ -292,14 +289,13 @@ def monomial_identities(grading, d, cap=None):
     """
     _check_cap(d, cap)
     poset, group = grading.poset, grading.group
-    components = {g: grading.component_basis(g).basis
-                  for g in range(group.order)}
+    components = grading.components()
     identities = set()
     for m in range(1, d + 1):
         for word in itertools.product(range(group.order), repeat=m):
             reach = set(range(poset.n))
             for g in word:
-                reach = {v for (u, v) in components[g] if u in reach}
+                reach = {v for (u, v) in components.get(g, ()) if u in reach}
                 if not reach:
                     break
             if not reach:

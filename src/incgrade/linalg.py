@@ -233,19 +233,25 @@ def subspace_equal(a, b):
     return rref(a) == rref(b)
 
 
-def subspace_intersect(a, b):
-    """Canonical basis of rowspace(a) ∩ rowspace(b).
+def subspace_intersect(first, *others):
+    """Canonical basis of the intersection of the row spaces.
 
-    A vector lies in a row space iff it is annihilated by that space's
-    kernel basis, so the intersection is the kernel of the two kernel
-    bases stacked.
+    Given one space, that is rref(first). Given more, a vector lies in a
+    row space iff that space's kernel basis annihilates it, so the
+    intersection is the kernel of all the kernel bases stacked: k spaces
+    cost k + 1 nullspaces. Every result vector is checked to lie in every
+    space before it is returned.
     """
-    if a.ncols != b.ncols:
-        raise DimensionMismatchError(
-            f"ambient dimensions differ: {a.ncols} vs {b.ncols}")
-    constraints = list(nullspace(a).rows) + list(nullspace(b).rows)
-    result = nullspace(RationalMatrix(constraints, a.ncols))
-    for side in (a, b):
+    for side in others:
+        if side.ncols != first.ncols:
+            raise DimensionMismatchError(
+                f"ambient dimensions differ: {first.ncols} vs {side.ncols}")
+    if not others:
+        return rref(first)
+    sides = (first,) + others
+    constraints = [row for side in sides for row in nullspace(side).rows]
+    result = nullspace(RationalMatrix(constraints, first.ncols))
+    for side in sides:
         reducer = RowReducer(side.ncols)
         for row in side.rows:
             reducer.add(row)

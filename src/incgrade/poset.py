@@ -80,20 +80,19 @@ class Poset:
 
 
 def _close(n, edges):
-    leq = [[i == j for j in range(n)] for i in range(n)]
+    """Reflexive-transitive closure as a boolean matrix: Warshall's
+    algorithm on bit rows, bit j of up[i] meaning i <= j."""
+    up = [1 << i for i in range(n)]
     for i, j in edges:
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"index pair ({i}, {j}) out of range")
-        leq[i][j] = True
+        up[i] |= 1 << j
     for k in range(n):
+        bit, row_k = 1 << k, up[k]
         for i in range(n):
-            if leq[i][k]:
-                row_k = leq[k]
-                row_i = leq[i]
-                for j in range(n):
-                    if row_k[j]:
-                        row_i[j] = True
-    return leq
+            if up[i] & bit:
+                up[i] |= row_k
+    return [[bool(row >> j & 1) for j in range(n)] for row in up]
 
 
 def poset_from_covers(labels, covers):

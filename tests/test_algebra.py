@@ -424,6 +424,14 @@ def near_misses(rng, phi):
                     for images in (changed, swapped, scaled)]
 
 
+def radical_killing(poset):
+    """phi(e_xx) = e_xx and phi(e_xy) = 0 for x < y: an algebra
+    endomorphism that keeps the unit, invertible only on an antichain."""
+    return AlgebraMorphism(poset, {
+        (x, y): e_basis(poset, x, y) if x == y else IncidenceFunction(poset, {})
+        for (x, y) in poset.comparable_pairs()})
+
+
 def rejection(check, phi):
     try:
         check(phi)
@@ -475,7 +483,8 @@ class TestAgainstOracles:
                         mult_auto(random_multiplicative(rng, p)),
                         induced_auto(p, rng.choice(automorphisms(p))),
                         random_automorphism(rng, p)]
-            for phi in (m for f in families for m in near_misses(rng, f)):
+            phis = [m for f in families for m in near_misses(rng, f)]
+            for phi in phis + [radical_killing(p)]:
                 got = rejection(AlgebraMorphism.validate, phi)
                 want = rejection(all_pairs_validate, phi)
                 assert (got is None) == (want is None), (got, want)
@@ -493,6 +502,16 @@ class TestAgainstOracles:
                             else IncidenceFunction(p, {}))
                 assert product != expected
         assert outcomes == {True, False}
+        # An endomorphism that passes every product and the unit check,
+        # so only invertibility can reject it.
+        for name, p in sorted(CORPUS.items()):
+            phi = radical_killing(p)
+            got = rejection(AlgebraMorphism.validate, phi)
+            assert got == rejection(all_pairs_validate, phi)
+            if any(x != y for (x, y) in p.comparable_pairs()):
+                assert got == "image table is not invertible", name
+            else:
+                assert got is None, name
 
     def test_inner_auto_matches_convolutions(self):
         rng = random.Random(46)

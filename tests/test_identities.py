@@ -30,6 +30,7 @@ from incgrade.poset import automorphisms, maximal_chains, subposet
 from util import (
     brute_force_slice,
     monomial_vanishes_by_products,
+    pairwise_chain_reduction,
     random_grading,
     random_poset,
 )
@@ -307,6 +308,26 @@ class TestChainReduction:
             piece = identity_slice(restricted, multidegree)
             for row in whole.basis.rows:
                 assert piece.contains_vector(row)
+
+
+    def test_matches_pairwise_fold(self):
+        # Every multidegree of length <= 3 over the support, on a seeded
+        # grading of each fixture by C2 and C3 and of 10 random posets.
+        rng = random.Random(56)
+        groups = [cyclic_group(2), cyclic_group(3)]
+        gradings = [random_grading(rng, p, g)
+                    for _, p in sorted(CORPUS.items()) for g in groups]
+        gradings += [random_grading(rng, random_poset(rng, 6), rng.choice(groups))
+                     for _ in range(10)]
+        outcomes = set()
+        for theta in gradings:
+            support = theta.support()
+            for m in range(1, 4):
+                for multidegree in itertools.product(support, repeat=m):
+                    got = verify_chain_reduction(theta, multidegree)
+                    assert got == pairwise_chain_reduction(theta, multidegree)
+                    outcomes.add(len(got[1]["chain_dimensions"]) > 1)
+        assert outcomes == {True, False}
 
 
 class TestMonomialIdentities:

@@ -15,7 +15,11 @@ from incgrade.linalg import (
     subspace_equal,
     subspace_intersect,
 )
-from util import fraction_nullspace, fraction_row_reducer
+from util import (
+    fraction_nullspace,
+    fraction_row_reducer,
+    pairwise_subspace_intersect,
+)
 
 
 def mat(rows, ncols=None):
@@ -149,6 +153,60 @@ class TestSubspaces:
             meet = subspace_intersect(a, b)
             assert (rref(a).nrows + rref(b).nrows
                     == total.nrows + meet.nrows)
+
+
+def count_nullspace_calls(monkeypatch):
+    """Patch linalg.nullspace to count its calls; return the counter."""
+    calls = []
+    original = linalg.nullspace
+
+    def counted(matrix):
+        calls.append(matrix)
+        return original(matrix)
+
+    monkeypatch.setattr(linalg, "nullspace", counted)
+    return calls
+
+
+class TestNaryIntersection:
+    """subspace_intersect over any number of spaces against the binary
+    intersection folded pairwise."""
+
+    def test_matches_pairwise_fold(self):
+        rng = random.Random(17)
+        sizes = set()
+        for _ in range(150):
+            ncols = rng.randint(1, 6)
+            spaces = [mat(random_rows(rng, rng.randint(0, 4), ncols), ncols=ncols)
+                      for _ in range(rng.randint(1, 4))]
+            want = rref(spaces[0])
+            for side in spaces[1:]:
+                want = pairwise_subspace_intersect(want, side)
+            assert subspace_intersect(*spaces) == want
+            sizes.add((len(spaces), want.nrows > 0))
+        assert sizes == {(k, nonzero) for k in range(1, 5)
+                         for nonzero in (True, False)}
+
+    def test_one_space_is_its_rref(self, monkeypatch):
+        calls = count_nullspace_calls(monkeypatch)
+        a = mat([[2, 4, 0], [1, 2, 0], [0, 3, 3]])
+        assert subspace_intersect(a) == rref(a)
+        assert calls == []
+
+    def test_k_spaces_cost_k_plus_one_nullspaces(self, monkeypatch):
+        calls = count_nullspace_calls(monkeypatch)
+        rng = random.Random(18)
+        for k in range(2, 7):
+            del calls[:]
+            subspace_intersect(*(random_matrix(rng, 2, 4) for _ in range(k)))
+            assert len(calls) == k + 1
+
+    def test_mismatch_raised_before_any_work(self, monkeypatch):
+        calls = count_nullspace_calls(monkeypatch)
+        line = mat([[1, 0]])
+        with pytest.raises(DimensionMismatchError):
+            subspace_intersect(line, line, line, mat([[1, 0, 0]]))
+        assert calls == []
 
 
 class TestSelfChecks:

@@ -9,6 +9,7 @@ from incgrade.errors import (
     EmptyPosetError,
     NotComparableError,
 )
+from incgrade import poset
 from incgrade.poset import (
     Poset,
     automorphisms,
@@ -28,6 +29,7 @@ from util import (
     brute_force_automorphisms,
     brute_force_chains,
     brute_force_components,
+    loop_close,
     loop_poset_covers,
     random_poset,
 )
@@ -120,6 +122,31 @@ class TestAgainstLoopOracle:
                 kind for kind in ("reflexive", "mutually", "transitive")
                 if kind in want[1]))
         assert seen == {"covers", "reflexive", "mutually", "transitive"}
+
+    @staticmethod
+    def close(close, n, edges):
+        try:
+            return close(n, edges)
+        except ValueError as exc:
+            return str(exc)
+
+    def test_close_matches_triple_loop(self):
+        # Random relations, cycles included; a few pairs reach one index
+        # past either end.
+        rng = random.Random(71)
+        kinds = set()
+        for _ in range(300):
+            n = rng.randint(1, 9)
+
+            def index():
+                return (rng.choice((-1, n)) if rng.random() < 0.02
+                        else rng.randrange(n))
+
+            edges = [(index(), index()) for _ in range(rng.randint(0, 2 * n))]
+            want = self.close(loop_close, n, edges)
+            assert self.close(poset._close, n, edges) == want
+            kinds.add(type(want))
+        assert kinds == {list, str}
 
 
 class TestSegment:

@@ -22,8 +22,15 @@ from incgrade.errors import (
     VerificationError,
 )
 from incgrade.grading import FiniteGroup, GradingMap
-from incgrade.linalg import RationalMatrix, RowReducer
-from incgrade.poset import inverse_permutation, poset_from_covers, segment
+from incgrade.identities import identity_slice
+from incgrade.linalg import RationalMatrix, RowReducer, nullspace, subspace_equal
+from incgrade.poset import (
+    inverse_permutation,
+    maximal_chains,
+    poset_from_covers,
+    segment,
+    subposet,
+)
 
 SCALARS = [Fraction(n, d) for n in range(-4, 5) for d in (1, 2, 3)]
 NONZERO = [v for v in SCALARS if v]
@@ -322,6 +329,46 @@ def brute_force_slice(grading, multidegree):
     return fraction_nullspace(reducer.matrix())
 
 
+def pairwise_subspace_intersect(a, b):
+    """Intersection of two row spaces as the kernel of their two kernel
+    bases stacked, each result vector checked against both spaces."""
+    if a.ncols != b.ncols:
+        raise DimensionMismatchError(
+            f"ambient dimensions differ: {a.ncols} vs {b.ncols}")
+    constraints = list(nullspace(a).rows) + list(nullspace(b).rows)
+    result = nullspace(RationalMatrix(constraints, a.ncols))
+    for side in (a, b):
+        reducer = RowReducer(side.ncols)
+        for row in side.rows:
+            reducer.add(row)
+        for vec in result.rows:
+            if not reducer.contains(vec):
+                raise VerificationError("intersection vector escapes a factor")
+    return result
+
+
+def pairwise_chain_reduction(grading, multidegree, cap=None):
+    """verify_chain_reduction by folding pairwise_subspace_intersect over
+    the chain slices and comparing the spaces with subspace_equal."""
+    multidegree = tuple(multidegree)
+    whole = identity_slice(grading, multidegree, cap=cap)
+    chain_dims = []
+    meet = None
+    for chain in maximal_chains(grading.poset):
+        restricted = grading.restrict(subposet(grading.poset, chain), chain)
+        piece = identity_slice(restricted, multidegree, cap=cap)
+        chain_dims.append(piece.dimension)
+        meet = piece.basis if meet is None else pairwise_subspace_intersect(
+            meet, piece.basis)
+    equal = subspace_equal(whole.basis, meet)
+    return equal, {
+        "whole_dimension": whole.dimension,
+        "chain_dimensions": chain_dims,
+        "intersection_dimension": meet.nrows,
+        "equal": equal,
+    }
+
+
 def all_pairs_convolve(f1, f2):
     """Convolution testing every pair of entries for a matching endpoint."""
     f1._check_same(f2)
@@ -471,3 +518,20 @@ def loop_poset_covers(elements, leq):
                 continue
             covers.append((i, j))
     return tuple(sorted(covers))
+
+
+def loop_close(n, edges):
+    """Reflexive-transitive closure of a relation by Warshall's triple
+    loop over a boolean matrix."""
+    leq = [[i == j for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"index pair ({i}, {j}) out of range")
+        leq[i][j] = True
+    for k in range(n):
+        for i in range(n):
+            if leq[i][k]:
+                for j in range(n):
+                    if leq[k][j]:
+                        leq[i][j] = True
+    return leq

@@ -25,7 +25,7 @@ from .errors import (
     VerificationError,
 )
 from .linalg import format_rational, parse_rational
-from .poset import _is_index_pair, inverse_permutation
+from .poset import _is_index_pair, inverse_permutation, linear_extension
 
 
 class IncidenceFunction:
@@ -218,7 +218,7 @@ def _inverse(poset, numerators, den):
         if x != z:
             above.setdefault(x, []).append((z, a))
     rows = {}
-    for x in sorted(range(poset.n), key=lambda i: sum(poset.leq[i])):
+    for x in reversed(linear_extension(poset)):
         terms = above.get(x, ())
         scale = lcm(*[rows[z][1] for z, _ in terms])
         acc = {}
@@ -250,9 +250,9 @@ def invert(f):
     Solved by back-substitution, one row x at a time:
     g(x, y) = -f(x, x)^-1 * sum over x < z <= y of f(x, z) g(z, y) for
     y > x, which needs only the rows z strictly above x. Rows are taken
-    in ascending size of the up-set |up(x)| (counted from leq), a reverse
-    linear extension, since z > x forces up(z) to be a proper subset of
-    up(x). Only the nonzero entries f(x, z) and g(z, y) are visited.
+    in the reverse of poset.linear_extension (descending down-set size,
+    then descending index), so every row z above x comes before x. Only
+    the nonzero entries f(x, z) and g(z, y) are visited.
 
     The work is on integers: f is read once as numerators over one
     denominator, and each row of g is kept as integer numerators over its

@@ -36,6 +36,7 @@ from .grading import (
     group_from_spec,
 )
 from .identities import (
+    _check_cap,
     chain_transitivity_identity_check,
     identity_slice,
     monomial_identities,
@@ -195,6 +196,7 @@ def cmd_verify_reduction(args, poset, group):
     if args.multidegree:
         degrees = [_parse_multidegree(group, args.multidegree)]
     else:
+        _check_cap(args.max_degree, None)
         degrees = []
         for m in range(1, args.max_degree + 1):
             degrees.extend(itertools.product(theta.support(), repeat=m))

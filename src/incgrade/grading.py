@@ -325,6 +325,15 @@ def equivalent(theta, mu):
     return None
 
 
+def _check_budget(poset, group, budget):
+    """Refuse an enumeration whose space of |G|^n maps exceeds the budget."""
+    total = group.order ** poset.n
+    limit = enumeration_budget(budget)
+    if total > limit:
+        raise BudgetExceededError(
+            f"{total} maps exceed the enumeration budget {limit}")
+
+
 def count_distinct_gradings(poset, group, verify=False, budget=None):
     """|G|^(n-k) with n elements and k connected components.
 
@@ -332,22 +341,15 @@ def count_distinct_gradings(poset, group, verify=False, budget=None):
     of the per-component left shift action, and checks the orbit count
     against the formula.
     """
-    k = len(connected_components(poset))
-    expected = group.order ** (poset.n - k)
+    comps = connected_components(poset)
+    expected = group.order ** (poset.n - len(comps))
     if verify:
-        total = group.order ** poset.n
-        limit = enumeration_budget(budget)
-        if total > limit:
-            raise BudgetExceededError(
-                f"{total} maps exceed the enumeration budget {limit}")
-        owner = component_index(poset)
-        anchor = {}
-        for c, members in enumerate(connected_components(poset)):
-            anchor[c] = members[0]
+        _check_budget(poset, group, budget)
+        anchor = [comps[c][0] for c in component_index(poset)]
         canon = set()
         for theta in itertools.product(range(group.order), repeat=poset.n):
             canon.add(tuple(
-                group.mul(group.inv(theta[anchor[owner[x]]]), theta[x])
+                group.mul(group.inv(theta[anchor[x]]), theta[x])
                 for x in range(poset.n)))
         if len(canon) != expected:
             raise VerificationError(
@@ -426,11 +428,7 @@ def classify_gradings(poset, group, budget=None):
     the least map of the class. A representative's class is marked by
     acting with each automorphism and renormalizing, |Aut(P)| maps each.
     """
-    total = group.order ** poset.n
-    limit = enumeration_budget(budget)
-    if total > limit:
-        raise BudgetExceededError(
-            f"{total} maps exceed the enumeration budget {limit}")
+    _check_budget(poset, group, budget)
     comps = connected_components(poset)
     owner = component_index(poset)
     anchors = [members[0] for members in comps]

@@ -3,10 +3,16 @@ connected components, chain-length bound, automorphisms, and chain
 transitivity.
 
 Elements carry stable 0-based indices in input order. The order relation
-is stored as a dense boolean matrix, always reflexively and transitively
-closed. All set-valued results come back in a deterministic order so they
-can be frozen into golden tests.
+is stored reflexively and transitively closed, as a boolean matrix leq and
+as integer bit rows: bit j of up[i] is leq[i][j], bit j of down[i] is
+leq[j][i]. The order structure is read from the bit rows. A Poset is
+immutable, so each structure derived from it (comparable pairs,
+components, maximal chains, Aut(P)) is computed at most once, on first
+request, stored on that poset and freed with it. All set-valued results
+come back in a deterministic order so they can be frozen into golden tests.
 """
+
+import functools
 
 from .errors import (
     CycleError,
@@ -15,6 +21,22 @@ from .errors import (
     MalformedInputError,
     NotComparableError,
 )
+
+
+def _derived(compute):
+    """Make compute(p) run at most once per poset: the result is stored on
+    p, which is immutable, and later calls return it."""
+    @functools.wraps(compute)
+    def once(p):
+        if compute.__name__ not in p._derived:
+            p._derived[compute.__name__] = compute(p)
+        return p._derived[compute.__name__]
+    return once
+
+
+def _bits(mask):
+    """The indices of the set bits of a nonnegative mask, ascending."""
+    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
 class Poset:
@@ -54,6 +76,9 @@ class Poset:
         self.elements = elements
         self.leq = matrix
         self.n = n
+        self.up = tuple(up)
+        self.down = tuple(down)
+        self._derived = {}
         # i < j is a cover when nothing else lies between: [i, j] = {i, j}.
         self.covers = tuple(
             (i, j) for i in range(n) for j in above[i]
@@ -62,10 +87,10 @@ class Poset:
     def index_of(self, label):
         return self.elements.index(str(label))
 
+    @_derived
     def comparable_pairs(self):
         """All (x, y) with x below-or-equal y, in lexicographic order."""
-        return tuple((i, j) for i in range(self.n) for j in range(self.n)
-                     if self.leq[i][j])
+        return tuple((i, j) for i in range(self.n) for j in _bits(self.up[i]))
 
     def __eq__(self, other):
         if not isinstance(other, Poset):
@@ -142,59 +167,47 @@ def segment(p, x, z):
     if not p.leq[x][z]:
         raise NotComparableError(
             f"{p.elements[x]!r} is not below {p.elements[z]!r}")
-    members = [y for y in range(p.n) if p.leq[x][y] and p.leq[y][z]]
-    return subposet(p, members)
+    return subposet(p, _bits(p.up[x] & p.down[z]))
 
 
+@_derived
 def maximal_chains(p):
     """All maximal chains as ascending index tuples, lexicographic order.
 
     A maximal chain is saturated, so it walks cover edges from a minimal
     element to a maximal one.
     """
-    minimal = [i for i in range(p.n)
-               if not any(p.leq[j][i] for j in range(p.n) if j != i)]
     upper = {i: [j for (a, j) in p.covers if a == i] for i in range(p.n)}
+    stack = [(i,) for i in range(p.n) if p.down[i] == 1 << i]
     chains = []
-
-    def extend(chain):
+    while stack:
+        chain = stack.pop()
         nexts = upper[chain[-1]]
         if not nexts:
-            chains.append(tuple(chain))
-            return
-        for j in nexts:
-            chain.append(j)
-            extend(chain)
-            chain.pop()
-
-    for start in minimal:
-        extend([start])
+            chains.append(chain)
+        stack.extend(chain + (j,) for j in nexts)
     return tuple(sorted(chains))
 
 
+@_derived
 def connected_components(p):
     """Partition of indices under zig-zag comparability, each component
     sorted, components ordered by least index."""
-    parent = list(range(p.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(p.n):
-        for j in range(p.n):
-            if p.leq[i][j]:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    groups = {}
-    for i in range(p.n):
-        groups.setdefault(find(i), []).append(i)
-    return tuple(tuple(groups[root]) for root in sorted(groups))
+    left = (1 << p.n) - 1
+    components = []
+    while left:
+        component = frontier = left & -left
+        while frontier:
+            for i in _bits(frontier):
+                frontier |= p.up[i] | p.down[i]
+            frontier &= ~component
+            component |= frontier
+        components.append(tuple(_bits(component)))
+        left &= ~component
+    return tuple(components)
 
 
+@_derived
 def component_index(p):
     """Map each element index to the index of its connected component."""
     owner = [0] * p.n
@@ -205,17 +218,9 @@ def component_index(p):
 
 
 def linear_extension(p):
-    """A topological order of the indices (least available index first)."""
-    remaining = set(range(p.n))
-    order = []
-    while remaining:
-        ready = [i for i in remaining
-                 if all(j not in remaining or j == i
-                        for j in range(p.n) if p.leq[j][i])]
-        pick = min(ready)
-        order.append(pick)
-        remaining.remove(pick)
-    return tuple(order)
+    """A topological order of the indices: by down-set size, then index.
+    x < y makes down(x) a proper subset of down(y)."""
+    return tuple(sorted(range(p.n), key=lambda i: (p.down[i].bit_count(), i)))
 
 
 def _heights(p, order, dual=False):
@@ -224,10 +229,9 @@ def _heights(p, order, dual=False):
     extension (its reverse, if dual)."""
     height = [1] * p.n
     for i in order:
-        below = [height[j] for j in range(p.n)
-                 if j != i and (p.leq[i][j] if dual else p.leq[j][i])]
-        if below:
-            height[i] = 1 + max(below)
+        others = (p.up if dual else p.down)[i] ^ 1 << i
+        if others:
+            height[i] = 1 + max(height[j] for j in _bits(others))
     return height
 
 
@@ -241,45 +245,43 @@ def _signatures(p):
     order = linear_extension(p)
     height = _heights(p, order)
     depth = _heights(p, reversed(order), dual=True)
-    up = [sum(1 for j in range(p.n) if j != i and p.leq[i][j]) for i in range(p.n)]
-    down = [sum(1 for j in range(p.n) if j != i and p.leq[j][i]) for i in range(p.n)]
-    cup = [sum(1 for (a, _) in p.covers if a == i) for i in range(p.n)]
-    cdown = [sum(1 for (_, b) in p.covers if b == i) for i in range(p.n)]
-    return [(height[i], depth[i], up[i], down[i], cup[i], cdown[i])
-            for i in range(p.n)]
+    cup, cdown = [0] * p.n, [0] * p.n
+    for a, b in p.covers:
+        cup[a] += 1
+        cdown[b] += 1
+    return [(height[i], depth[i], p.up[i].bit_count(), p.down[i].bit_count(),
+             cup[i], cdown[i]) for i in range(p.n)]
 
 
+@_derived
 def automorphisms(p):
     """The full automorphism group as permutation tuples, sorted, so the
-    identity comes first. Backtracking with signature pruning."""
+    identity comes first. Backtracking with signature pruning.
+
+    A partial image assigns the elements in index order. Element i may go
+    to a free j of its signature when the placed elements above (below) j
+    are exactly the images of the placed elements above (below) i.
+    """
     sig = _signatures(p)
     candidates = [[j for j in range(p.n) if sig[j] == sig[i]]
                   for i in range(p.n)]
+    # Per element i, the earlier elements above it and those below it.
+    earlier = [(_bits(p.up[i] & (1 << i) - 1), _bits(p.down[i] & (1 << i) - 1))
+               for i in range(p.n)]
     found = []
-    image = [-1] * p.n
-    used = [False] * p.n
-
-    def assign(i):
+    stack = [((), 0)]  # (partial image, bit mask of its values)
+    while stack:
+        image, used = stack.pop()
+        i = len(image)
         if i == p.n:
-            found.append(tuple(image))
-            return
-        for j in candidates[i]:
-            if used[j]:
-                continue
-            ok = True
-            for k in range(i):
-                if (p.leq[i][k] != p.leq[j][image[k]]
-                        or p.leq[k][i] != p.leq[image[k]][j]):
-                    ok = False
-                    break
-            if ok:
-                image[i] = j
-                used[j] = True
-                assign(i + 1)
-                used[j] = False
-                image[i] = -1
-
-    assign(0)
+            found.append(image)
+            continue
+        ups, downs = earlier[i]
+        above = sum([1 << image[k] for k in ups])
+        below = sum([1 << image[k] for k in downs])
+        stack += [(image + (j,), used | 1 << j) for j in candidates[i]
+                  if not used >> j & 1 and p.up[j] & used == above
+                  and p.down[j] & used == below]
     return tuple(sorted(found))
 
 
@@ -313,22 +315,18 @@ def permutation_cycles(perm):
 def is_chain_transitive(p):
     """Whether Aut(P) acts transitively on the maximal chains.
 
-    Returns (True, table) with table[(i, j)] = an automorphism mapping
-    chain i onto chain j, or (False, (i, j)) for an unreachable pair.
-    An order automorphism maps an ascending chain to an ascending chain,
-    so image tuples compare elementwise.
+    Returns (True, table) with table[(i, j)] = the first automorphism, in
+    sorted order, mapping chain i onto chain j, or (False, (i, j)) for the
+    first unreachable pair in lexicographic order. An order automorphism
+    maps an ascending maximal chain to an ascending maximal chain, so one
+    pass over Aut(P) finds every image.
     """
     chains = maximal_chains(p)
-    auts = automorphisms(p)
+    index = {chain: i for i, chain in enumerate(chains)}
     table = {}
-    for i, src in enumerate(chains):
-        for j, dst in enumerate(chains):
-            witness = None
-            for sigma in auts:
-                if tuple(sigma[x] for x in src) == dst:
-                    witness = sigma
-                    break
-            if witness is None:
-                return False, (i, j)
-            table[(i, j)] = witness
-    return True, table
+    for sigma in automorphisms(p):
+        for i, chain in enumerate(chains):
+            table.setdefault((i, index[tuple(sigma[x] for x in chain)]), sigma)
+    missing = [(i, j) for i in range(len(chains)) for j in range(len(chains))
+               if (i, j) not in table]
+    return (False, missing[0]) if missing else (True, table)

@@ -78,6 +78,15 @@ class TestPosetCommands:
         assert report["results"]["automorphisms"] == [
             [0, 1, 2, 3], [0, 2, 1, 3]]
 
+    def test_long_chain(self, tmp_path):
+        # More elements than the default recursion limit of 1000 frames.
+        labels = [f"x{i}" for i in range(1100)]
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({
+            "elements": labels, "covers": [[i, i + 1] for i in range(1099)]}))
+        report = run_json("chains", "--poset", str(path))
+        assert report["results"]["chains"] == [labels]
+
     def test_chain_transitive_positive(self):
         report = run_json("chain-transitive", "--poset", "diamond")
         assert report["results"]["transitive"] is True
@@ -342,6 +351,24 @@ class TestCliContract:
                           "C2", "--theta", "1,h", "--mu", "1,1",
                           "--max-degree", "0")
         assert report["results"]["equal"] is True
+
+    def test_verify_reduction_checks_cap_before_sweeping(self, monkeypatch,
+                                                          capsys):
+        # An explicit multidegree is checked by its own length only.
+        assert main(["verify-reduction", "--poset", "diamond", "--group",
+                     "C2", "--multidegree", "h,h", "--max-degree", "9",
+                     "--format", "json"]) == 0
+        capsys.readouterr()
+
+        def sweep(*args, **kwargs):
+            raise AssertionError("swept before checking the cap")
+
+        monkeypatch.setattr("incgrade.cli.verify_chain_reduction", sweep)
+        assert main(["verify-reduction", "--poset", "diamond", "--group",
+                     "C2", "--max-degree", "9"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: multidegree length 9 exceeds the cap 4\n"
 
     def test_failed_self_check_exits_one(self, monkeypatch, capsys):
         # invert checks its result against the unit; compare with zeta.

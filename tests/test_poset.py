@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -10,10 +12,18 @@ from incgrade.errors import (
     NotComparableError,
 )
 from incgrade import poset
+from incgrade.grading import (
+    GradingMap,
+    classify_gradings,
+    cyclic_group,
+    equivalent,
+)
+from incgrade.identities import chain_transitivity_identity_check
 from incgrade.poset import (
     Poset,
     automorphisms,
     bound,
+    component_index,
     connected_components,
     is_chain_transitive,
     linear_extension,
@@ -32,9 +42,23 @@ from util import (
     loop_close,
     loop_poset_covers,
     random_poset,
+    scan_chain_transitive,
 )
 
 CORPUS = corpus_posets()
+
+
+def long_chain(n):
+    return poset_from_covers([f"x{i}" for i in range(n)],
+                             [(i, i + 1) for i in range(n - 1)])
+
+
+def boolean_lattice(k):
+    """The subsets of a k-set under inclusion, as bit masks."""
+    return poset_from_covers(
+        [str(a) for a in range(1 << k)],
+        [(a, a | 1 << b) for a in range(1 << k) for b in range(k)
+         if not a >> b & 1])
 
 
 def labels(poset, chain):
@@ -192,6 +216,12 @@ class TestMaximalChains:
         for p in CORPUS.values():
             assert sorted(maximal_chains(p)) == brute_force_chains(p)
 
+    def test_long_chain_walks_without_recursion(self):
+        # More elements than the default recursion limit of 1000 frames.
+        p = long_chain(1100)
+        assert maximal_chains(p) == (tuple(range(1100)),)
+        assert automorphisms(p) == (tuple(range(1100)),)
+
     def test_chain_properties(self):
         for p in CORPUS.values():
             chains = maximal_chains(p)
@@ -318,6 +348,88 @@ class TestChainTransitivity:
             chains = maximal_chains(p)
             for (i, j), sigma in table.items():
                 assert tuple(sigma[x] for x in chains[i]) == chains[j]
+
+
+    def test_matches_per_pair_scan(self):
+        rng = random.Random(90)
+        posets = list(CORPUS.values()) + [random_poset(rng, 7)
+                                          for _ in range(60)]
+        outcomes = set()
+        for p in posets:
+            got = is_chain_transitive(p)
+            assert got == scan_chain_transitive(p)
+            outcomes.add(got[0] and len(got[1]) > 1)
+        assert outcomes == {False, True}
+
+
+class TestDerivedOnce:
+    """Aut(P), the components and the maximal chains are derived once
+    per Poset and stored on it."""
+
+    DERIVED = (automorphisms, connected_components, component_index,
+               maximal_chains, Poset.comparable_pairs)
+
+    @pytest.mark.parametrize("run", [
+        lambda p, g: chain_transitivity_identity_check(p, g),
+        lambda p, g: classify_gradings(p, g),
+        lambda p, g: equivalent(GradingMap(p, g, [0] * p.n),
+                                GradingMap(p, g, [1] * p.n)),
+    ], ids=["transitivity-check", "classify", "equiv"])
+    def test_one_enumeration_per_call(self, run, monkeypatch):
+        # _signatures runs once at the start of each backtracking search.
+        calls = []
+        signatures = poset._signatures
+        monkeypatch.setattr(
+            poset, "_signatures", lambda p: calls.append(p) or signatures(p))
+        run(boolean_lattice(3), cyclic_group(2))
+        assert len(calls) == 1
+
+    def test_results_stored_on_the_poset(self):
+        p = boolean_lattice(3)
+        first = [derive(p) for derive in self.DERIVED]
+        assert all(derive(p) is result
+                   for derive, result in zip(self.DERIVED, first))
+        # An equal poset built separately derives its own.
+        assert automorphisms(boolean_lattice(3)) is not first[0]
+
+    def test_results_die_with_their_poset(self):
+        p = boolean_lattice(3)
+        for derive in self.DERIVED:
+            derive(p)
+        ref = weakref.ref(p)
+        del p
+        gc.collect()
+        assert ref() is None
+
+
+class TestAgainstNetworkx:
+    """The order structure against networkx graph algorithms, on posets
+    beyond the reach of the n! brute-force oracles."""
+
+    def test_structure_matches(self):
+        nx = pytest.importorskip("networkx")
+        from networkx.algorithms.isomorphism import DiGraphMatcher
+
+        rng = random.Random(92)
+        for _ in range(60):
+            p = random_poset(rng, 14, min_n=8)
+            strict = nx.DiGraph()
+            strict.add_nodes_from(range(p.n))
+            strict.add_edges_from((i, j) for i in range(p.n)
+                                  for j in range(p.n) if i != j and p.leq[i][j])
+            auts = sorted(tuple(m[i] for i in range(p.n)) for m in
+                          DiGraphMatcher(strict, strict).isomorphisms_iter())
+            assert list(automorphisms(p)) == auts
+            cover = nx.transitive_reduction(strict)
+            sources = [v for v in cover if cover.in_degree(v) == 0]
+            sinks = [v for v in cover if cover.out_degree(v) == 0]
+            paths = [(s,) for s in sources if s in sinks] + [
+                tuple(path) for s in sources for t in sinks if s != t
+                for path in nx.all_simple_paths(cover, s, t)]
+            assert list(maximal_chains(p)) == sorted(paths)
+            assert list(connected_components(p)) == sorted(
+                tuple(sorted(c)) for c in nx.weakly_connected_components(strict))
+            assert bound(p) == nx.dag_longest_path_length(strict) + 1
 
 
 class TestCorpusLoader:

@@ -104,6 +104,23 @@ def brute_force_automorphisms(poset):
     return sorted(found)
 
 
+def scan_chain_transitive(poset):
+    """Chain transitivity by testing every pair of maximal chains against
+    the automorphisms in sorted order: (True, table) with the first
+    witness per pair, or (False, the first unreachable pair)."""
+    chains = brute_force_chains(poset)
+    auts = brute_force_automorphisms(poset)
+    table = {}
+    for i, src in enumerate(chains):
+        for j, dst in enumerate(chains):
+            witness = next((sigma for sigma in auts
+                            if tuple(sigma[x] for x in src) == dst), None)
+            if witness is None:
+                return False, (i, j)
+            table[(i, j)] = witness
+    return True, table
+
+
 def brute_force_components(poset):
     """Connected components via closure of the symmetric comparability."""
     adj = [[poset.leq[i][j] or poset.leq[j][i] for j in range(poset.n)]

@@ -18,14 +18,14 @@ from .errors import (
     DecompositionError,
     MalformedInputError,
     NotAutomorphismError,
-    NotComparableError,
     NotInvertibleError,
     NotMultiplicativeError,
     PosetMismatchError,
     VerificationError,
 )
 from .linalg import format_rational, parse_rational
-from .poset import _is_index_pair, inverse_permutation, linear_extension
+from .poset import (_bits, _check_leq, _is_index_pair, inverse_permutation,
+                    linear_extension)
 
 
 class IncidenceFunction:
@@ -39,9 +39,7 @@ class IncidenceFunction:
         for (x, y), value in (entries or {}).items():
             if type(value) is not Fraction:
                 value = Fraction(value)
-            if not poset.leq[x][y]:
-                raise NotComparableError(
-                    f"({poset.elements[x]!r}, {poset.elements[y]!r}) is not a comparable pair")
+            _check_leq(poset, x, y)
             if value:
                 cleaned[(x, y)] = value
         self.entries = cleaned
@@ -132,9 +130,6 @@ def function_to_json(f):
 
 def e_basis(poset, x, y):
     """Indicator of the single comparable pair (x, y)."""
-    if not poset.leq[x][y]:
-        raise NotComparableError(
-            f"({poset.elements[x]!r}, {poset.elements[y]!r}) is not a comparable pair")
     return IncidenceFunction(poset, {(x, y): Fraction(1)})
 
 
@@ -270,14 +265,9 @@ def is_multiplicative(s):
     s(x, z) s(z, y) = s(x, y) whenever x <= z <= y."""
     poset = s.poset
     pairs = poset.comparable_pairs()
-    if any(s(x, y) == 0 for (x, y) in pairs):
-        return False
-    for (x, y) in pairs:
-        for z in range(poset.n):
-            if poset.leq[x][z] and poset.leq[z][y]:
-                if s(x, z) * s(z, y) != s(x, y):
-                    return False
-    return True
+    return all(s(x, y) != 0 for (x, y) in pairs) and all(
+        s(x, z) * s(z, y) == s(x, y)
+        for (x, y) in pairs for z in _bits(poset.up[x] & poset.down[y]))
 
 
 class AlgebraMorphism:
@@ -345,7 +335,7 @@ class AlgebraMorphism:
         diagonal = [(u, u) for u in range(poset.n)]
         for (x, y) in pairs:
             left, left_den = images[(x, y)]
-            right_factors = [(y, v) for v in range(poset.n) if poset.leq[y][v]]
+            right_factors = [(y, v) for v in _bits(poset.up[y])]
             if x == y:
                 right_factors = sorted(set(right_factors).union(diagonal))
             for (u, v) in right_factors:
@@ -444,10 +434,9 @@ def _check_automorphism(poset, sigma):
     automorphism of poset."""
     if sorted(sigma) != list(range(poset.n)):
         raise NotAutomorphismError("sigma is not a permutation")
-    for i in range(poset.n):
-        for j in range(poset.n):
-            if poset.leq[i][j] != poset.leq[sigma[i]][sigma[j]]:
-                raise NotAutomorphismError("sigma does not preserve the order")
+    if any(sum(1 << sigma[j] for j in _bits(row)) != poset.up[sigma[i]]
+           for i, row in enumerate(poset.up)):
+        raise NotAutomorphismError("sigma does not preserve the order")
 
 
 def induced_auto(poset, sigma):

@@ -17,10 +17,10 @@ from .errors import (
     InvalidGroupError,
     MalformedInputError,
     MismatchError,
-    NotComparableError,
     VerificationError,
 )
 from .poset import (
+    _check_leq,
     automorphisms,
     component_index,
     connected_components,
@@ -211,10 +211,7 @@ class GradingMap:
         self.theta = theta
 
     def grade_of_pair(self, x, y):
-        if not self.poset.leq[x][y]:
-            raise NotComparableError(
-                f"({self.poset.elements[x]!r}, {self.poset.elements[y]!r}) "
-                "is not a comparable pair")
+        _check_leq(self.poset, x, y)
         g = self.group
         return g.mul(g.inv(self.theta[x]), self.theta[y])
 

@@ -21,6 +21,7 @@ from fractions import Fraction
 from .errors import (
     CapExceededError,
     DegreeMismatchError,
+    MalformedInputError,
     MismatchError,
     NotChainTransitiveError,
 )
@@ -90,6 +91,13 @@ class MultilinearPolynomial:
 def polynomial_from_json(group, obj):
     """Read {"multidegree": ["h","1"], "terms": [{"perm": [2,1],
     "coeff": "-1"}, ...]} with 1-based permutations."""
+    if (not isinstance(obj, dict) or not isinstance(obj.get("multidegree"), list)
+            or not isinstance(obj.get("terms"), list)
+            or not all(isinstance(item, dict) and isinstance(item.get("perm"), list)
+                       and "coeff" in item for item in obj["terms"])):
+        raise MalformedInputError(
+            'polynomial JSON must be an object with a "multidegree" list and a '
+            '"terms" list of {"perm": [...], "coeff": ...} objects')
     multidegree = [group.index_of(name) for name in obj["multidegree"]]
     terms = {}
     for item in obj["terms"]:

@@ -2,14 +2,14 @@
 connected components, chain-length bound, automorphisms, and chain
 transitivity.
 
-Elements carry stable 0-based indices in input order. The order relation
-is stored reflexively and transitively closed, as a boolean matrix leq and
-as integer bit rows: bit j of up[i] is leq[i][j], bit j of down[i] is
-leq[j][i]. The order structure is read from the bit rows. A Poset is
-immutable, so each structure derived from it (comparable pairs,
-components, maximal chains, Aut(P)) is computed at most once, on first
-request, stored on that poset and freed with it. All set-valued results
-come back in a deterministic order so they can be frozen into golden tests.
+Elements carry stable 0-based indices in input order. The order is stored
+once, closed, as bit rows: bit j of up[i] is set when i is below-or-equal
+j. down (the transpose) and the covers are derived from up, and every
+order query reads the rows. A Poset is immutable, so each structure derived
+from it (the leq matrix view, comparable pairs, components, maximal chains,
+Aut(P)) is computed at most once, on first request, stored on it and freed
+with it. Set-valued results come back in a deterministic order so they can
+be frozen into golden tests.
 """
 
 import functools
@@ -42,11 +42,11 @@ def _bits(mask):
 class Poset:
     """Immutable finite poset over labeled, indexed elements.
 
-    leq must already be reflexive, antisymmetric, and transitive; use
-    poset_from_covers to close an arbitrary input relation first.
+    The bit rows up must already be reflexive, antisymmetric, and
+    transitive; use poset_from_covers to close an arbitrary relation first.
     """
 
-    def __init__(self, elements, leq):
+    def __init__(self, elements, up):
         elements = tuple(str(e) for e in elements)
         if not elements:
             raise EmptyPosetError("poset needs at least one element")
@@ -56,33 +56,41 @@ class Poset:
                 raise DuplicateLabelError(f"duplicate label {label!r}")
             seen.add(label)
         n = len(elements)
-        matrix = tuple(tuple(bool(v) for v in row) for row in leq)
-        if len(matrix) != n or any(len(row) != n for row in matrix):
-            raise ValueError("leq must be an n x n matrix")
-        # Bit j of up[i] is leq[i][j]; bit i of down[j] is leq[i][j].
-        up = [sum(1 << j for j in range(n) if row[j]) for row in matrix]
-        down = [sum(1 << i for i in range(n) if matrix[i][j]) for j in range(n)]
-        above = [[j for j in range(n) if j != i and matrix[i][j]]
-                 for i in range(n)]
-        for i in range(n):
-            if not matrix[i][i]:
+        up = tuple(up)
+        # row >> n is nonzero for a negative row or one wider than n bits.
+        if len(up) != n or any(not isinstance(row, int) or row >> n for row in up):
+            raise ValueError("up must be n bit rows over n elements")
+        strict = [row & ~(1 << i) for i, row in enumerate(up)]
+        down, covers = [1 << j for j in range(n)], []
+        for i, row in enumerate(up):
+            if not row >> i & 1:
                 raise ValueError(f"relation not reflexive at {elements[i]!r}")
-            for j in above[i]:
-                if matrix[j][i]:
+            above, beyond = _bits(strict[i]), 0
+            for j in above:
+                beyond |= strict[j]
+                down[j] |= 1 << i
+            # beyond holds i if some j above i is also below i, and leaves
+            # up[i] if transitivity fails at i; else above - beyond are covers.
+            if beyond & ~strict[i]:
+                j = next(j for j in above if strict[j] & ~strict[i])
+                if up[j] >> i & 1:
                     raise CycleError(
                         f"{elements[i]!r} and {elements[j]!r} are mutually comparable")
-                if up[j] & ~up[i]:
-                    raise ValueError("relation not transitive")
+                raise ValueError("relation not transitive")
+            covers += [(i, j) for j in _bits(strict[i] & ~beyond)]
         self.elements = elements
-        self.leq = matrix
         self.n = n
-        self.up = tuple(up)
+        self.up = up
         self.down = tuple(down)
+        self.covers = tuple(covers)
         self._derived = {}
-        # i < j is a cover when nothing else lies between: [i, j] = {i, j}.
-        self.covers = tuple(
-            (i, j) for i in range(n) for j in above[i]
-            if up[i] & down[j] == (1 << i) | (1 << j))
+
+    @property
+    @_derived
+    def leq(self):
+        """The order as a read-only boolean matrix, built from up on first use."""
+        return tuple(tuple(bool(row >> j & 1) for j in range(self.n))
+                     for row in self.up)
 
     def index_of(self, label):
         return self.elements.index(str(label))
@@ -95,18 +103,26 @@ class Poset:
     def __eq__(self, other):
         if not isinstance(other, Poset):
             return NotImplemented
-        return self.elements == other.elements and self.leq == other.leq
+        return self.elements == other.elements and self.up == other.up
 
     def __hash__(self):
-        return hash((self.elements, self.leq))
+        return hash((self.elements, self.up))
 
     def __repr__(self):
         return f"Poset({list(self.elements)}, covers={list(self.covers)})"
 
 
+def _check_leq(p, x, y, message="({}, {}) is not a comparable pair"):
+    """Raise NotComparableError unless x is below-or-equal y in p. An
+    index outside 0..n-1 is below nothing and is named by its number."""
+    if not (0 <= x < p.n and 0 <= y < p.n and p.up[x] >> y & 1):
+        names = [repr(p.elements[i]) if 0 <= i < p.n else str(i) for i in (x, y)]
+        raise NotComparableError(message.format(*names))
+
+
 def _close(n, edges):
-    """Reflexive-transitive closure as a boolean matrix: Warshall's
-    algorithm on bit rows, bit j of up[i] meaning i <= j."""
+    """Reflexive-transitive closure as bit rows, bit j of up[i] meaning
+    i <= j: Warshall's algorithm on the rows."""
     up = [1 << i for i in range(n)]
     for i, j in edges:
         if not (0 <= i < n and 0 <= j < n):
@@ -117,7 +133,7 @@ def _close(n, edges):
         for i in range(n):
             if up[i] & bit:
                 up[i] |= row_k
-    return [[bool(row >> j & 1) for j in range(n)] for row in up]
+    return up
 
 
 def poset_from_covers(labels, covers):
@@ -157,16 +173,14 @@ def poset_to_json(p):
 def subposet(p, indices):
     """Induced subposet on the given indices, kept in the given order."""
     indices = list(indices)
-    labels = [p.elements[i] for i in indices]
-    leq = [[p.leq[a][b] for b in indices] for a in indices]
-    return Poset(labels, leq)
+    return Poset([p.elements[i] for i in indices],
+                 [sum(1 << b for b, j in enumerate(indices) if p.up[i] >> j & 1)
+                  for i in indices])
 
 
 def segment(p, x, z):
     """The interval [x, z] = {y : x below y below z} with induced order."""
-    if not p.leq[x][z]:
-        raise NotComparableError(
-            f"{p.elements[x]!r} is not below {p.elements[z]!r}")
+    _check_leq(p, x, z, "{} is not below {}")
     return subposet(p, _bits(p.up[x] & p.down[z]))
 
 

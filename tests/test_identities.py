@@ -9,6 +9,7 @@ from incgrade.corpus import corpus_posets
 from incgrade.errors import (
     CapExceededError,
     DegreeMismatchError,
+    MalformedInputError,
     NotChainTransitiveError,
 )
 from incgrade.grading import GradingMap, cyclic_group, equivalent, group_from_spec
@@ -84,6 +85,20 @@ class TestPolynomials:
         back = polynomial_from_json(g, polynomial_to_json(poly))
         assert back.multidegree == poly.multidegree
         assert back.terms == poly.terms
+
+    @pytest.mark.parametrize("obj", [
+        {},
+        [],
+        {"multidegree": ["1"], "terms": 5},
+        {"multidegree": ["1"], "terms": [{"perm": [1]}]},
+        {"multidegree": ["1"], "terms": [{"coeff": "1"}]},
+        {"multidegree": ["1"], "terms": [{"perm": 1, "coeff": "1"}]},
+        {"multidegree": ["1"], "terms": ["x"]},
+        {"multidegree": "1", "terms": [{"perm": [1], "coeff": "1"}]},
+    ])
+    def test_json_shape_checked(self, obj):
+        with pytest.raises(MalformedInputError, match="polynomial JSON"):
+            polynomial_from_json(cyclic_group(2), obj)
 
 
 class TestEvaluate:

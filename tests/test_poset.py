@@ -12,6 +12,7 @@ from incgrade.errors import (
     NotComparableError,
 )
 from incgrade import poset
+from incgrade.algebra import IncidenceFunction, e_basis
 from incgrade.grading import (
     GradingMap,
     classify_gradings,
@@ -41,7 +42,9 @@ from util import (
     brute_force_components,
     loop_close,
     loop_poset_covers,
+    matrix_of,
     random_poset,
+    rows_of,
     scan_chain_transitive,
 )
 
@@ -121,7 +124,8 @@ class TestConstruction:
 
 class TestAgainstLoopOracle:
     """Poset's bitmask validation and cover search against the triple
-    loops they replaced."""
+    loops they replaced, which read boolean matrices: the bit rows are
+    converted at the boundary."""
 
     @staticmethod
     def build(build, elements, leq):
@@ -139,13 +143,29 @@ class TestAgainstLoopOracle:
             for _ in range(rng.choice((0, 1, 1, 2, 3))):
                 i, j = rng.randrange(p.n), rng.randrange(p.n)
                 leq[i][j] = not leq[i][j]
-            got = self.build(lambda e, m: Poset(e, m).covers, p.elements, leq)
+            got = self.build(lambda e, m: Poset(e, rows_of(m)).covers,
+                             p.elements, leq)
             want = self.build(loop_poset_covers, p.elements, leq)
             assert got == want
             seen.add("covers" if want[0] == "covers" else next(
                 kind for kind in ("reflexive", "mutually", "transitive")
                 if kind in want[1]))
         assert seen == {"covers", "reflexive", "mutually", "transitive"}
+
+    def test_subposet_and_rebuild_match(self):
+        # The random posets of test_errors_and_covers_match.
+        rng = random.Random(70)
+        for _ in range(400):
+            p = random_poset(rng, 7)
+            indices = rng.sample(range(p.n), rng.randint(1, p.n))
+            labels = tuple(p.elements[i] for i in indices)
+            leq = [[p.leq[a][b] for b in indices] for a in indices]
+            sub = subposet(p, indices)
+            assert sub.elements == labels
+            assert [list(row) for row in sub.leq] == leq
+            assert sub.covers == loop_poset_covers(labels, leq)
+            rebuilt = poset_from_covers(p.elements, p.covers)
+            assert rebuilt == p and hash(rebuilt) == hash(p)
 
     @staticmethod
     def close(close, n, edges):
@@ -168,9 +188,28 @@ class TestAgainstLoopOracle:
 
             edges = [(index(), index()) for _ in range(rng.randint(0, 2 * n))]
             want = self.close(loop_close, n, edges)
-            assert self.close(poset._close, n, edges) == want
+            got = self.close(lambda n, e: matrix_of(poset._close(n, e), n),
+                             n, edges)
+            assert got == want
             kinds.add(type(want))
         assert kinds == {list, str}
+
+
+def test_out_of_range_pairs_are_not_comparable():
+    # Index -1 would read the last row and index 5 would overrun c3.
+    p = CORPUS["c3"]
+    theta = GradingMap(p, cyclic_group(2), (0, 1, 0))
+    cases = [
+        (lambda: e_basis(p, 0, -1), "('x1', -1) is not a comparable pair"),
+        (lambda: segment(p, 0, -1), "'x1' is not below -1"),
+        (lambda: theta.grade_of_pair(0, -1), "('x1', -1) is not a comparable pair"),
+        (lambda: IncidenceFunction(p, {(0, 5): 1}),
+         "('x1', 5) is not a comparable pair"),
+    ]
+    for call, message in cases:
+        with pytest.raises(NotComparableError) as info:
+            call()
+        assert str(info.value) == message
 
 
 class TestSegment:

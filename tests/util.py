@@ -537,6 +537,16 @@ def loop_poset_covers(elements, leq):
     return tuple(sorted(covers))
 
 
+def rows_of(leq):
+    """The bit rows of a boolean matrix: bit j of row i is leq[i][j]."""
+    return [sum(1 << j for j, v in enumerate(row) if v) for row in leq]
+
+
+def matrix_of(rows, n):
+    """The n x n boolean matrix of n bit rows."""
+    return [[bool(row >> j & 1) for j in range(n)] for row in rows]
+
+
 def loop_close(n, edges):
     """Reflexive-transitive closure of a relation by Warshall's triple
     loop over a boolean matrix."""

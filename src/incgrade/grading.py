@@ -29,6 +29,14 @@ from .poset import (
 )
 
 DEFAULT_BUDGET = 10 ** 6
+MAX_GROUP_ORDER = 256
+
+
+def _check_order(order):
+    """Refuse a group whose order**3 associativity check is too costly."""
+    if order > MAX_GROUP_ORDER:
+        raise InvalidGroupError(
+            f"group order {order} exceeds the cap of {MAX_GROUP_ORDER} elements")
 
 
 def enumeration_budget(budget=None):
@@ -62,31 +70,21 @@ class FiniteGroup:
         for row in self.table:
             if any(not 0 <= v < m for v in row):
                 raise InvalidGroupError("Cayley table entry out of range")
-        identity = None
-        for e in range(m):
-            if all(self.table[e][a] == a and self.table[a][e] == a
-                   for a in range(m)):
-                identity = e
-                break
+        t = self.table
+        identity = next((e for e in range(m)
+                         if all(t[e][a] == a == t[a][e] for a in range(m))), None)
         if identity is None:
             raise InvalidGroupError("no identity element")
         self.identity = identity
-        inverse = [None] * m
-        for a in range(m):
-            for b in range(m):
-                if self.table[a][b] == identity and self.table[b][a] == identity:
-                    inverse[a] = b
-                    break
-            if inverse[a] is None:
-                raise InvalidGroupError(f"no inverse for {self.names[a]!r}")
+        inverse = [next((b for b in range(m) if t[a][b] == identity == t[b][a]),
+                        None) for a in range(m)]
+        if None in inverse:
+            raise InvalidGroupError(
+                f"no inverse for {self.names[inverse.index(None)]!r}")
         self.inverse = tuple(inverse)
-        for a in range(m):
-            for b in range(m):
-                for c in range(m):
-                    if (self.table[self.table[a][b]][c]
-                            != self.table[a][self.table[b][c]]):
-                        raise InvalidGroupError(
-                            "multiplication is not associative")
+        if any(t[t[a][b]][c] != t[a][t[b][c]]
+               for a in range(m) for b in range(m) for c in range(m)):
+            raise InvalidGroupError("multiplication is not associative")
 
     @property
     def order(self):
@@ -119,6 +117,7 @@ class FiniteGroup:
 def cyclic_group(n):
     if n < 1:
         raise InvalidGroupError("cyclic group order must be positive")
+    _check_order(n)
     names = ["1"] + ["h" if k == 1 else f"h^{k}" for k in range(1, n)]
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
     return FiniteGroup(names, table)
@@ -168,17 +167,24 @@ def group_from_spec(spec):
             raise InvalidGroupError(
                 'group JSON must be an object with a "names" list and a '
                 '"table" list of lists')
+        if any(type(v) is not str for v in obj["names"]):
+            raise InvalidGroupError("group element names must be strings")
+        _check_order(len(obj["names"]))
         if any(type(v) is not int for row in obj["table"] for v in row):
             raise InvalidGroupError("Cayley table entries must be integers")
         return FiniteGroup(obj["names"], obj["table"])
-    factors = spec.split("x")
-    built = None
-    for part in factors:
+    factors = []
+    for part in spec.split("x"):
         part = part.strip()
         if len(part) < 2 or part[0] not in "CS" or not part[1:].isdigit():
             raise InvalidGroupError(f"unrecognized group spec {part!r}")
-        n = int(part[1:])
-        atom = cyclic_group(n) if part[0] == "C" else symmetric_group(n)
+        factors.append((part[0], int(part[1:])))
+    # S<n> past S4 is refused by symmetric_group, so it counts as 1 here.
+    _check_order(math.prod(n if kind == "C" else math.factorial(n) if n <= 4 else 1
+                           for kind, n in factors))
+    built = None
+    for kind, n in factors:
+        atom = cyclic_group(n) if kind == "C" else symmetric_group(n)
         built = atom if built is None else product_group(built, atom)
     return built
 
@@ -308,16 +314,14 @@ def equivalent(theta, mu):
     for sigma in automorphisms(poset):
         moved = theta.compose_with_automorphism(sigma)
         shifts = []
-        ok = True
         for members in comps:
             anchor = members[0]
             h = group.mul(mu.theta[anchor], group.inv(moved.theta[anchor]))
             if any(group.mul(h, moved.theta[x]) != mu.theta[x]
                    for x in members):
-                ok = False
                 break
             shifts.append(h)
-        if ok:
+        else:
             return EquivalenceWitness(shifts, sigma)
     return None
 

@@ -9,9 +9,9 @@ multilinear polynomials of that type live in the m!-dimensional span of
 the monomials x_{pi(1)} ... x_{pi(m)}. Substituting basis elements of the
 matching components is enough to decide identities, so a slice is the
 nullspace of a finite 0/1 evaluation matrix. Its distinct rows are
-collected as bitmasks and handed to linalg.nullspace, which eliminates
-fraction-free; Fractions appear only in the slice bases it returns and in
-polynomial coefficients.
+collected as bitmasks and handed to linalg.nullspace as rows of 0/1
+ints, which it eliminates fraction-free; Fractions appear only in the
+slice bases it returns and in polynomial coefficients.
 """
 
 import functools
@@ -28,8 +28,6 @@ from .errors import (
 from .algebra import IncidenceFunction, convolve, e_basis
 from .grading import GradingMap, classify_gradings
 from .linalg import (
-    ONE,
-    ZERO,
     RationalMatrix,
     RowReducer,
     format_rational,
@@ -165,10 +163,7 @@ class IdentitySlice:
         return self.basis.nrows
 
     def contains_vector(self, vector):
-        reducer = RowReducer(self.basis.ncols)
-        for row in self.basis.rows:
-            reducer.add(row)
-        return reducer.contains(vector)
+        return RowReducer(self.basis.ncols, self.basis.rows).contains(vector)
 
     def contains_polynomial(self, poly):
         if tuple(poly.multidegree) != self.multidegree:
@@ -210,9 +205,8 @@ def _slice_matrix(bases):
         for walk in walks:
             key = (tuple(walk[k] for k in slots), walk[0][0], walk[-1][1])
             rows[key] = rows.get(key, 0) | 1 << bit
-    matrix = RationalMatrix(
-        [[ONE if mask >> i & 1 else ZERO for i in range(len(perms))]
-         for mask in sorted(set(rows.values()))], len(perms))
+    matrix = RationalMatrix([[mask >> i & 1 for i in range(len(perms))]
+                             for mask in sorted(set(rows.values()))], len(perms))
     return nullspace(matrix)
 
 
@@ -232,13 +226,6 @@ def identity_slice(grading, multidegree, cap=None):
     return IdentitySlice(grading, multidegree, _slice_matrix(bases))
 
 
-def _support_alphabet(*gradings):
-    alphabet = set()
-    for grading in gradings:
-        alphabet.update(grading.support())
-    return tuple(sorted(alphabet))
-
-
 def slices_equal_upto(theta, mu, d, cap=None):
     """Compare all slices of the two gradings up to degree d.
 
@@ -249,7 +236,7 @@ def slices_equal_upto(theta, mu, d, cap=None):
     if theta.poset != mu.poset or theta.group != mu.group:
         raise MismatchError("gradings live over different posets or groups")
     _check_cap(d, cap)
-    alphabet = _support_alphabet(theta, mu)
+    alphabet = sorted(set(theta.support()) | set(mu.support()))
     for m in range(1, d + 1):
         for multidegree in itertools.product(alphabet, repeat=m):
             a = identity_slice(theta, multidegree, cap=cap)
@@ -331,11 +318,8 @@ def chain_transitivity_identity_check(poset, group, d=None, budget=None):
     reps = classify_gradings(poset, group, budget=budget)
     signatures = [frozenset(monomial_identities(rep, d, cap=d))
                   for rep in reps]
-    unseparated = []
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            if signatures[i] == signatures[j]:
-                unseparated.append((reps[i], reps[j]))
+    unseparated = [(a, b) for (a, sa), (b, sb)
+                   in itertools.combinations(zip(reps, signatures), 2) if sa == sb]
     report = {
         "degree": d,
         "classes": len(reps),

@@ -1,23 +1,26 @@
-"""Exact rational linear algebra: canonical echelon forms, nullspaces,
-subspace equality and intersection.
+"""Exact rational linear algebra: canonical echelon forms, nullspaces and
+subspace intersection.
 
-Values at the API are fractions.Fraction: RationalMatrix holds them and
-every result is one. Elimination inside is fraction-free: each row is
-scaled to integers once and RowReducer keeps primitive integer rows, so
-Fractions are built only when a result is read out. Matrices are
-immutable once built; RowReducer is the single mutable object, meant for
-streaming rows into a canonical reduced echelon basis one at a time.
+Integers are the working number format: RationalMatrix keeps int and
+Fraction entries as given, each input row is scaled to integers once, and
+RowReducer eliminates fraction-free on primitive integer rows. Fractions
+are built only for the canonical bases that rref, nullspace,
+subspace_intersect and RowReducer.matrix() return. Matrices are immutable
+once built; RowReducer is the single mutable object, meant for streaming
+rows into a canonical reduced echelon basis one at a time.
 """
 
 from bisect import bisect
 from fractions import Fraction
 from math import gcd, lcm
-from operator import attrgetter, mul
+from operator import attrgetter, itemgetter, mul
 
 from .errors import DimensionMismatchError, MalformedInputError, VerificationError
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
+_EXACT_TYPES = frozenset((int, Fraction))
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
 
 
 def parse_rational(text):
@@ -31,22 +34,22 @@ def parse_rational(text):
 
 def format_rational(value):
     """Canonical string form: 'num' for integers, 'num/den' otherwise."""
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return str(Fraction(value))
 
 
 class RationalMatrix:
-    """Dense matrix of Fractions with a fixed column count.
+    """Dense matrix of exact rationals with a fixed column count.
 
+    A row of int and Fraction entries is kept as given; any other row (one
+    holding a str or float, say) is converted through Fraction. As 1 ==
+    Fraction(1) with equal hashes, equality and hashing ignore the format.
     The column count must be given explicitly when there are no rows, so
     empty bases still know their ambient dimension.
     """
 
     def __init__(self, rows, ncols=None):
-        converted = [tuple(v if type(v) is Fraction else Fraction(v)
-                           for v in row) for row in rows]
+        converted = [tuple(row) if _EXACT_TYPES.issuperset(map(type, row))
+                     else tuple(map(Fraction, row)) for row in rows]
         if converted:
             width = len(converted[0])
             if any(len(row) != width for row in converted):
@@ -86,15 +89,17 @@ class RowReducer:
     RREF: its entries have gcd 1, its pivot is positive, and it is zero in
     every other stored row's pivot column. matrix() divides each row by
     its pivot once, so it is the unique RREF of everything added so far
-    with zero rows dropped.
+    with zero rows dropped. The constructor adds the given rows in order.
     """
 
-    def __init__(self, ncols):
+    def __init__(self, ncols, rows=()):
         if ncols < 0:
             raise DimensionMismatchError("negative column count")
         self.ncols = ncols
         self._rows = []      # primitive integer rows, sorted by pivot column
         self._pivots = []    # pivot column of each stored row
+        for row in rows:
+            self.add(row)
 
     @property
     def rank(self):
@@ -170,16 +175,15 @@ class RowReducer:
                                in zip(self._rows, self._pivots)], self.ncols)
 
 
-_RATIONAL_TYPES = frozenset((int, bool, Fraction))
-_numerator = attrgetter("numerator")
-_denominator = attrgetter("denominator")
-
-
 def _integer_row(row):
     """The row times the lcm of its denominators: integers, same span.
-    Rows of ints, or of Fractions with denominator 1, take the mapped
-    fast path; anything else Fraction accepts is converted first."""
-    if not _RATIONAL_TYPES.issuperset(map(type, row)):
+    A row of ints is returned as it is, and a row of Fractions with
+    denominator 1 takes the mapped fast path; any other row is converted
+    through Fraction first."""
+    types = set(map(type, row))
+    if types <= {int}:
+        return row
+    if not types <= _EXACT_TYPES:
         row = [Fraction(v) for v in row]
     scale = lcm(*map(_denominator, row))
     if scale == 1:
@@ -194,10 +198,7 @@ def _normalized(row, lead):
 
 def rref(matrix):
     """Unique reduced row echelon form with zero rows trimmed."""
-    reducer = RowReducer(matrix.ncols)
-    for row in matrix.rows:
-        reducer.add(row)
-    return reducer.matrix()
+    return RowReducer(matrix.ncols, matrix.rows).matrix()
 
 
 def nullspace(matrix):
@@ -208,7 +209,7 @@ def nullspace(matrix):
     at f and at pivot columns right of f, and every other kernel vector is
     zero at f, so these vectors, taken by ascending f, already form the
     canonical echelon basis. Each is checked against every row of M in
-    integer arithmetic before it is returned.
+    integer arithmetic, over its nonzero entries only, before it is returned.
     """
     ncols = matrix.ncols
     rows = [_integer_row(row) for row in matrix.rows]
@@ -219,18 +220,15 @@ def nullspace(matrix):
         reducer.add(row[::-1])
     kernel = [vec[::-1] for vec in reversed(reducer.kernel())]
     for vec in kernel:
-        if any(sum(map(mul, row, vec)) for row in rows):
+        # Column 0 rides along with weight 0, so pick returns a tuple even
+        # when vec has a single nonzero entry.
+        support = [j for j, v in enumerate(vec) if v]
+        pick = itemgetter(0, *support)
+        weights = [0] + [vec[j] for j in support]
+        if any(sum(map(mul, pick(row), weights)) for row in rows):
             raise VerificationError("nullspace vector fails M v = 0")
     return RationalMatrix(
         [_normalized(vec, next(v for v in vec if v)) for vec in kernel], ncols)
-
-
-def subspace_equal(a, b):
-    """True iff the row spaces coincide (identical canonical bases)."""
-    if a.ncols != b.ncols:
-        raise DimensionMismatchError(
-            f"ambient dimensions differ: {a.ncols} vs {b.ncols}")
-    return rref(a) == rref(b)
 
 
 def subspace_intersect(first, *others):
@@ -252,10 +250,6 @@ def subspace_intersect(first, *others):
     constraints = [row for side in sides for row in nullspace(side).rows]
     result = nullspace(RationalMatrix(constraints, first.ncols))
     for side in sides:
-        reducer = RowReducer(side.ncols)
-        for row in side.rows:
-            reducer.add(row)
-        for vec in result.rows:
-            if not reducer.contains(vec):
-                raise VerificationError("intersection vector escapes a factor")
+        if not all(map(RowReducer(side.ncols, side.rows).contains, result.rows)):
+            raise VerificationError("intersection vector escapes a factor")
     return result

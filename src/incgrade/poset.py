@@ -149,6 +149,8 @@ def poset_from_json(obj):
     if not isinstance(obj, dict) or not isinstance(obj.get("elements"), list):
         raise MalformedInputError(
             'poset JSON must be an object with an "elements" list')
+    if any(type(v) is not str for v in obj["elements"]):
+        raise MalformedInputError("poset JSON elements must be strings")
     key = "covers" if "covers" in obj else "relation"
     if key not in obj:
         raise MalformedInputError("poset JSON needs a 'covers' or 'relation' key")
@@ -191,7 +193,9 @@ def maximal_chains(p):
     A maximal chain is saturated, so it walks cover edges from a minimal
     element to a maximal one.
     """
-    upper = {i: [j for (a, j) in p.covers if a == i] for i in range(p.n)}
+    upper = [[] for _ in range(p.n)]
+    for a, j in p.covers:
+        upper[a].append(j)
     stack = [(i,) for i in range(p.n) if p.down[i] == 1 << i]
     chains = []
     while stack:

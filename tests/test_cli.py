@@ -269,11 +269,30 @@ class TestCliContract:
         '{"names": ["1", "h"]}',
         '{"names": ["1", "h"], "table": 5}',
         '{"names": ["1", "h"], "table": [[0, 1], [1, 0.5]]}',
-    ], ids=["missing-key", "non-list-table", "non-integer-entry"])
+        '{"names": [1, "h"], "table": [[0, 1], [1, 0]]}',
+    ], ids=["missing-key", "non-list-table", "non-integer-entry",
+            "non-string-name"])
     def test_malformed_group_json_is_usage_error(self, spec):
         proc = run_cli("classify", "--poset", "c2", "--group", spec, expect=2)
         assert proc.stderr.startswith("error:")
         assert len(proc.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("spec, order", [
+        ("C257", 257),
+        ("C16xC17", 272),
+        (json.dumps({"names": [str(k) for k in range(257)], "table": []}), 257),
+    ], ids=["cyclic", "product", "json"])
+    def test_group_order_cap_is_checked_before_building(self, spec, order,
+                                                         monkeypatch, capsys):
+        def build(*args):
+            raise AssertionError("built a group past the order cap")
+
+        monkeypatch.setattr("incgrade.grading.FiniteGroup", build)
+        assert main(["classify", "--poset", "c2", "--group", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: group order {order} exceeds the cap of 256 elements\n")
 
     def test_malformed_poset_file_is_usage_error(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -289,6 +308,7 @@ class TestCliContract:
         ("--poset", {"covers": [[0, 1]]}),
         ("--poset", {"elements": ["a", "b"], "covers": [["x", 1]]}),
         ("--poset", [1, 2]),
+        ("--poset", {"elements": [[1], {"a": 2}], "covers": []}),
         ("--morphism", {"foo": 1}),
         ("--morphism", c2_morphism([0, 0, "1/0"])),
         ("--morphism", c2_morphism([2, 0, "1"])),
@@ -297,7 +317,8 @@ class TestCliContract:
         ("--morphism", c2_morphism([0, 1, "0"])
          + [{"pair": [0, 0], "image": [[0, 0, "1"]]}]),
     ], ids=["poset-missing-elements", "poset-non-integer-cover",
-            "poset-top-level-list", "morphism-not-a-list",
+            "poset-top-level-list", "poset-non-string-element",
+            "morphism-not-a-list",
             "morphism-zero-denominator", "morphism-index-too-large",
             "morphism-negative-index", "morphism-repeated-entry",
             "morphism-repeated-pair"])

@@ -91,6 +91,20 @@ class TestGroups:
             with pytest.raises(InvalidGroupError):
                 group_from_spec(bad)
 
+    def test_order_cap_admits_256_elements(self, monkeypatch):
+        # C16xC16 passes the cap, so its first factor gets built.
+        class Built(Exception):
+            pass
+
+        def build(*args):
+            raise Built
+
+        monkeypatch.setattr("incgrade.grading.FiniteGroup", build)
+        with pytest.raises(Built):
+            group_from_spec("C16xC16")
+        with pytest.raises(InvalidGroupError):
+            group_from_spec("C16xC17")
+
     def test_json_table_spec(self):
         g = group_from_spec(json.dumps({
             "names": ["e", "a"],

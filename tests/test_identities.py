@@ -26,6 +26,7 @@ from incgrade.identities import (
     slices_equal_upto,
     verify_chain_reduction,
 )
+from incgrade.linalg import nullspace
 from incgrade.poset import automorphisms, maximal_chains, subposet
 
 from util import (
@@ -221,6 +222,23 @@ class TestIdentitySlice:
                     assert (identity_slice(theta, multidegree).basis
                             == brute_force_slice(theta, multidegree)), (
                                 p, theta.theta, multidegree)
+
+    def test_evaluation_rows_reach_nullspace_as_ints(self, monkeypatch):
+        seen = []
+
+        def spy(matrix):
+            seen.append(matrix)
+            return nullspace(matrix)
+
+        monkeypatch.setattr(identities, "nullspace", spy)
+        identities._slice_matrix.cache_clear()
+        theta = trivial_grading(CORPUS["c2"])
+        s = identity_slice(theta, (0, 0, 0, 0))
+        identities._slice_matrix.cache_clear()
+        assert len(seen) == 1
+        assert {type(v) for row in seen[0].rows for v in row} == {int}
+        assert s.dimension > 0
+        assert {type(v) for row in s.basis.rows for v in row} == {Fraction}
 
     def test_slice_cache_is_bounded(self):
         slice_matrix = identities._slice_matrix

@@ -12,13 +12,13 @@ from incgrade.linalg import (
     parse_rational,
     nullspace,
     rref,
-    subspace_equal,
     subspace_intersect,
 )
 from util import (
     fraction_nullspace,
     fraction_row_reducer,
     pairwise_subspace_intersect,
+    subspace_equal,
 )
 
 
@@ -218,6 +218,16 @@ class TestSelfChecks:
         with pytest.raises(VerificationError):
             nullspace(mat([[1, 0], [1, 1]]))
 
+    def test_nullspace_check_reads_every_input_row(self, monkeypatch):
+        # A reducer that keeps only the first row yields (0, 1, 0) and
+        # (0, 0, 1) as the kernel; only the second input row, which never
+        # reached the reducer, shows that (0, 1, 0) is wrong.
+        add = linalg.RowReducer.add
+        monkeypatch.setattr(linalg.RowReducer, "add",
+                            lambda self, row: self.rank == 0 and add(self, row))
+        with pytest.raises(VerificationError):
+            nullspace(mat([[1, 0, 0], [0, 1, 0]]))
+
     def test_intersection_check_raises_verification_error(self, monkeypatch):
         # A kernel of everything makes the whole plane the "intersection",
         # which escapes the line.
@@ -291,6 +301,24 @@ class TestAgainstFractionOracle:
             ncols = rng.randint(0, 6)
             m = mat(random_rows(rng, rng.randint(0, 7), ncols), ncols=ncols)
             assert nullspace(m) == fraction_nullspace(m)
+
+    def test_zero_one_int_rows_match_oracle(self):
+        # Identity slices hand nullspace 0/1 int rows; the results must be
+        # those of the same rows given as Fractions, and still Fractions.
+        rng = random.Random(34)
+        for _ in range(200):
+            ncols = rng.randint(0, 7)
+            rows = [[int(rng.random() < 0.4) for _ in range(ncols)]
+                    for _ in range(rng.randint(0, 8))]
+            ints = mat(rows, ncols=ncols)
+            twin = mat([[Fraction(v) for v in row] for row in rows], ncols=ncols)
+            assert {type(v) for row in ints.rows for v in row} <= {int}
+            assert ints == twin and hash(ints) == hash(twin)
+            kernel, reduced = nullspace(ints), rref(ints)
+            assert kernel == fraction_nullspace(twin)
+            assert reduced == fraction_row_reducer(ncols, twin.rows).matrix()
+            assert {type(v) for result in (kernel, reduced)
+                    for row in result.rows for v in row} <= {Fraction}
 
     def test_nullspace_matches_sympy(self):
         sympy = pytest.importorskip("sympy")

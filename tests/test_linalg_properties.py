@@ -7,7 +7,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from incgrade.linalg import RationalMatrix, RowReducer, nullspace  # noqa: E402
+from incgrade.linalg import RationalMatrix, RowReducer, nullspace, rref  # noqa: E402
 from util import fraction_nullspace, fraction_row_reducer  # noqa: E402
 
 ENTRIES = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -42,3 +42,22 @@ def test_nullspace_matches_oracle(m):
     assert kernel == fraction_nullspace(m)
     assert all(sum(a * b for a, b in zip(row, vec)) == Fraction(0)
                for vec in kernel.rows for row in m.rows)
+
+
+@st.composite
+def zero_one_rows(draw):
+    ncols = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=ncols,
+                                  max_size=ncols), max_size=8))
+    return rows, ncols
+
+
+@SETTINGS
+@hypothesis.given(zero_one_rows())
+def test_zero_one_int_rows_match_fraction_twin(case):
+    rows, ncols = case
+    ints = RationalMatrix(rows, ncols)
+    twin = RationalMatrix([[Fraction(v) for v in row] for row in rows], ncols)
+    assert ints == twin and hash(ints) == hash(twin)
+    assert nullspace(ints) == fraction_nullspace(twin)
+    assert rref(ints) == fraction_row_reducer(ncols, twin.rows).matrix()

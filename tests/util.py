@@ -23,7 +23,7 @@ from incgrade.errors import (
 )
 from incgrade.grading import FiniteGroup, GradingMap
 from incgrade.identities import identity_slice
-from incgrade.linalg import RationalMatrix, RowReducer, nullspace, subspace_equal
+from incgrade.linalg import RationalMatrix, RowReducer, nullspace, rref
 from incgrade.poset import (
     inverse_permutation,
     maximal_chains,
@@ -344,6 +344,14 @@ def brute_force_slice(grading, multidegree):
                    for i in range(fact)]
             reducer.add(row)
     return fraction_nullspace(reducer.matrix())
+
+
+def subspace_equal(a, b):
+    """True iff the row spaces coincide (identical canonical bases)."""
+    if a.ncols != b.ncols:
+        raise DimensionMismatchError(
+            f"ambient dimensions differ: {a.ncols} vs {b.ncols}")
+    return rref(a) == rref(b)
 
 
 def pairwise_subspace_intersect(a, b):

@@ -26,7 +26,7 @@ from .algebra import (
     decompose_automorphism,
     zeta,
 )
-from .corpus import FIXTURE_NAMES, load_poset
+from .corpus import FIXTURE_NAMES, load_poset, read_json
 from .errors import IncgradeError, VerificationError
 from .grading import (
     GradingMap,
@@ -112,8 +112,7 @@ def cmd_mobius(args, poset, group):
 
 
 def cmd_decompose(args, poset, group):
-    with open(args.morphism) as handle:
-        phi = morphism_from_json(poset, json.load(handle))
+    phi = morphism_from_json(poset, read_json(args.morphism))
     r, s, sigma = decompose_automorphism(phi)
     return {
         "r": function_to_json(r)["entries"],

@@ -8,6 +8,7 @@ import json
 import os
 from importlib import resources
 
+from .errors import MalformedInputError
 from .poset import poset_from_json
 
 FIXTURE_NAMES = (
@@ -39,8 +40,18 @@ def load_poset(name_or_path):
         raise FileNotFoundError(
             f"{name_or_path!r} is neither a fixture name nor a file; "
             f"fixtures: {', '.join(FIXTURE_NAMES)}")
-    with open(name_or_path) as handle:
-        return poset_from_json(json.load(handle))
+    return poset_from_json(read_json(name_or_path))
+
+
+def read_json(path):
+    """Parse a JSON input file; a document nested too deeply to parse is
+    malformed input."""
+    with open(path) as handle:
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise MalformedInputError(
+                f"{path}: JSON nested too deeply") from None
 
 
 def corpus_posets():

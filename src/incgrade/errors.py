@@ -62,7 +62,7 @@ class NotChainTransitiveError(IncgradeError):
 
 
 class BudgetExceededError(IncgradeError):
-    """An enumeration would exceed the configured budget."""
+    """An enumeration would walk more maps than grading.MAX_MAPS."""
 
 
 class CapExceededError(IncgradeError):

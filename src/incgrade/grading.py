@@ -10,7 +10,6 @@ spanned by the basis elements of the pairs graded g.
 import itertools
 import json
 import math
-import os
 
 from .errors import (
     BudgetExceededError,
@@ -28,7 +27,7 @@ from .poset import (
     permutation_cycles,
 )
 
-DEFAULT_BUDGET = 10 ** 6
+MAX_MAPS = 10 ** 6
 MAX_GROUP_ORDER = 256
 
 
@@ -39,15 +38,11 @@ def _check_order(order):
             f"group order {order} exceeds the cap of {MAX_GROUP_ORDER} elements")
 
 
-def enumeration_budget(budget=None):
-    """Effective enumeration budget: explicit arg, else the
-    INCGRADE_MAX_BUDGET environment variable, else the default."""
-    if budget is not None:
-        return int(budget)
-    env = os.environ.get("INCGRADE_MAX_BUDGET")
-    if env:
-        return int(env)
-    return DEFAULT_BUDGET
+def _check_budget(maps):
+    """Refuse an enumeration that would walk more than MAX_MAPS maps."""
+    if maps > MAX_MAPS:
+        raise BudgetExceededError(
+            f"{maps} maps exceed the enumeration budget {MAX_MAPS}")
 
 
 class FiniteGroup:
@@ -161,6 +156,8 @@ def group_from_spec(spec):
             obj = json.loads(spec)
         except json.JSONDecodeError as exc:
             raise InvalidGroupError(f"bad group JSON: {exc}") from None
+        except RecursionError:
+            raise InvalidGroupError("bad group JSON: nested too deeply") from None
         if (not isinstance(obj, dict) or not isinstance(obj.get("names"), list)
                 or not isinstance(obj.get("table"), list)
                 or any(not isinstance(row, list) for row in obj["table"])):
@@ -176,9 +173,16 @@ def group_from_spec(spec):
     factors = []
     for part in spec.split("x"):
         part = part.strip()
-        if len(part) < 2 or part[0] not in "CS" or not part[1:].isdigit():
+        kind, digits = part[:1], part[1:]
+        if kind not in ("C", "S") or not (digits.isascii() and digits.isdigit()):
             raise InvalidGroupError(f"unrecognized group spec {part!r}")
-        factors.append((part[0], int(part[1:])))
+        # A size with more digits than the cap exceeds it unconverted.
+        size = digits.lstrip("0") or "0"
+        if len(size) > len(str(MAX_GROUP_ORDER)):
+            raise InvalidGroupError(
+                f"group factor {kind} with a {len(size)}-digit size exceeds "
+                f"the cap of {MAX_GROUP_ORDER} elements")
+        factors.append((kind, int(size)))
     # S<n> past S4 is refused by symmetric_group, so it counts as 1 here.
     _check_order(math.prod(n if kind == "C" else math.factorial(n) if n <= 4 else 1
                            for kind, n in factors))
@@ -300,58 +304,56 @@ class EquivalenceWitness:
         return f"EquivalenceWitness(shifts={list(self.shifts)}, sigma={list(self.sigma)})"
 
 
+def _shift_normalizer(poset, group):
+    """The per-component shift normal form of maps P -> G.
+
+    Returns each element's anchor, the least element of its connected
+    component, and table[a][v]: v after the left shift that sends the
+    anchor value a to group index 0. The normal form of theta takes
+    table[theta[anchor[x]]][theta[x]] at each x. It is the one map of the
+    shift orbit with every anchor at index 0, and, as each anchor comes
+    first in its component, the orbit's lexicographically least map.
+    """
+    comps = connected_components(poset)
+    anchor = [comps[c][0] for c in component_index(poset)]
+    table = [[group.mul(group.mul(0, group.inv(a)), v) for v in range(group.order)]
+             for a in range(group.order)]
+    return anchor, table
+
+
 def equivalent(theta, mu):
     """Witness that the two gradings are equivalent, or None.
 
-    For each poset automorphism the candidate shift of each connected
-    component is forced by the value at one anchor element, then checked
-    globally.
+    The witness holds the first poset automorphism sigma, in sorted order,
+    for which theta o sigma^{-1} has mu's shift normal form; the shift of
+    each connected component is then read off at its anchor.
     """
     if theta.poset != mu.poset or theta.group != mu.group:
         raise MismatchError("gradings live over different posets or groups")
     poset, group = theta.poset, theta.group
-    comps = connected_components(poset)
+    anchor, table = _shift_normalizer(poset, group)
+    target = tuple(table[mu.theta[a]][v] for a, v in zip(anchor, mu.theta))
     for sigma in automorphisms(poset):
-        moved = theta.compose_with_automorphism(sigma)
-        shifts = []
-        for members in comps:
-            anchor = members[0]
-            h = group.mul(mu.theta[anchor], group.inv(moved.theta[anchor]))
-            if any(group.mul(h, moved.theta[x]) != mu.theta[x]
-                   for x in members):
-                break
-            shifts.append(h)
-        else:
+        moved = theta.compose_with_automorphism(sigma).theta
+        if tuple(table[moved[a]][v] for a, v in zip(anchor, moved)) == target:
+            shifts = [group.mul(mu.theta[a], group.inv(moved[a]))
+                      for a in sorted(set(anchor))]
             return EquivalenceWitness(shifts, sigma)
     return None
 
 
-def _check_budget(poset, group, budget):
-    """Refuse an enumeration whose space of |G|^n maps exceeds the budget."""
-    total = group.order ** poset.n
-    limit = enumeration_budget(budget)
-    if total > limit:
-        raise BudgetExceededError(
-            f"{total} maps exceed the enumeration budget {limit}")
-
-
-def count_distinct_gradings(poset, group, verify=False, budget=None):
+def count_distinct_gradings(poset, group, verify=False):
     """|G|^(n-k) with n elements and k connected components.
 
-    With verify=True, enumerates every theta, groups the maps by the orbit
-    of the per-component left shift action, and checks the orbit count
-    against the formula.
+    With verify=True, enumerates all |G|^n maps, counts their distinct
+    shift normal forms, and checks the count against the formula.
     """
-    comps = connected_components(poset)
-    expected = group.order ** (poset.n - len(comps))
+    expected = group.order ** (poset.n - len(connected_components(poset)))
     if verify:
-        _check_budget(poset, group, budget)
-        anchor = [comps[c][0] for c in component_index(poset)]
-        canon = set()
-        for theta in itertools.product(range(group.order), repeat=poset.n):
-            canon.add(tuple(
-                group.mul(group.inv(theta[anchor[x]]), theta[x])
-                for x in range(poset.n)))
+        _check_budget(group.order ** poset.n)
+        anchor, table = _shift_normalizer(poset, group)
+        canon = {tuple(table[theta[a]][v] for a, v in zip(anchor, theta))
+                 for theta in itertools.product(range(group.order), repeat=poset.n)}
         if len(canon) != expected:
             raise VerificationError(
                 f"orbit enumeration found {len(canon)}, formula gives {expected}")
@@ -416,43 +418,35 @@ def burnside_class_count(poset, group):
     return count
 
 
-def classify_gradings(poset, group, budget=None):
+def classify_gradings(poset, group):
     """One representative per equivalence class, each the lexicographically
     least map in its class, in increasing order; the count is cross-checked
     against Burnside.
 
-    The budget bounds the |G|^n maps of the whole space. Only normalized
-    maps are enumerated, those sending the anchor (least element) of each
-    connected component to group index 0: |G|^(n-k) with k components.
-    Every per-component shift orbit holds exactly one normalized map, its
-    lexicographically least one, so the least normalized map of a class is
-    the least map of the class. A representative's class is marked by
-    acting with each automorphism and renormalizing, |Aut(P)| maps each.
+    Only the |G|^(n-k) shift normal forms are enumerated (k connected
+    components), and the budget bounds those. The least normal form of a
+    class is the least map of the class. A representative's class is
+    marked by acting with each automorphism and renormalizing, |Aut(P)|
+    maps each.
     """
-    _check_budget(poset, group, budget)
-    comps = connected_components(poset)
-    owner = component_index(poset)
-    anchors = [members[0] for members in comps]
-    m = group.order
-    # normalize[a][v]: v after the shift that sends the anchor value a to 0.
-    normalize = [[group.mul(group.mul(0, group.inv(a)), v) for v in range(m)]
-                 for a in range(m)]
+    _check_budget(group.order ** (poset.n - len(connected_components(poset))))
+    anchor, table = _shift_normalizer(poset, group)
     # Per automorphism sigma, the map theta o sigma^{-1} reads element x
-    # and its component's anchor from these positions of theta.
+    # and its anchor from these positions of theta.
     moves = []
     for sigma in automorphisms(poset):
         inv = inverse_permutation(sigma)
-        moves.append(tuple((inv[anchors[owner[x]]], inv[x])
-                           for x in range(poset.n)))
+        moves.append(tuple((inv[anchor[x]], inv[x]) for x in range(poset.n)))
     seen = set()
     reps = []
-    values = [(0,) if x in anchors else range(m) for x in range(poset.n)]
+    values = [(0,) if anchor[x] == x else range(group.order)
+              for x in range(poset.n)]
     for theta in itertools.product(*values):
         if theta in seen:
             continue
         reps.append(GradingMap(poset, group, theta))
         for move in moves:
-            seen.add(tuple(normalize[theta[a]][theta[x]] for a, x in move))
+            seen.add(tuple(table[theta[a]][theta[x]] for a, x in move))
     expected = burnside_class_count(poset, group)
     if len(reps) != expected:
         raise VerificationError(

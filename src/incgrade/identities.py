@@ -298,7 +298,7 @@ def monomial_identities(grading, d, cap=None):
     return identities
 
 
-def chain_transitivity_identity_check(poset, group, d=None, budget=None):
+def chain_transitivity_identity_check(poset, group, d=None):
     """Probe the separation of inequivalent gradings by monomial
     identities on a chain-transitive poset.
 
@@ -315,7 +315,7 @@ def chain_transitivity_identity_check(poset, group, d=None, budget=None):
             f"no automorphism maps maximal chain {i} onto {j}")
     if d is None:
         d = bound(poset)
-    reps = classify_gradings(poset, group, budget=budget)
+    reps = classify_gradings(poset, group)
     signatures = [frozenset(monomial_identities(rep, d, cap=d))
                   for rep in reps]
     unseparated = [(a, b) for (a, sa), (b, sb)

@@ -10,6 +10,7 @@ once built; RowReducer is the single mutable object, meant for streaming
 rows into a canonical reduced echelon basis one at a time.
 """
 
+import re
 from bisect import bisect
 from fractions import Fraction
 from math import gcd, lcm
@@ -19,15 +20,22 @@ from .errors import DimensionMismatchError, MalformedInputError, VerificationErr
 
 ZERO = Fraction(0)
 _EXACT_TYPES = frozenset((int, Fraction))
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 _numerator = attrgetter("numerator")
 _denominator = attrgetter("denominator")
 
 
 def parse_rational(text):
-    """Parse 'num' or 'num/den' into a Fraction; a zero denominator is
-    malformed input."""
+    """Parse 'num' or 'num/den' (ASCII digits, num optionally signed) into
+    a Fraction. Any other form, exponents and decimal points included, or
+    a zero denominator is malformed input."""
+    match = _RATIONAL.fullmatch(str(text).strip())
+    if match is None:
+        raise MalformedInputError(
+            f"rational must be 'num' or 'num/den', got {text!r}")
+    num, den = match.groups()
     try:
-        return Fraction(str(text).strip())
+        return Fraction(int(num), int(den or 1))
     except ZeroDivisionError:
         raise MalformedInputError(f"zero denominator in {text!r}") from None
 

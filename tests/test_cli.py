@@ -270,8 +270,9 @@ class TestCliContract:
         '{"names": ["1", "h"], "table": 5}',
         '{"names": ["1", "h"], "table": [[0, 1], [1, 0.5]]}',
         '{"names": [1, "h"], "table": [[0, 1], [1, 0]]}',
+        '{"names": ' + "[" * 5000,
     ], ids=["missing-key", "non-list-table", "non-integer-entry",
-            "non-string-name"])
+            "non-string-name", "nested-too-deep"])
     def test_malformed_group_json_is_usage_error(self, spec):
         proc = run_cli("classify", "--poset", "c2", "--group", spec, expect=2)
         assert proc.stderr.startswith("error:")
@@ -316,15 +317,23 @@ class TestCliContract:
         ("--morphism", c2_morphism([0, 0, "5"])),
         ("--morphism", c2_morphism([0, 1, "0"])
          + [{"pair": [0, 0], "image": [[0, 0, "1"]]}]),
+        ("--morphism", c2_morphism([0, 1, "1e100000000"])),
+        ("--morphism", c2_morphism([0, 1, "1.5"])),
+        # Raw text: json.dumps cannot build documents nested this deep.
+        ("--poset", "[" * 100000),
+        ("--morphism", "[" * 100000),
     ], ids=["poset-missing-elements", "poset-non-integer-cover",
             "poset-top-level-list", "poset-non-string-element",
             "morphism-not-a-list",
             "morphism-zero-denominator", "morphism-index-too-large",
             "morphism-negative-index", "morphism-repeated-entry",
-            "morphism-repeated-pair"])
+            "morphism-repeated-pair", "morphism-exponent-entry",
+            "morphism-decimal-entry", "poset-nested-too-deep",
+            "morphism-nested-too-deep"])
     def test_malformed_input_json_is_usage_error(self, tmp_path, flag, content):
         path = tmp_path / "input.json"
-        path.write_text(json.dumps(content))
+        path.write_text(content if isinstance(content, str)
+                        else json.dumps(content))
         argv = (["validate"] if flag == "--poset"
                 else ["decompose", "--poset", "c2"])
         proc = run_cli(*argv, flag, str(path), expect=2)

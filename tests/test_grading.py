@@ -47,6 +47,11 @@ def gm(poset, group, names):
     return GradingMap(poset, group, [group.index_of(v) for v in names])
 
 
+def chain(n):
+    return poset_from_covers([f"c{i}" for i in range(n)],
+                             [(i, i + 1) for i in range(n - 1)])
+
+
 class TestGroups:
     def test_cyclic_names_and_table(self):
         g = cyclic_group(3)
@@ -90,6 +95,23 @@ class TestGroups:
         for bad in ("C0", "S5", "D4", "", "Cx2"):
             with pytest.raises(InvalidGroupError):
                 group_from_spec(bad)
+
+    @pytest.mark.parametrize("spec", ["C\u00b2", "C\u0663", "C2xS\u00b2"])
+    def test_non_ascii_digits_are_unrecognized(self, spec):
+        bad = spec.split("x")[-1]
+        with pytest.raises(InvalidGroupError,
+                           match=f"^unrecognized group spec {bad!r}$"):
+            group_from_spec(spec)
+
+    @pytest.mark.parametrize("digits", [1000, 5000])
+    def test_long_sizes_are_refused_unconverted(self, digits):
+        # Converted, 1000 digits would name the order and 5000 would pass
+        # int's string-length limit; neither is converted.
+        with pytest.raises(InvalidGroupError, match=(
+                f"^group factor C with a {digits}-digit size exceeds "
+                "the cap of 256 elements$")):
+            group_from_spec("C" + "9" * digits)
+        assert group_from_spec("C" + "0" * digits + "2").order == 2
 
     def test_order_cap_admits_256_elements(self, monkeypatch):
         # C16xC16 passes the cap, so its first factor gets built.
@@ -227,9 +249,10 @@ class TestCounting:
             assert count_distinct_gradings(p, g) == g.order ** (p.n - k)
 
     def test_budget_guard(self):
-        with pytest.raises(BudgetExceededError):
-            count_distinct_gradings(CORPUS["antichain4"], symmetric_group(4),
-                                    verify=True, budget=10)
+        # verify walks all 2^20 maps of the 20-chain, over the 10^6 cap.
+        with pytest.raises(BudgetExceededError,
+                           match="^1048576 maps exceed the enumeration budget 1000000$"):
+            count_distinct_gradings(chain(20), cyclic_group(2), verify=True)
 
 
 class TestEquivalence:
@@ -360,9 +383,15 @@ class TestClassification:
                     assert rep.theta <= moved.shift(shifts).theta
 
     def test_budget_guard(self):
-        with pytest.raises(BudgetExceededError):
-            classify_gradings(CORPUS["antichain4"], symmetric_group(4),
-                              budget=10)
+        # classify walks the 2^20 normal forms of the 21-chain, over the cap.
+        with pytest.raises(BudgetExceededError,
+                           match="^1048576 maps exceed the enumeration budget 1000000$"):
+            classify_gradings(chain(21), cyclic_group(2))
+
+    def test_budget_counts_walked_maps(self):
+        # 24^4 maps, but one normal form: each element is its own component.
+        reps = classify_gradings(CORPUS["antichain4"], symmetric_group(4))
+        assert [rep.theta for rep in reps] == [(0, 0, 0, 0)]
 
     def test_burnside_agrees_with_enumeration(self):
         for name, p in CORPUS.items():

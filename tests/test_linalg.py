@@ -4,7 +4,11 @@ from fractions import Fraction
 import pytest
 
 from incgrade import linalg
-from incgrade.errors import DimensionMismatchError, VerificationError
+from incgrade.errors import (
+    DimensionMismatchError,
+    MalformedInputError,
+    VerificationError,
+)
 from incgrade.linalg import (
     RationalMatrix,
     RowReducer,
@@ -43,6 +47,16 @@ class TestRationalStrings:
     def test_round_trip(self):
         for text in ["0", "5", "-5", "2/3", "-7/4"]:
             assert format_rational(parse_rational(text)) == text
+
+    def test_only_num_and_num_den_parse(self):
+        assert parse_rational(" +6/4 ") == Fraction(3, 2)
+        assert parse_rational(12) == 12
+        for text in ["1e100000000", "1.5", "1_000", "\u0663", "1/-2", "/2",
+                     "", "True", 1.0]:
+            with pytest.raises(MalformedInputError, match="^rational must be"):
+                parse_rational(text)
+        with pytest.raises(MalformedInputError, match="^zero denominator"):
+            parse_rational("1/0")
 
 
 class TestRref:

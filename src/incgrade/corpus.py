@@ -44,14 +44,19 @@ def load_poset(name_or_path):
 
 
 def read_json(path):
-    """Parse a JSON input file; a document nested too deeply to parse is
-    malformed input."""
+    """Parse a JSON input file; a document nested too deeply to parse, or
+    with an integer too long to convert, is malformed input."""
     with open(path) as handle:
         try:
             return json.load(handle)
+        except json.JSONDecodeError:
+            raise
         except RecursionError:
             raise MalformedInputError(
                 f"{path}: JSON nested too deeply") from None
+        except ValueError:
+            raise MalformedInputError(
+                f"{path}: JSON integer has too many digits") from None
 
 
 def corpus_posets():

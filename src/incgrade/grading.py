@@ -158,6 +158,9 @@ def group_from_spec(spec):
             raise InvalidGroupError(f"bad group JSON: {exc}") from None
         except RecursionError:
             raise InvalidGroupError("bad group JSON: nested too deeply") from None
+        except ValueError:
+            raise InvalidGroupError(
+                "bad group JSON: integer has too many digits") from None
         if (not isinstance(obj, dict) or not isinstance(obj.get("names"), list)
                 or not isinstance(obj.get("table"), list)
                 or any(not isinstance(row, list) for row in obj["table"])):

@@ -16,6 +16,7 @@ slice bases it returns and in polynomial coefficients.
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 from .errors import (
@@ -33,9 +34,8 @@ from .linalg import (
     format_rational,
     parse_rational,
     nullspace,
-    subspace_intersect,
 )
-from .poset import bound, is_chain_transitive, maximal_chains, subposet
+from .poset import bound, is_chain_transitive, maximal_chains
 
 DEGREE_CAP = 4
 
@@ -175,18 +175,15 @@ class IdentitySlice:
         return f"IdentitySlice(type={names}, dim={self.dimension})"
 
 
-@functools.lru_cache(maxsize=1024)
-def _slice_matrix(bases):
-    """Kernel of the evaluation rows for one tuple of per-position basis
-    pair lists. It depends on nothing else, so it is memoized on bases
-    alone and shared by every grading, on any poset, with those lists.
+def _slice_rows(bases):
+    """The distinct evaluation rows for one tuple of per-position basis
+    pair lists, as a sorted tuple of bitmasks over the permutations.
 
     A row belongs to one substitution (a pair per position) and one output
     pair: it has a 1 for each permutation whose product chains from the
     output's left end to its right end. For each permutation, only the
     pair sequences that chain (each pair starts where the previous one
-    ended) are walked, so every nonzero entry is visited once; each
-    distinct row is kept once, as a bitmask over the permutations.
+    ended) are walked, so every nonzero entry is visited once.
     """
     m = len(bases)
     starting = [{} for _ in bases]
@@ -194,8 +191,7 @@ def _slice_matrix(bases):
         for pair in basis:
             starting[pos].setdefault(pair[0], []).append(pair)
     rows = {}
-    perms = list(itertools.permutations(range(m)))
-    for bit, perm in enumerate(perms):
+    for bit, perm in enumerate(itertools.permutations(range(m))):
         walks = [(pair,) for pair in bases[perm[0]]]
         for pos in perm[1:]:
             nexts = starting[pos]
@@ -205,9 +201,16 @@ def _slice_matrix(bases):
         for walk in walks:
             key = (tuple(walk[k] for k in slots), walk[0][0], walk[-1][1])
             rows[key] = rows.get(key, 0) | 1 << bit
-    matrix = RationalMatrix([[mask >> i & 1 for i in range(len(perms))]
-                             for mask in sorted(set(rows.values()))], len(perms))
-    return nullspace(matrix)
+    return tuple(sorted(set(rows.values())))
+
+
+@functools.lru_cache(maxsize=1024)
+def _slice_matrix(rows, width):
+    """Kernel of a set of 0/1 bitmask rows over width columns. It depends
+    on nothing else, so it is memoized on the row set alone and shared by
+    every grading, poset and chain whose evaluation rows coincide."""
+    return nullspace(RationalMatrix(
+        [[mask >> i & 1 for i in range(width)] for mask in rows], width))
 
 
 def identity_slice(grading, multidegree, cap=None):
@@ -223,7 +226,8 @@ def identity_slice(grading, multidegree, cap=None):
     _check_cap(len(multidegree), cap)
     components = grading.components()
     bases = tuple(components.get(g, ()) for g in multidegree)
-    return IdentitySlice(grading, multidegree, _slice_matrix(bases))
+    return IdentitySlice(grading, multidegree, _slice_matrix(
+        _slice_rows(bases), math.factorial(len(multidegree))))
 
 
 def slices_equal_upto(theta, mu, d, cap=None):
@@ -250,24 +254,29 @@ def verify_chain_reduction(grading, multidegree, cap=None):
     """Check that the whole-poset slice equals the intersection of the
     slices of the grading restricted to each maximal chain.
 
-    All chain slices are intersected in one subspace_intersect call, and
-    the result is compared with the whole slice as canonical echelon
-    bases, which are equal exactly when the spaces are. Returns
-    (equal, report) with the dimensions of the whole slice, each chain
-    slice, and the intersection.
+    A chain's slice is the kernel of the evaluation rows of the pairs
+    inside the chain, and ker A ∩ ker B = ker [A; B], so the intersection
+    is the kernel of the union of the chains' row sets. It is compared
+    with the whole slice as canonical echelon bases, which are equal
+    exactly when the spaces are. Returns (equal, report) with the
+    dimensions of the whole slice, each chain slice, and the intersection.
     """
     multidegree = tuple(multidegree)
-    _check_cap(len(multidegree), cap)
     whole = identity_slice(grading, multidegree, cap=cap)
-    poset = grading.poset
-    pieces = [identity_slice(grading.restrict(subposet(poset, chain), chain),
-                             multidegree, cap=cap)
-              for chain in maximal_chains(poset)]
-    meet = subspace_intersect(*(piece.basis for piece in pieces))
+    width = whole.basis.ncols
+    components = grading.components()
+    chain_rows = []
+    for chain in maximal_chains(grading.poset):
+        members = set(chain)
+        chain_rows.append(_slice_rows(tuple(
+            tuple(pair for pair in components.get(g, ())
+                  if members.issuperset(pair)) for g in multidegree)))
+    pieces = [_slice_matrix(rows, width) for rows in chain_rows]
+    meet = _slice_matrix(tuple(sorted(set().union(*chain_rows))), width)
     equal = whole.basis == meet
     report = {
         "whole_dimension": whole.dimension,
-        "chain_dimensions": [piece.dimension for piece in pieces],
+        "chain_dimensions": [piece.nrows for piece in pieces],
         "intersection_dimension": meet.nrows,
         "equal": equal,
     }

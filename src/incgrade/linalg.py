@@ -1,13 +1,12 @@
-"""Exact rational linear algebra: canonical echelon forms, nullspaces and
-subspace intersection.
+"""Exact rational linear algebra: canonical echelon forms and nullspaces.
 
 Integers are the working number format: RationalMatrix keeps int and
 Fraction entries as given, each input row is scaled to integers once, and
 RowReducer eliminates fraction-free on primitive integer rows. Fractions
-are built only for the canonical bases that rref, nullspace,
-subspace_intersect and RowReducer.matrix() return. Matrices are immutable
-once built; RowReducer is the single mutable object, meant for streaming
-rows into a canonical reduced echelon basis one at a time.
+are built only for the canonical bases that rref, nullspace and
+RowReducer.matrix() return. Matrices are immutable once built;
+RowReducer is the single mutable object, meant for streaming rows into a
+canonical reduced echelon basis one at a time.
 """
 
 import re
@@ -21,19 +20,23 @@ from .errors import DimensionMismatchError, MalformedInputError, VerificationErr
 ZERO = Fraction(0)
 _EXACT_TYPES = frozenset((int, Fraction))
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+_MAX_DIGITS = 4300  # CPython's default limit on int() of a digit string
 _numerator = attrgetter("numerator")
 _denominator = attrgetter("denominator")
 
 
 def parse_rational(text):
     """Parse 'num' or 'num/den' (ASCII digits, num optionally signed) into
-    a Fraction. Any other form, exponents and decimal points included, or
-    a zero denominator is malformed input."""
+    a Fraction. Any other form, exponents and decimal points included, a
+    part of over _MAX_DIGITS digits or a zero denominator is malformed."""
     match = _RATIONAL.fullmatch(str(text).strip())
     if match is None:
         raise MalformedInputError(
             f"rational must be 'num' or 'num/den', got {text!r}")
     num, den = match.groups()
+    if max(len(num.lstrip("+-")), len(den or "")) > _MAX_DIGITS:
+        raise MalformedInputError(
+            f"rational part has more than {_MAX_DIGITS} digits")
     try:
         return Fraction(int(num), int(den or 1))
     except ZeroDivisionError:
@@ -237,27 +240,3 @@ def nullspace(matrix):
             raise VerificationError("nullspace vector fails M v = 0")
     return RationalMatrix(
         [_normalized(vec, next(v for v in vec if v)) for vec in kernel], ncols)
-
-
-def subspace_intersect(first, *others):
-    """Canonical basis of the intersection of the row spaces.
-
-    Given one space, that is rref(first). Given more, a vector lies in a
-    row space iff that space's kernel basis annihilates it, so the
-    intersection is the kernel of all the kernel bases stacked: k spaces
-    cost k + 1 nullspaces. Every result vector is checked to lie in every
-    space before it is returned.
-    """
-    for side in others:
-        if side.ncols != first.ncols:
-            raise DimensionMismatchError(
-                f"ambient dimensions differ: {first.ncols} vs {side.ncols}")
-    if not others:
-        return rref(first)
-    sides = (first,) + others
-    constraints = [row for side in sides for row in nullspace(side).rows]
-    result = nullspace(RationalMatrix(constraints, first.ncols))
-    for side in sides:
-        if not all(map(RowReducer(side.ncols, side.rows).contains, result.rows)):
-            raise VerificationError("intersection vector escapes a factor")
-    return result

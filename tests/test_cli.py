@@ -271,12 +271,21 @@ class TestCliContract:
         '{"names": ["1", "h"], "table": [[0, 1], [1, 0.5]]}',
         '{"names": [1, "h"], "table": [[0, 1], [1, 0]]}',
         '{"names": ' + "[" * 5000,
+        '{"names": ["1"], "table": [[' + "1" * 5000 + "]]}",
     ], ids=["missing-key", "non-list-table", "non-integer-entry",
-            "non-string-name", "nested-too-deep"])
+            "non-string-name", "nested-too-deep", "over-long-integer"])
     def test_malformed_group_json_is_usage_error(self, spec):
         proc = run_cli("classify", "--poset", "c2", "--group", spec, expect=2)
         assert proc.stderr.startswith("error:")
         assert len(proc.stderr.splitlines()) == 1
+        assert "set_int_max_str_digits" not in proc.stderr
+
+    def test_group_axiom_violation_is_usage_error(self, capsys):
+        spec = json.dumps({"names": ["e", "a"], "table": [[0, 0], [1, 1]]})
+        assert main(["classify", "--poset", "c2", "--group", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no identity element\n"
 
     @pytest.mark.parametrize("spec, order", [
         ("C257", 257),
@@ -319,17 +328,24 @@ class TestCliContract:
          + [{"pair": [0, 0], "image": [[0, 0, "1"]]}]),
         ("--morphism", c2_morphism([0, 1, "1e100000000"])),
         ("--morphism", c2_morphism([0, 1, "1.5"])),
-        # Raw text: json.dumps cannot build documents nested this deep.
+        ("--morphism", c2_morphism([0, 1, "1" * 5000])),
+        # Raw text: json.dumps cannot build documents nested this deep, and
+        # json.loads cannot read back integers this long.
         ("--poset", "[" * 100000),
         ("--morphism", "[" * 100000),
+        ("--poset", '{"elements": ["a", "b"], "covers": [[0, 1%s]]}'
+         % ("0" * 5000)),
+        ("--morphism", json.dumps(c2_morphism([0, 1, "1"])).replace(
+            '[0, 1, "1"]]', '[0, 1%s, "1"]]' % ("0" * 5000), 1)),
     ], ids=["poset-missing-elements", "poset-non-integer-cover",
             "poset-top-level-list", "poset-non-string-element",
             "morphism-not-a-list",
             "morphism-zero-denominator", "morphism-index-too-large",
             "morphism-negative-index", "morphism-repeated-entry",
             "morphism-repeated-pair", "morphism-exponent-entry",
-            "morphism-decimal-entry", "poset-nested-too-deep",
-            "morphism-nested-too-deep"])
+            "morphism-decimal-entry", "morphism-over-long-entry",
+            "poset-nested-too-deep", "morphism-nested-too-deep",
+            "poset-over-long-integer", "morphism-over-long-integer"])
     def test_malformed_input_json_is_usage_error(self, tmp_path, flag, content):
         path = tmp_path / "input.json"
         path.write_text(content if isinstance(content, str)
@@ -339,6 +355,7 @@ class TestCliContract:
         proc = run_cli(*argv, flag, str(path), expect=2)
         assert proc.stderr.startswith("error:")
         assert len(proc.stderr.splitlines()) == 1
+        assert "set_int_max_str_digits" not in proc.stderr
 
     def test_closed_stdout_keeps_exit_code(self):
         # The reader of stdout is gone before the first write.

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -141,6 +142,26 @@ class TestGroups:
                 "names": ["e", "a"],
                 "table": [[0, 1], [1, 1]],
             }))
+
+    # An order-5 loop: it has an identity and inverses, but
+    # (1 * 1) * 2 = 2 while 1 * (1 * 2) = 4.
+    _LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+              [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+    @pytest.mark.parametrize("names, table, message", [
+        ([], [], "a group needs at least one element"),
+        (["e", "e"], [[0, 1], [1, 0]], "element names must be distinct"),
+        (["e", "a"], [[0, 1]], "Cayley table must be square"),
+        (["e", "a"], [[0, 1], [1, 2]], "Cayley table entry out of range"),
+        (["e", "a"], [[0, 0], [1, 1]], "no identity element"),
+        (["e", "a"], [[0, 1], [1, 1]], "no inverse for 'a'"),
+        (list("eabcd"), _LOOP5, "multiplication is not associative"),
+    ], ids=["empty", "duplicate-names", "non-square", "out-of-range",
+            "no-identity", "no-inverse", "not-associative"])
+    def test_each_group_axiom_is_checked(self, names, table, message):
+        spec = json.dumps({"names": names, "table": table})
+        with pytest.raises(InvalidGroupError, match=f"^{re.escape(message)}$"):
+            group_from_spec(spec)
 
     def test_unknown_element_name(self):
         with pytest.raises(InvalidGroupError):

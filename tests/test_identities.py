@@ -244,7 +244,7 @@ class TestIdentitySlice:
         slice_matrix = identities._slice_matrix
         slice_matrix.cache_clear()
         for i in range(slice_matrix.cache_info().maxsize + 100):
-            assert slice_matrix((((i, i + 1),),)).nrows == 0
+            assert slice_matrix((i + 1,), 11).nrows == 10
         assert slice_matrix.cache_info().currsize <= 1024
         slice_matrix.cache_clear()
 
@@ -361,6 +361,27 @@ class TestChainReduction:
                     assert got == pairwise_chain_reduction(theta, multidegree)
                     outcomes.add(len(got[1]["chain_dimensions"]) > 1)
         assert outcomes == {True, False}
+
+    def test_meet_of_equal_chain_rows_costs_no_kernel(self, monkeypatch):
+        # Each chain of the diamond has the whole poset's evaluation rows
+        # here, so the chain slices and their meet are all memo hits.
+        seen = []
+
+        def spy(matrix):
+            seen.append(matrix)
+            return nullspace(matrix)
+
+        monkeypatch.setattr(identities, "nullspace", spy)
+        g = cyclic_group(2)
+        theta = gm(CORPUS["diamond"], g, ["1", "h", "1", "h"])
+        for names in (["1"], ["h"], ["1", "h"], ["h", "h", "1"]):
+            identities._slice_matrix.cache_clear()
+            del seen[:]
+            equal, report = verify_chain_reduction(
+                theta, [g.index_of(v) for v in names])
+            assert equal and len(report["chain_dimensions"]) == 2
+            assert len(seen) == 1, names
+        identities._slice_matrix.cache_clear()
 
 
 class TestMonomialIdentities:

@@ -16,7 +16,6 @@ from incgrade.linalg import (
     parse_rational,
     nullspace,
     rref,
-    subspace_intersect,
 )
 from util import (
     fraction_nullspace,
@@ -57,6 +56,13 @@ class TestRationalStrings:
                 parse_rational(text)
         with pytest.raises(MalformedInputError, match="^zero denominator"):
             parse_rational("1/0")
+
+    def test_over_long_parts_are_malformed(self):
+        assert parse_rational("-" + "7" * 4300) == -int("7" * 4300)
+        for text in ["1" * 4301, "1/" + "2" * 4301, "0" * 4301 + "1"]:
+            with pytest.raises(MalformedInputError,
+                               match="^rational part has more than 4300 digits"):
+                parse_rational(text)
 
 
 class TestRref:
@@ -121,7 +127,7 @@ class TestSubspaces:
     def test_equal_to_itself(self):
         a = mat([[1, 2], [0, 1]])
         assert subspace_equal(a, a)
-        assert subspace_intersect(a, a) == rref(a)
+        assert pairwise_subspace_intersect(a, a) == rref(a)
 
     def test_scaled_basis_is_same_space(self):
         assert subspace_equal(mat([[1, 2]]), mat([[3, 6]]))
@@ -129,18 +135,18 @@ class TestSubspaces:
     def test_axes_meet_trivially(self):
         a, b = mat([[1, 0]]), mat([[0, 1]])
         assert not subspace_equal(a, b)
-        assert subspace_intersect(a, b).nrows == 0
+        assert pairwise_subspace_intersect(a, b).nrows == 0
 
     def test_plane_meets_line(self):
         plane = mat([[1, 0], [0, 1]])
         line = mat([[1, 1]])
-        assert subspace_intersect(plane, line) == mat([[1, 1]])
+        assert pairwise_subspace_intersect(plane, line) == mat([[1, 1]])
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
             subspace_equal(mat([[1, 0]]), mat([[1, 0, 0]]))
         with pytest.raises(DimensionMismatchError):
-            subspace_intersect(mat([[1, 0]]), mat([[1, 0, 0]]))
+            pairwise_subspace_intersect(mat([[1, 0]]), mat([[1, 0, 0]]))
 
     def test_intersection_contained_in_both(self):
         rng = random.Random(15)
@@ -148,7 +154,7 @@ class TestSubspaces:
             ncols = rng.randint(2, 5)
             a = random_matrix(rng, rng.randint(1, 3), ncols)
             b = random_matrix(rng, rng.randint(1, 3), ncols)
-            meet = subspace_intersect(a, b)
+            meet = pairwise_subspace_intersect(a, b)
             for side in (a, b):
                 reducer = RowReducer(ncols)
                 for row in side.rows:
@@ -164,63 +170,23 @@ class TestSubspaces:
             a = random_matrix(rng, rng.randint(1, 3), ncols)
             b = random_matrix(rng, rng.randint(1, 3), ncols)
             total = rref(mat(list(a.rows) + list(b.rows), ncols=ncols))
-            meet = subspace_intersect(a, b)
+            meet = pairwise_subspace_intersect(a, b)
             assert (rref(a).nrows + rref(b).nrows
                     == total.nrows + meet.nrows)
 
-
-def count_nullspace_calls(monkeypatch):
-    """Patch linalg.nullspace to count its calls; return the counter."""
-    calls = []
-    original = linalg.nullspace
-
-    def counted(matrix):
-        calls.append(matrix)
-        return original(matrix)
-
-    monkeypatch.setattr(linalg, "nullspace", counted)
-    return calls
-
-
-class TestNaryIntersection:
-    """subspace_intersect over any number of spaces against the binary
-    intersection folded pairwise."""
-
-    def test_matches_pairwise_fold(self):
+    def test_stacked_kernel_is_meet_of_kernels(self):
+        # ker A ∩ ker B = ker [A; B], which chain reduction relies on.
         rng = random.Random(17)
-        sizes = set()
-        for _ in range(150):
+        for _ in range(60):
             ncols = rng.randint(1, 6)
-            spaces = [mat(random_rows(rng, rng.randint(0, 4), ncols), ncols=ncols)
-                      for _ in range(rng.randint(1, 4))]
-            want = rref(spaces[0])
-            for side in spaces[1:]:
-                want = pairwise_subspace_intersect(want, side)
-            assert subspace_intersect(*spaces) == want
-            sizes.add((len(spaces), want.nrows > 0))
-        assert sizes == {(k, nonzero) for k in range(1, 5)
-                         for nonzero in (True, False)}
-
-    def test_one_space_is_its_rref(self, monkeypatch):
-        calls = count_nullspace_calls(monkeypatch)
-        a = mat([[2, 4, 0], [1, 2, 0], [0, 3, 3]])
-        assert subspace_intersect(a) == rref(a)
-        assert calls == []
-
-    def test_k_spaces_cost_k_plus_one_nullspaces(self, monkeypatch):
-        calls = count_nullspace_calls(monkeypatch)
-        rng = random.Random(18)
-        for k in range(2, 7):
-            del calls[:]
-            subspace_intersect(*(random_matrix(rng, 2, 4) for _ in range(k)))
-            assert len(calls) == k + 1
-
-    def test_mismatch_raised_before_any_work(self, monkeypatch):
-        calls = count_nullspace_calls(monkeypatch)
-        line = mat([[1, 0]])
-        with pytest.raises(DimensionMismatchError):
-            subspace_intersect(line, line, line, mat([[1, 0, 0]]))
-        assert calls == []
+            sides = [random_rows(rng, rng.randint(0, 4), ncols)
+                     for _ in range(rng.randint(1, 4))]
+            want = nullspace(mat(sides[0], ncols=ncols))
+            for side in sides[1:]:
+                want = pairwise_subspace_intersect(
+                    want, nullspace(mat(side, ncols=ncols)))
+            stacked = [row for side in sides for row in side]
+            assert nullspace(mat(stacked, ncols=ncols)) == want
 
 
 class TestSelfChecks:
@@ -245,10 +211,9 @@ class TestSelfChecks:
     def test_intersection_check_raises_verification_error(self, monkeypatch):
         # A kernel of everything makes the whole plane the "intersection",
         # which escapes the line.
-        monkeypatch.setattr(linalg, "nullspace",
-                            lambda m: mat([[1, 0], [0, 1]]))
+        monkeypatch.setattr("util.nullspace", lambda m: mat([[1, 0], [0, 1]]))
         with pytest.raises(VerificationError):
-            subspace_intersect(mat([[1, 0]]), mat([[1, 0]]))
+            pairwise_subspace_intersect(mat([[1, 0]]), mat([[1, 0]]))
 
 
 class TestRowReducer:

@@ -40,7 +40,6 @@ from .algebra import (
 from .grading import (
     FiniteGroup,
     GradingMap,
-    GradedComponent,
     EquivalenceWitness,
     group_from_spec,
     grading_from_json,
@@ -52,7 +51,6 @@ from .grading import (
 from .identities import (
     MultilinearPolynomial,
     IdentitySlice,
-    Substitution,
     evaluate,
     identity_slice,
     slices_equal_upto,
@@ -90,7 +88,6 @@ __all__ = [
     "decompose_automorphism",
     "FiniteGroup",
     "GradingMap",
-    "GradedComponent",
     "EquivalenceWitness",
     "group_from_spec",
     "grading_from_json",
@@ -100,7 +97,6 @@ __all__ = [
     "burnside_class_count",
     "MultilinearPolynomial",
     "IdentitySlice",
-    "Substitution",
     "evaluate",
     "identity_slice",
     "slices_equal_upto",

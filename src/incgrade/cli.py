@@ -11,7 +11,6 @@ or a cross-check failed, 2 input or usage error.
 """
 
 import argparse
-import itertools
 import json
 import os
 import random
@@ -27,7 +26,7 @@ from .algebra import (
     zeta,
 )
 from .corpus import FIXTURE_NAMES, load_poset, read_json
-from .errors import IncgradeError, VerificationError
+from .errors import CapExceededError, IncgradeError, VerificationError
 from .grading import (
     GradingMap,
     classify_gradings,
@@ -36,12 +35,12 @@ from .grading import (
     group_from_spec,
 )
 from .identities import (
-    _check_cap,
     chain_transitivity_identity_check,
     identity_slice,
     monomial_identities,
     slices_equal_upto,
     verify_chain_reduction,
+    words,
 )
 from .linalg import format_rational
 from .poset import (
@@ -51,6 +50,10 @@ from .poset import (
     is_chain_transitive,
     maximal_chains,
 )
+
+# A slice of multidegree length m has m! columns, so commands refuse a
+# longer multidegree or a higher --max-degree. The library has no cap.
+DEGREE_CAP = 4
 
 
 class CounterexampleFound(Exception):
@@ -64,6 +67,11 @@ def _parse_theta(poset, group, csv):
 
 def _parse_multidegree(group, csv):
     return tuple(group.index_of(part.strip()) for part in csv.split(","))
+
+
+def _check_cap(m):
+    if m > DEGREE_CAP:
+        raise CapExceededError(f"multidegree length {m} exceeds the cap {DEGREE_CAP}")
 
 
 def _labels(poset, indices):
@@ -163,6 +171,7 @@ def cmd_equiv(args, poset, group):
 def cmd_slice(args, poset, group):
     theta = _parse_theta(poset, group, args.theta)
     multidegree = _parse_multidegree(group, args.multidegree)
+    _check_cap(len(multidegree))
     piece = identity_slice(theta, multidegree)
     return {
         "multidegree": [group.names[g] for g in multidegree],
@@ -175,6 +184,7 @@ def cmd_slice(args, poset, group):
 def cmd_compare_identities(args, poset, group):
     theta = _parse_theta(poset, group, args.theta)
     mu = _parse_theta(poset, group, args.mu)
+    _check_cap(args.max_degree)
     equal, first = slices_equal_upto(theta, mu, args.max_degree)
     return {
         "equal": equal,
@@ -193,12 +203,12 @@ def cmd_verify_reduction(args, poset, group):
             poset, group,
             [rng.randrange(group.order) for _ in range(poset.n)])
     if args.multidegree:
-        degrees = [_parse_multidegree(group, args.multidegree)]
+        multidegree = _parse_multidegree(group, args.multidegree)
+        _check_cap(len(multidegree))
+        degrees = [multidegree]
     else:
-        _check_cap(args.max_degree, None)
-        degrees = []
-        for m in range(1, args.max_degree + 1):
-            degrees.extend(itertools.product(theta.support(), repeat=m))
+        _check_cap(args.max_degree)
+        degrees = words(theta.support(), args.max_degree)
     checks = []
     all_equal = True
     for multidegree in degrees:
@@ -220,11 +230,12 @@ def cmd_verify_reduction(args, poset, group):
 
 def cmd_monomials(args, poset, group):
     theta = _parse_theta(poset, group, args.theta)
-    words = monomial_identities(theta, args.max_degree)
+    _check_cap(args.max_degree)
+    found = monomial_identities(theta, args.max_degree)
     return {
         "max_degree": args.max_degree,
         "identities": [[group.names[g] for g in word]
-                       for word in sorted(words, key=lambda w: (len(w), w))],
+                       for word in sorted(found, key=lambda w: (len(w), w))],
     }
 
 

@@ -62,11 +62,12 @@ class NotChainTransitiveError(IncgradeError):
 
 
 class BudgetExceededError(IncgradeError):
-    """An enumeration would walk more maps than grading.MAX_MAPS."""
+    """An enumeration would walk more maps, automorphisms or chains than
+    poset.MAX_MAPS."""
 
 
 class CapExceededError(IncgradeError):
-    """A multidegree is longer than the configured slice degree cap."""
+    """A command-line multidegree or degree limit is above cli.DEGREE_CAP."""
 
 
 class DegreeMismatchError(IncgradeError):

@@ -12,13 +12,13 @@ import json
 import math
 
 from .errors import (
-    BudgetExceededError,
     InvalidGroupError,
     MalformedInputError,
     MismatchError,
     VerificationError,
 )
 from .poset import (
+    _check_budget,
     _check_leq,
     automorphisms,
     component_index,
@@ -27,7 +27,6 @@ from .poset import (
     permutation_cycles,
 )
 
-MAX_MAPS = 10 ** 6
 MAX_GROUP_ORDER = 256
 
 
@@ -36,13 +35,6 @@ def _check_order(order):
     if order > MAX_GROUP_ORDER:
         raise InvalidGroupError(
             f"group order {order} exceeds the cap of {MAX_GROUP_ORDER} elements")
-
-
-def _check_budget(maps):
-    """Refuse an enumeration that would walk more than MAX_MAPS maps."""
-    if maps > MAX_MAPS:
-        raise BudgetExceededError(
-            f"{maps} maps exceed the enumeration budget {MAX_MAPS}")
 
 
 class FiniteGroup:
@@ -196,20 +188,6 @@ def group_from_spec(spec):
     return built
 
 
-class GradedComponent:
-    """Homogeneous component of one degree: the comparable pairs whose
-    grade equals that degree."""
-
-    def __init__(self, grading, degree, basis):
-        self.grading = grading
-        self.degree = degree
-        self.basis = tuple(basis)
-
-    def __repr__(self):
-        name = self.grading.group.names[self.degree]
-        return f"GradedComponent({name!r}, {list(self.basis)})"
-
-
 class GradingMap:
     """A map theta from poset elements to group elements, as indices."""
 
@@ -233,7 +211,8 @@ class GradingMap:
         return tuple(self.components())
 
     def component_basis(self, g):
-        return GradedComponent(self, g, self.components().get(g, ()))
+        """The basis pairs of the component of degree g, () if unrealized."""
+        return self.components().get(g, ())
 
     def components(self):
         """Map from degree to basis pairs, realized degrees only."""
@@ -307,21 +286,27 @@ class EquivalenceWitness:
         return f"EquivalenceWitness(shifts={list(self.shifts)}, sigma={list(self.sigma)})"
 
 
-def _shift_normalizer(poset, group):
-    """The per-component shift normal form of maps P -> G.
-
-    Returns each element's anchor, the least element of its connected
+def _shift_table(poset, group):
+    """Each element's anchor, the least element of its connected
     component, and table[a][v]: v after the left shift that sends the
-    anchor value a to group index 0. The normal form of theta takes
-    table[theta[anchor[x]]][theta[x]] at each x. It is the one map of the
-    shift orbit with every anchor at index 0, and, as each anchor comes
-    first in its component, the orbit's lexicographically least map.
-    """
+    anchor value a to group index 0."""
     comps = connected_components(poset)
     anchor = [comps[c][0] for c in component_index(poset)]
     table = [[group.mul(group.mul(0, group.inv(a)), v) for v in range(group.order)]
              for a in range(group.order)]
     return anchor, table
+
+
+def _shift_normalizer(poset, group):
+    """The per-component shift normal form of maps P -> G, as a function.
+
+    The normal form of theta takes table[theta[anchor[x]]][theta[x]] at
+    each x. It is the one map of the shift orbit with every anchor at
+    index 0, and, as each anchor comes first in its component, the orbit's
+    lexicographically least map.
+    """
+    anchor, table = _shift_table(poset, group)
+    return lambda theta: tuple(table[theta[a]][v] for a, v in zip(anchor, theta))
 
 
 def equivalent(theta, mu):
@@ -334,13 +319,13 @@ def equivalent(theta, mu):
     if theta.poset != mu.poset or theta.group != mu.group:
         raise MismatchError("gradings live over different posets or groups")
     poset, group = theta.poset, theta.group
-    anchor, table = _shift_normalizer(poset, group)
-    target = tuple(table[mu.theta[a]][v] for a, v in zip(anchor, mu.theta))
+    normal = _shift_normalizer(poset, group)
+    target = normal(mu.theta)
     for sigma in automorphisms(poset):
         moved = theta.compose_with_automorphism(sigma).theta
-        if tuple(table[moved[a]][v] for a, v in zip(anchor, moved)) == target:
-            shifts = [group.mul(mu.theta[a], group.inv(moved[a]))
-                      for a in sorted(set(anchor))]
+        if normal(moved) == target:
+            shifts = [group.mul(mu.theta[c[0]], group.inv(moved[c[0]]))
+                      for c in connected_components(poset)]
             return EquivalenceWitness(shifts, sigma)
     return None
 
@@ -354,8 +339,8 @@ def count_distinct_gradings(poset, group, verify=False):
     expected = group.order ** (poset.n - len(connected_components(poset)))
     if verify:
         _check_budget(group.order ** poset.n)
-        anchor, table = _shift_normalizer(poset, group)
-        canon = {tuple(table[theta[a]][v] for a, v in zip(anchor, theta))
+        normal = _shift_normalizer(poset, group)
+        canon = {normal(theta)
                  for theta in itertools.product(range(group.order), repeat=poset.n)}
         if len(canon) != expected:
             raise VerificationError(
@@ -433,7 +418,7 @@ def classify_gradings(poset, group):
     maps each.
     """
     _check_budget(group.order ** (poset.n - len(connected_components(poset))))
-    anchor, table = _shift_normalizer(poset, group)
+    anchor, table = _shift_table(poset, group)
     # Per automorphism sigma, the map theta o sigma^{-1} reads element x
     # and its anchor from these positions of theta.
     moves = []

@@ -20,7 +20,6 @@ import math
 from fractions import Fraction
 
 from .errors import (
-    CapExceededError,
     DegreeMismatchError,
     MalformedInputError,
     MismatchError,
@@ -37,13 +36,12 @@ from .linalg import (
 )
 from .poset import bound, is_chain_transitive, maximal_chains
 
-DEGREE_CAP = 4
 
-
-def _check_cap(m, cap):
-    cap = DEGREE_CAP if cap is None else cap
-    if m > cap:
-        raise CapExceededError(f"multidegree length {m} exceeds the cap {cap}")
+def words(alphabet, d):
+    """Every tuple over alphabet of length 1..d, shorter ones first and
+    each length in itertools.product order."""
+    return itertools.chain.from_iterable(
+        itertools.product(alphabet, repeat=m) for m in range(1, d + 1))
 
 
 def lex_permutations(m):
@@ -112,38 +110,27 @@ def polynomial_to_json(poly):
     }
 
 
-class Substitution:
-    """One comparable pair per variable, pair i meant for degree g_i."""
+def evaluate(poly, grading, pairs):
+    """Value of the polynomial at a substitution of one comparable pair per
+    variable, by exact convolution.
 
-    def __init__(self, pairs):
-        self.pairs = tuple((int(x), int(y)) for x, y in pairs)
-
-    def __len__(self):
-        return len(self.pairs)
-
-    def __repr__(self):
-        return f"Substitution({list(self.pairs)})"
-
-
-def evaluate(poly, grading, sub):
-    """Value of the polynomial at the substitution, by exact convolution.
-
-    The substitution must match the polynomial's multidegree: pair i must
-    carry degree g_i in the grading.
+    The pairs must match the polynomial's multidegree: pair i must carry
+    degree g_i in the grading.
     """
-    if len(sub) != poly.m:
+    pairs = tuple((int(x), int(y)) for x, y in pairs)
+    if len(pairs) != poly.m:
         raise DegreeMismatchError(
-            f"substitution has {len(sub)} pairs, polynomial needs {poly.m}")
-    for (x, y), g in zip(sub.pairs, poly.multidegree):
+            f"substitution has {len(pairs)} pairs, polynomial needs {poly.m}")
+    for (x, y), g in zip(pairs, poly.multidegree):
         if grading.grade_of_pair(x, y) != g:
             raise DegreeMismatchError(
                 f"pair ({x}, {y}) has the wrong degree for its slot")
     poset = grading.poset
     out = IncidenceFunction(poset, {})
     for perm, coeff in poly.terms.items():
-        term = e_basis(poset, *sub.pairs[perm[0] - 1])
+        term = e_basis(poset, *pairs[perm[0] - 1])
         for j in perm[1:]:
-            term = convolve(term, e_basis(poset, *sub.pairs[j - 1]))
+            term = convolve(term, e_basis(poset, *pairs[j - 1]))
         out = out + coeff * term
     return out
 
@@ -213,7 +200,7 @@ def _slice_matrix(rows, width):
         [[mask >> i & 1 for i in range(width)] for mask in rows], width))
 
 
-def identity_slice(grading, multidegree, cap=None):
+def identity_slice(grading, multidegree):
     """Nullspace of the evaluation map for one multidegree.
 
     Rows are substitutions (one basis pair per variable) crossed with
@@ -223,14 +210,13 @@ def identity_slice(grading, multidegree, cap=None):
     multidegree = tuple(multidegree)
     if not multidegree:
         raise DegreeMismatchError("multidegree must have length >= 1")
-    _check_cap(len(multidegree), cap)
     components = grading.components()
     bases = tuple(components.get(g, ()) for g in multidegree)
     return IdentitySlice(grading, multidegree, _slice_matrix(
         _slice_rows(bases), math.factorial(len(multidegree))))
 
 
-def slices_equal_upto(theta, mu, d, cap=None):
+def slices_equal_upto(theta, mu, d):
     """Compare all slices of the two gradings up to degree d.
 
     Returns (True, None) or (False, first differing multidegree). Only
@@ -239,18 +225,16 @@ def slices_equal_upto(theta, mu, d, cap=None):
     """
     if theta.poset != mu.poset or theta.group != mu.group:
         raise MismatchError("gradings live over different posets or groups")
-    _check_cap(d, cap)
     alphabet = sorted(set(theta.support()) | set(mu.support()))
-    for m in range(1, d + 1):
-        for multidegree in itertools.product(alphabet, repeat=m):
-            a = identity_slice(theta, multidegree, cap=cap)
-            b = identity_slice(mu, multidegree, cap=cap)
-            if a.basis != b.basis:
-                return False, multidegree
+    for multidegree in words(alphabet, d):
+        a = identity_slice(theta, multidegree)
+        b = identity_slice(mu, multidegree)
+        if a.basis != b.basis:
+            return False, multidegree
     return True, None
 
 
-def verify_chain_reduction(grading, multidegree, cap=None):
+def verify_chain_reduction(grading, multidegree):
     """Check that the whole-poset slice equals the intersection of the
     slices of the grading restricted to each maximal chain.
 
@@ -262,7 +246,7 @@ def verify_chain_reduction(grading, multidegree, cap=None):
     dimensions of the whole slice, each chain slice, and the intersection.
     """
     multidegree = tuple(multidegree)
-    whole = identity_slice(grading, multidegree, cap=cap)
+    whole = identity_slice(grading, multidegree)
     width = whole.basis.ncols
     components = grading.components()
     chain_rows = []
@@ -283,7 +267,7 @@ def verify_chain_reduction(grading, multidegree, cap=None):
     return equal, report
 
 
-def monomial_identities(grading, d, cap=None):
+def monomial_identities(grading, d):
     """All degree tuples (g_1..g_m), m <= d, whose single monomial
     x_1 ... x_m vanishes under every substitution.
 
@@ -291,19 +275,17 @@ def monomial_identities(grading, d, cap=None):
     left to right through the components, so a reachability sweep decides
     each tuple without building products.
     """
-    _check_cap(d, cap)
     poset, group = grading.poset, grading.group
     components = grading.components()
     identities = set()
-    for m in range(1, d + 1):
-        for word in itertools.product(range(group.order), repeat=m):
-            reach = set(range(poset.n))
-            for g in word:
-                reach = {v for (u, v) in components.get(g, ()) if u in reach}
-                if not reach:
-                    break
+    for word in words(range(group.order), d):
+        reach = set(range(poset.n))
+        for g in word:
+            reach = {v for (u, v) in components.get(g, ()) if u in reach}
             if not reach:
-                identities.add(word)
+                break
+        if not reach:
+            identities.add(word)
     return identities
 
 
@@ -325,8 +307,7 @@ def chain_transitivity_identity_check(poset, group, d=None):
     if d is None:
         d = bound(poset)
     reps = classify_gradings(poset, group)
-    signatures = [frozenset(monomial_identities(rep, d, cap=d))
-                  for rep in reps]
+    signatures = [frozenset(monomial_identities(rep, d)) for rep in reps]
     unseparated = [(a, b) for (a, sa), (b, sb)
                    in itertools.combinations(zip(reps, signatures), 2) if sa == sb]
     report = {

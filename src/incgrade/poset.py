@@ -9,18 +9,31 @@ order query reads the rows. A Poset is immutable, so each structure derived
 from it (the leq matrix view, comparable pairs, components, maximal chains,
 Aut(P)) is computed at most once, on first request, stored on it and freed
 with it. Set-valued results come back in a deterministic order so they can
-be frozen into golden tests.
+be frozen into golden tests. Aut(P), the maximal chains, and the table of
+chain pairs behind chain transitivity count against MAX_MAPS, which also
+bounds the grading enumerations.
 """
 
 import functools
 
 from .errors import (
+    BudgetExceededError,
     CycleError,
     DuplicateLabelError,
     EmptyPosetError,
     MalformedInputError,
     NotComparableError,
 )
+
+MAX_MAPS = 10 ** 6
+
+
+def _check_budget(count, what="maps"):
+    """Refuse an enumeration that would walk, or has found, more than
+    MAX_MAPS maps, automorphisms, chains or chain pairs."""
+    if count > MAX_MAPS:
+        raise BudgetExceededError(
+            f"{count} {what} exceed the enumeration budget {MAX_MAPS}")
 
 
 def _derived(compute):
@@ -203,6 +216,7 @@ def maximal_chains(p):
         nexts = upper[chain[-1]]
         if not nexts:
             chains.append(chain)
+            _check_budget(len(chains), "maximal chains")
         stack.extend(chain + (j,) for j in nexts)
     return tuple(sorted(chains))
 
@@ -293,6 +307,7 @@ def automorphisms(p):
         i = len(image)
         if i == p.n:
             found.append(image)
+            _check_budget(len(found), "automorphisms")
             continue
         ups, downs = earlier[i]
         above = sum([1 << image[k] for k in ups])
@@ -340,6 +355,7 @@ def is_chain_transitive(p):
     pass over Aut(P) finds every image.
     """
     chains = maximal_chains(p)
+    _check_budget(len(chains) ** 2, "chain pairs")
     index = {chain: i for i, chain in enumerate(chains)}
     table = {}
     for sigma in automorphisms(p):

@@ -180,12 +180,12 @@ def test_criterion_6_grading_transport():
                 relabel = induced_auto(poset, sigma)
                 for g in range(group.order):
                     transported = set()
-                    for (x, y) in theta.component_basis(g).basis:
+                    for (x, y) in theta.component_basis(g):
                         image = relabel.images[(x, y)]
                         assert image == e_basis(poset, sigma[x], sigma[y])
                         transported.add((sigma[x], sigma[y]))
                     assert transported == set(
-                        moved.component_basis(g).basis), (name, g)
+                        moved.component_basis(g)), (name, g)
 
     announce(6, "grading-transport", body)
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from incgrade import algebra, zeta
+from incgrade import algebra, poset, zeta
 from incgrade.cli import COMMANDS, main
 
 # Run the CLI module from the source tree, so no installed script is needed.
@@ -416,6 +416,53 @@ class TestCliContract:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: multidegree length 9 exceeds the cap 4\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["slice", "--poset", "c2", "--group", "C2", "--theta", "1,h",
+         "--multidegree", "h,1,h,1,h"],
+        ["verify-reduction", "--poset", "diamond", "--group", "C2",
+         "--multidegree", "1,1,1,1,1"],
+        ["compare-identities", "--poset", "c2", "--group", "C2", "--theta",
+         "1,h", "--mu", "1,1", "--max-degree", "5"],
+        ["verify-reduction", "--poset", "diamond", "--group", "C2",
+         "--max-degree", "5"],
+        ["monomials", "--poset", "c2", "--group", "C2", "--theta", "1,h",
+         "--max-degree", "5"],
+    ], ids=["slice", "verify-reduction-multidegree", "compare-identities",
+            "verify-reduction-sweep", "monomials"])
+    def test_degree_cap_is_checked_in_the_cli(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: multidegree length 5 exceeds the cap 4\n"
+
+    def test_transitivity_check_degree_is_not_capped(self, tmp_path, capsys):
+        # The probe's degree is bound(P), 5 on a 5-chain, above the cap.
+        path = tmp_path / "c5.json"
+        path.write_text(json.dumps({
+            "elements": list("abcde"),
+            "covers": [[i, i + 1] for i in range(4)]}))
+        code = main(["transitivity-check", "--poset", str(path), "--group",
+                     "C2", "--format", "json"])
+        report = json.loads(capsys.readouterr().out)
+        assert code in (0, 1)
+        assert report["results"]["degree"] == 5
+
+    @pytest.mark.parametrize("argv, message", [
+        (["aut", "--poset", "antichain4"], "4 automorphisms"),
+        (["classify", "--poset", "antichain4", "--group", "C1"],
+         "4 automorphisms"),
+        (["chains", "--poset", "antichain4"], "4 maximal chains"),
+        (["chain-transitive", "--poset", "diamond"], "4 chain pairs"),
+    ], ids=["aut", "classify", "chains", "chain-transitive"])
+    def test_budget_refusal_is_one_line(self, argv, message, monkeypatch,
+                                        capsys):
+        monkeypatch.setattr(poset, "MAX_MAPS", 3)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {message} exceed the enumeration budget 3\n")
 
     def test_failed_self_check_exits_one(self, monkeypatch, capsys):
         # invert checks its result against the unit; compare with zeta.

@@ -182,9 +182,9 @@ class TestGradingMap:
         g = cyclic_group(3)
         theta = gm(p, g, ["1", "h", "h^2", "1"])
         assert {g.names[v] for v in theta.support()} == {"1", "h", "h^2"}
-        assert theta.component_basis(g.index_of("h")).basis == ((1, 2),)
-        assert theta.component_basis(g.index_of("h^2")).basis == ((1, 3),)
-        assert set(theta.component_basis(g.identity).basis) == {
+        assert theta.component_basis(g.index_of("h")) == ((1, 2),)
+        assert theta.component_basis(g.index_of("h^2")) == ((1, 3),)
+        assert set(theta.component_basis(g.identity)) == {
             (0, 0), (1, 1), (2, 2), (3, 3), (0, 3)}
 
     def test_component_closure(self):
@@ -207,8 +207,8 @@ class TestGradingMap:
         theta = random_grading(rng, p, g)
         shifted = theta.shift([g.index_of("h"), g.index_of("h^2")])
         for grade in range(g.order):
-            assert (shifted.component_basis(grade).basis
-                    == theta.component_basis(grade).basis)
+            assert (shifted.component_basis(grade)
+                    == theta.component_basis(grade))
 
     def test_compose_with_automorphism(self):
         p = CORPUS["antichain2"]

@@ -7,7 +7,6 @@ import pytest
 from incgrade import identities
 from incgrade.corpus import corpus_posets
 from incgrade.errors import (
-    CapExceededError,
     DegreeMismatchError,
     MalformedInputError,
     NotChainTransitiveError,
@@ -15,7 +14,6 @@ from incgrade.errors import (
 from incgrade.grading import GradingMap, cyclic_group, equivalent, group_from_spec
 from incgrade.identities import (
     MultilinearPolynomial,
-    Substitution,
     chain_transitivity_identity_check,
     evaluate,
     identity_slice,
@@ -25,6 +23,7 @@ from incgrade.identities import (
     polynomial_to_json,
     slices_equal_upto,
     verify_chain_reduction,
+    words,
 )
 from incgrade.linalg import nullspace
 from incgrade.poset import automorphisms, maximal_chains, subposet
@@ -61,6 +60,13 @@ def commutator_product(group):
         (2, 1, 3, 4): -1,
         (2, 1, 4, 3): 1,
     })
+
+
+def test_words_are_shortest_first_in_product_order():
+    assert list(words("ab", 2)) == [
+        ("a",), ("b",), ("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]
+    assert list(words("ab", 0)) == []
+    assert list(words("", 3)) == []
 
 
 class TestPolynomials:
@@ -107,7 +113,7 @@ class TestEvaluate:
         p = CORPUS["c2"]
         theta = trivial_grading(p)
         poly = poly_from_vector(theta.group, (0, 0), [1, -1])
-        value = evaluate(poly, theta, Substitution([(0, 1), (1, 1)]))
+        value = evaluate(poly, theta, [(0, 1), (1, 1)])
         assert value(0, 1) == 1
         assert value.support() == ((0, 1),)
 
@@ -116,7 +122,7 @@ class TestEvaluate:
         theta = trivial_grading(p)
         poly = poly_from_vector(theta.group, (0, 0), [1, -1])
         with pytest.raises(DegreeMismatchError):
-            evaluate(poly, theta, Substitution([(0, 0)]))
+            evaluate(poly, theta, [(0, 0)])
 
     def test_substitution_degree_checked(self):
         p = CORPUS["c2"]
@@ -124,7 +130,7 @@ class TestEvaluate:
         theta = gm(p, g, ["1", "h"])
         poly = poly_from_vector(g, (g.index_of("h"),), [1])
         with pytest.raises(DegreeMismatchError):
-            evaluate(poly, theta, Substitution([(0, 0)]))
+            evaluate(poly, theta, [(0, 0)])
 
 
 class TestIdentitySlice:
@@ -145,7 +151,7 @@ class TestIdentitySlice:
         g = cyclic_group(3)
         theta = gm(p, g, ["1", "1", "h", "1"])
         h = g.index_of("h")
-        assert theta.component_basis(h).basis == ((1, 2),)
+        assert theta.component_basis(h) == ((1, 2),)
         assert identity_slice(theta, (h, h)).dimension == 2
 
     def test_contains_polynomial_checks_multidegree(self):
@@ -160,10 +166,12 @@ class TestIdentitySlice:
             identity_slice(trivial_grading(CORPUS["c2"]), ())
 
     def test_degree_cap(self):
+        # The library has no degree cap. UT_2 has multilinear codimension
+        # 2^(m-1) (m-2) + 2, which is 50 of the 120 monomials at m = 5.
         theta = trivial_grading(CORPUS["c2"])
-        with pytest.raises(CapExceededError):
-            identity_slice(theta, (0,) * 5)
-        assert identity_slice(theta, (0,) * 5, cap=5).dimension >= 0
+        s = identity_slice(theta, (0,) * 5)
+        assert s.dimension == 120 - 50
+        assert s.basis == brute_force_slice(theta, (0,) * 5)
 
     def test_commutator_product_is_an_identity_on_two_chain(self):
         # The algebra of a 2-chain is 2x2 upper triangular matrices.
@@ -183,25 +191,25 @@ class TestIdentitySlice:
             theta = random_grading(rng, CORPUS[name], g)
             for multidegree in [(0, 0), (0, 1), (1, 1), (0, 0, 1)]:
                 s = identity_slice(theta, multidegree)
-                bases = [theta.component_basis(d).basis for d in multidegree]
+                bases = [theta.component_basis(d) for d in multidegree]
                 if any(not b for b in bases):
                     continue
                 for row in s.basis.rows:
                     poly = poly_from_vector(g, multidegree, row)
                     for _ in range(50):
-                        sub = Substitution([rng.choice(b) for b in bases])
+                        sub = [rng.choice(b) for b in bases]
                         assert evaluate(poly, theta, sub).is_zero()
 
     def test_vectors_outside_slice_have_witnesses(self):
         # Anything the nullspace rejects must fail on some substitution.
         theta = trivial_grading(CORPUS["c2"])
         s = identity_slice(theta, (0, 0))
-        bases = [theta.component_basis(0).basis] * 2
+        bases = [theta.component_basis(0)] * 2
         for vector in ([1, 0], [0, 1], [1, 1]):
             assert not s.contains_vector([Fraction(v) for v in vector])
             poly = poly_from_vector(theta.group, (0, 0), vector)
             hits = [sub for sub in itertools.product(*bases)
-                    if not evaluate(poly, theta, Substitution(sub)).is_zero()]
+                    if not evaluate(poly, theta, sub).is_zero()]
             assert hits
 
     @pytest.mark.parametrize("spec", ["C2", "C3", "S3"])
@@ -289,9 +297,12 @@ class TestSliceComparison:
         assert slices_equal_upto(theta, mu, 3) == (True, None)
 
     def test_degree_cap(self):
-        theta = trivial_grading(CORPUS["c2"])
-        with pytest.raises(CapExceededError):
-            slices_equal_upto(theta, theta, 5)
+        # Degree 5 computes, and a shift of theta shares all its slices.
+        g = cyclic_group(2)
+        theta = gm(CORPUS["c2"], g, ["1", "h"])
+        assert slices_equal_upto(theta, theta.shift([1]), 5) == (True, None)
+        flat = gm(CORPUS["c2"], g, ["1", "1"])
+        assert slices_equal_upto(theta, flat, 5) == (False, (1,))
 
 
 class TestChainReduction:
@@ -423,9 +434,12 @@ class TestMonomialIdentities:
                         theta, word)
 
     def test_degree_cap(self):
-        theta = trivial_grading(CORPUS["c2"])
-        with pytest.raises(CapExceededError):
-            monomial_identities(theta, 5)
+        # Degree 5 computes: on the 2-chain graded (1, h), a monomial
+        # vanishes exactly when it has two variables of degree h.
+        theta = gm(CORPUS["c2"], cyclic_group(2), ["1", "h"])
+        found = monomial_identities(theta, 5)
+        assert found == {w for w in words((0, 1), 5) if w.count(1) >= 2}
+        assert len(found) == 1 + 4 + 11 + 26
 
 
 class TestTransitivityProbe:

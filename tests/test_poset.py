@@ -6,6 +6,7 @@ import pytest
 
 from incgrade.corpus import corpus_posets, load_poset
 from incgrade.errors import (
+    BudgetExceededError,
     CycleError,
     DuplicateLabelError,
     EmptyPosetError,
@@ -62,6 +63,10 @@ def boolean_lattice(k):
         [str(a) for a in range(1 << k)],
         [(a, a | 1 << b) for a in range(1 << k) for b in range(k)
          if not a >> b & 1])
+
+
+def antichain(n):
+    return poset_from_covers([f"a{i}" for i in range(n)], [])
 
 
 def labels(poset, chain):
@@ -399,6 +404,54 @@ class TestChainTransitivity:
             assert got == scan_chain_transitive(p)
             outcomes.add(got[0] and len(got[1]) > 1)
         assert outcomes == {False, True}
+
+
+class TestBudget:
+    # Each guard is tested by lowering the budget on a small poset.
+
+    def test_automorphisms_are_counted_as_found(self, monkeypatch):
+        # The 5-antichain has 120 automorphisms; the 24th stops the search.
+        monkeypatch.setattr(poset, "MAX_MAPS", 23)
+        with pytest.raises(BudgetExceededError, match=(
+                "^24 automorphisms exceed the enumeration budget 23$")):
+            automorphisms(antichain(5))
+        monkeypatch.setattr(poset, "MAX_MAPS", 24)
+        assert len(automorphisms(antichain(4))) == 24
+
+    def test_maximal_chains_are_counted_as_found(self, monkeypatch):
+        # B3 has 6 maximal chains; the 5th stops the walk.
+        monkeypatch.setattr(poset, "MAX_MAPS", 4)
+        with pytest.raises(BudgetExceededError, match=(
+                "^5 maximal chains exceed the enumeration budget 4$")):
+            maximal_chains(boolean_lattice(3))
+        monkeypatch.setattr(poset, "MAX_MAPS", 6)
+        assert len(maximal_chains(boolean_lattice(3))) == 6
+
+    def test_chain_pairs_are_checked_before_the_table(self, monkeypatch):
+        # The diamond's 2 chains pass a budget of 3, their 4 pairs do not,
+        # and Aut(P) is not enumerated for the refused table.
+        monkeypatch.setattr(poset, "MAX_MAPS", 3)
+        p = boolean_lattice(2)
+        with pytest.raises(BudgetExceededError, match=(
+                "^4 chain pairs exceed the enumeration budget 3$")):
+            is_chain_transitive(p)
+        assert "automorphisms" not in p._derived
+        monkeypatch.setattr(poset, "MAX_MAPS", 4)
+        assert is_chain_transitive(p)[0]
+
+    def test_refused_results_are_not_stored(self, monkeypatch):
+        p = antichain(3)
+        monkeypatch.setattr(poset, "MAX_MAPS", 5)
+        with pytest.raises(BudgetExceededError):
+            automorphisms(p)
+        monkeypatch.setattr(poset, "MAX_MAPS", 6)
+        assert len(automorphisms(p)) == 6
+
+    def test_classify_counts_automorphisms(self, monkeypatch):
+        # One normal form over C1, but 24 automorphisms to act with.
+        monkeypatch.setattr(poset, "MAX_MAPS", 23)
+        with pytest.raises(BudgetExceededError, match="^24 automorphisms"):
+            classify_gradings(antichain(4), cyclic_group(1))
 
 
 class TestDerivedOnce:

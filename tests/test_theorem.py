@@ -80,7 +80,7 @@ class TestB3Certificate:
         assert len(MU.components()[H]) == 8
 
     def test_same_identity_slices_through_degree_5(self):
-        assert slices_equal_upto(THETA, MU, 5, cap=5) == (True, None)
+        assert slices_equal_upto(THETA, MU, 5) == (True, None)
 
 
 @pytest.mark.parametrize("spec, classes", [("C2", 40), ("S3", 50616)])

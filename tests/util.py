@@ -208,7 +208,7 @@ def monomial_vanishes_by_products(grading, word):
     from incgrade.algebra import convolve, e_basis
 
     poset = grading.poset
-    bases = [grading.component_basis(g).basis for g in word]
+    bases = [grading.component_basis(g) for g in word]
     for pairs in itertools.product(*bases):
         product = e_basis(poset, *pairs[0])
         for pair in pairs[1:]:
@@ -318,7 +318,7 @@ def brute_force_slice(grading, multidegree):
     """The identity slice of one multidegree from every substitution in
     the product of the components, each tested against all m!
     permutations, streamed into a FractionRowReducer."""
-    bases = [grading.component_basis(g).basis for g in multidegree]
+    bases = [grading.component_basis(g) for g in multidegree]
     m = len(bases)
     perms = tuple(itertools.permutations(range(m)))
     fact = len(perms)
@@ -372,16 +372,16 @@ def pairwise_subspace_intersect(a, b):
     return result
 
 
-def pairwise_chain_reduction(grading, multidegree, cap=None):
+def pairwise_chain_reduction(grading, multidegree):
     """verify_chain_reduction by folding pairwise_subspace_intersect over
     the chain slices and comparing the spaces with subspace_equal."""
     multidegree = tuple(multidegree)
-    whole = identity_slice(grading, multidegree, cap=cap)
+    whole = identity_slice(grading, multidegree)
     chain_dims = []
     meet = None
     for chain in maximal_chains(grading.poset):
         restricted = grading.restrict(subposet(grading.poset, chain), chain)
-        piece = identity_slice(restricted, multidegree, cap=cap)
+        piece = identity_slice(restricted, multidegree)
         chain_dims.append(piece.dimension)
         meet = piece.basis if meet is None else pairwise_subspace_intersect(
             meet, piece.basis)

@@ -42,7 +42,6 @@ from .grading import (
     GradingMap,
     EquivalenceWitness,
     group_from_spec,
-    grading_from_json,
     equivalent,
     count_distinct_gradings,
     classify_gradings,
@@ -90,7 +89,6 @@ __all__ = [
     "GradingMap",
     "EquivalenceWitness",
     "group_from_spec",
-    "grading_from_json",
     "equivalent",
     "count_distinct_gradings",
     "classify_gradings",

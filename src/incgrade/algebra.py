@@ -90,9 +90,6 @@ class IncidenceFunction:
     def __hash__(self):
         return hash((self.poset, frozenset(self.entries.items())))
 
-    def is_zero(self):
-        return not self.entries
-
     def __repr__(self):
         if not self.entries:
             return "IncidenceFunction(0)"
@@ -377,12 +374,6 @@ def morphism_from_json(poset, obj):
             raise MalformedInputError(f"pair ({pair[0]}, {pair[1]}) listed twice")
         images[pair] = function_from_json(poset, {"entries": item.get("image")})
     return AlgebraMorphism(poset, images)
-
-
-def morphism_to_json(phi):
-    return [{"pair": [x, y],
-             "image": function_to_json(phi.images[(x, y)])["entries"]}
-            for (x, y) in sorted(phi.images)]
 
 
 def _conjugator(r):

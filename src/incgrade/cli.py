@@ -49,6 +49,7 @@ from .poset import (
     connected_components,
     is_chain_transitive,
     maximal_chains,
+    poset_to_json,
 )
 
 # A slice of multidegree length m has m! columns, so commands refuse a
@@ -79,12 +80,8 @@ def _labels(poset, indices):
 
 
 def cmd_validate(args, poset, group):
-    return {
-        "valid": True,
-        "elements": list(poset.elements),
-        "covers": [list(c) for c in poset.covers],
-        "components": len(connected_components(poset)),
-    }
+    return {"valid": True, **poset_to_json(poset),
+            "components": len(connected_components(poset))}
 
 
 def cmd_chains(args, poset, group):

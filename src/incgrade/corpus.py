@@ -44,9 +44,10 @@ def load_poset(name_or_path):
 
 
 def read_json(path):
-    """Parse a JSON input file; a document nested too deeply to parse, or
+    """Parse a JSON input file, which must be UTF-8 (RFC 8259); a file
+    that does not decode, a document nested too deeply to parse, or one
     with an integer too long to convert, is malformed input."""
-    with open(path) as handle:
+    with open(path, encoding="utf-8") as handle:
         try:
             return json.load(handle)
         except json.JSONDecodeError:
@@ -54,6 +55,9 @@ def read_json(path):
         except RecursionError:
             raise MalformedInputError(
                 f"{path}: JSON nested too deeply") from None
+        except UnicodeDecodeError as exc:
+            raise MalformedInputError(
+                f"{path}: not UTF-8 text (byte {exc.start})") from None
         except ValueError:
             raise MalformedInputError(
                 f"{path}: JSON integer has too many digits") from None

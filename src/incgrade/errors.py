@@ -62,8 +62,8 @@ class NotChainTransitiveError(IncgradeError):
 
 
 class BudgetExceededError(IncgradeError):
-    """An enumeration would walk more maps, automorphisms or chains than
-    poset.MAX_MAPS."""
+    """An enumeration would walk more maps, automorphisms, chains or words
+    than poset.MAX_MAPS."""
 
 
 class CapExceededError(IncgradeError):

@@ -11,12 +11,7 @@ import itertools
 import json
 import math
 
-from .errors import (
-    InvalidGroupError,
-    MalformedInputError,
-    MismatchError,
-    VerificationError,
-)
+from .errors import InvalidGroupError, MismatchError, VerificationError
 from .poset import (
     _check_budget,
     _check_leq,
@@ -234,10 +229,6 @@ class GradingMap:
             [self.group.mul(shifts[owner[x]], self.theta[x])
              for x in range(self.poset.n)])
 
-    def restrict(self, sub, indices):
-        """The grading induced on a subposet built from these indices."""
-        return GradingMap(sub, self.group, [self.theta[i] for i in indices])
-
     def names(self):
         return [self.group.names[v] for v in self.theta]
 
@@ -252,22 +243,6 @@ class GradingMap:
 
     def __repr__(self):
         return f"GradingMap({self.names()})"
-
-
-def grading_from_json(poset, obj):
-    """Read {"group": "C3", "theta": ["1", "h", "h^2", "1"]}."""
-    if (not isinstance(obj, dict) or "group" not in obj
-            or not isinstance(obj.get("theta"), list)):
-        raise MalformedInputError(
-            'grading JSON must be an object with a "group" and a "theta" list')
-    group = group_from_spec(obj["group"])
-    theta = [group.index_of(name) for name in obj["theta"]]
-    return GradingMap(poset, group, theta)
-
-
-def grading_to_json(grading, group_spec=None):
-    return ({"theta": grading.names()} if group_spec is None
-            else {"group": group_spec, "theta": grading.names()})
 
 
 class EquivalenceWitness:

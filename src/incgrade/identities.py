@@ -19,27 +19,23 @@ import itertools
 import math
 from fractions import Fraction
 
-from .errors import (
-    DegreeMismatchError,
-    MalformedInputError,
-    MismatchError,
-    NotChainTransitiveError,
-)
+from .errors import DegreeMismatchError, MismatchError, NotChainTransitiveError
 from .algebra import IncidenceFunction, convolve, e_basis
-from .grading import GradingMap, classify_gradings
-from .linalg import (
-    RationalMatrix,
-    RowReducer,
-    format_rational,
-    parse_rational,
-    nullspace,
-)
-from .poset import bound, is_chain_transitive, maximal_chains
+from .grading import classify_gradings
+from .linalg import RationalMatrix, RowReducer, nullspace
+from .poset import _check_budget, bound, is_chain_transitive, maximal_chains
+
+
+def _word_count(k, d):
+    """The number of words of length 1..d over k letters."""
+    return sum(k ** m for m in range(1, d + 1))
 
 
 def words(alphabet, d):
     """Every tuple over alphabet of length 1..d, shorter ones first and
-    each length in itertools.product order."""
+    each length in itertools.product order. A sweep of more than MAX_MAPS
+    words is refused before the first one."""
+    _check_budget(_word_count(len(alphabet), d), "words")
     return itertools.chain.from_iterable(
         itertools.product(alphabet, repeat=m) for m in range(1, d + 1))
 
@@ -84,32 +80,6 @@ class MultilinearPolynomial:
         return f"MultilinearPolynomial(type={names}, {len(self.terms)} terms)"
 
 
-def polynomial_from_json(group, obj):
-    """Read {"multidegree": ["h","1"], "terms": [{"perm": [2,1],
-    "coeff": "-1"}, ...]} with 1-based permutations."""
-    if (not isinstance(obj, dict) or not isinstance(obj.get("multidegree"), list)
-            or not isinstance(obj.get("terms"), list)
-            or not all(isinstance(item, dict) and isinstance(item.get("perm"), list)
-                       and "coeff" in item for item in obj["terms"])):
-        raise MalformedInputError(
-            'polynomial JSON must be an object with a "multidegree" list and a '
-            '"terms" list of {"perm": [...], "coeff": ...} objects')
-    multidegree = [group.index_of(name) for name in obj["multidegree"]]
-    terms = {}
-    for item in obj["terms"]:
-        perm = tuple(int(v) for v in item["perm"])
-        terms[perm] = terms.get(perm, Fraction(0)) + parse_rational(item["coeff"])
-    return MultilinearPolynomial(group, multidegree, terms)
-
-
-def polynomial_to_json(poly):
-    return {
-        "multidegree": [poly.group.names[g] for g in poly.multidegree],
-        "terms": [{"perm": list(perm), "coeff": format_rational(coeff)}
-                  for perm, coeff in sorted(poly.terms.items())],
-    }
-
-
 def evaluate(poly, grading, pairs):
     """Value of the polynomial at a substitution of one comparable pair per
     variable, by exact convolution.
@@ -151,11 +121,6 @@ class IdentitySlice:
 
     def contains_vector(self, vector):
         return RowReducer(self.basis.ncols, self.basis.rows).contains(vector)
-
-    def contains_polynomial(self, poly):
-        if tuple(poly.multidegree) != self.multidegree:
-            raise DegreeMismatchError("polynomial has a different multidegree")
-        return self.contains_vector(poly.coefficient_vector())
 
     def __repr__(self):
         names = [self.grading.group.names[g] for g in self.multidegree]
@@ -289,24 +254,25 @@ def monomial_identities(grading, d):
     return identities
 
 
-def chain_transitivity_identity_check(poset, group, d=None):
+def chain_transitivity_identity_check(poset, group):
     """Probe the separation of inequivalent gradings by monomial
     identities on a chain-transitive poset.
 
     For every pair of class representatives, compares their monomial
-    identity sets up to degree d (default: the chain-length bound of the
-    poset). Pairs whose sets coincide are reported as findings; separation
-    at this depth is not guaranteed, so coinciding pairs are reported
-    rather than treated as errors.
+    identity sets up to degree d, the chain-length bound of the poset.
+    Pairs whose sets coincide are reported as findings; separation at
+    this depth is not guaranteed, so coinciding pairs are reported rather
+    than treated as errors. The sweeps, every word of length 1..d over G
+    for each class, count against MAX_MAPS before the first one.
     """
     transitive, witness = is_chain_transitive(poset)
     if not transitive:
         i, j = witness
         raise NotChainTransitiveError(
             f"no automorphism maps maximal chain {i} onto {j}")
-    if d is None:
-        d = bound(poset)
+    d = bound(poset)
     reps = classify_gradings(poset, group)
+    _check_budget(len(reps) * _word_count(group.order, d), "word sweeps")
     signatures = [frozenset(monomial_identities(rep, d)) for rep in reps]
     unseparated = [(a, b) for (a, sa), (b, sb)
                    in itertools.combinations(zip(reps, signatures), 2) if sa == sb]

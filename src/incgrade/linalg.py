@@ -158,9 +158,6 @@ class RowReducer:
         """True iff row lies in the span of the rows added so far."""
         return not any(self._reduce(row))
 
-    def pivot_columns(self):
-        return tuple(self._pivots)
-
     def kernel(self):
         """Integer basis of the right kernel of the rows added so far, one
         vector per free column f in ascending order: L at f, zero at the

@@ -6,12 +6,12 @@ Elements carry stable 0-based indices in input order. The order is stored
 once, closed, as bit rows: bit j of up[i] is set when i is below-or-equal
 j. down (the transpose) and the covers are derived from up, and every
 order query reads the rows. A Poset is immutable, so each structure derived
-from it (the leq matrix view, comparable pairs, components, maximal chains,
-Aut(P)) is computed at most once, on first request, stored on it and freed
-with it. Set-valued results come back in a deterministic order so they can
-be frozen into golden tests. Aut(P), the maximal chains, and the table of
-chain pairs behind chain transitivity count against MAX_MAPS, which also
-bounds the grading enumerations.
+from it (comparable pairs, components, maximal chains, Aut(P)) is computed
+at most once, on first request, stored on it and freed with it. Set-valued
+results come back in a deterministic order so they can be frozen into
+golden tests. Aut(P), the maximal chains, and the table of chain pairs
+behind chain transitivity count against MAX_MAPS, which also bounds the
+grading enumerations and the identity degree sweeps.
 """
 
 import functools
@@ -97,16 +97,6 @@ class Poset:
         self.down = tuple(down)
         self.covers = tuple(covers)
         self._derived = {}
-
-    @property
-    @_derived
-    def leq(self):
-        """The order as a read-only boolean matrix, built from up on first use."""
-        return tuple(tuple(bool(row >> j & 1) for j in range(self.n))
-                     for row in self.up)
-
-    def index_of(self, label):
-        return self.elements.index(str(label))
 
     @_derived
     def comparable_pairs(self):

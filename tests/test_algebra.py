@@ -20,7 +20,6 @@ from incgrade.algebra import (
     invert,
     is_multiplicative,
     morphism_from_json,
-    morphism_to_json,
     mult_auto,
     zeta,
 )
@@ -43,6 +42,8 @@ from util import (
     all_pairs_validate,
     compose_chain_decompose,
     convolution_inner_auto,
+    leq_matrix,
+    morphism_json,
     random_function,
     random_invertible,
     random_multiplicative,
@@ -60,7 +61,7 @@ class TestBasisCalculus:
 
     def test_mismatched_endpoints_annihilate(self):
         p = CORPUS["c2"]
-        assert convolve(e_basis(p, 0, 1), e_basis(p, 0, 1)).is_zero()
+        assert not convolve(e_basis(p, 0, 1), e_basis(p, 0, 1)).entries
 
     def test_incomparable_pair_rejected(self):
         with pytest.raises(NotComparableError):
@@ -79,11 +80,12 @@ class TestBasisCalculus:
         rng = random.Random(22)
         for p in CORPUS.values():
             f = random_function(rng, p)
+            leq = leq_matrix(p)
             for (x, y) in p.comparable_pairs():
                 for (u, v) in p.comparable_pairs():
                     got = convolve(convolve(e_basis(p, x, y), f), e_basis(p, u, v))
                     want = (f(y, u) * e_basis(p, x, v)
-                            if p.leq[x][v] and p.leq[y][u]
+                            if leq[x][v] and leq[y][u]
                             else IncidenceFunction(p, {}))
                     assert got == want
 
@@ -141,7 +143,7 @@ class TestHadamard:
 
     def test_disjoint_supports_vanish(self):
         p = CORPUS["c3"]
-        assert hadamard(e_basis(p, 0, 1), e_basis(p, 1, 2)).is_zero()
+        assert not hadamard(e_basis(p, 0, 1), e_basis(p, 1, 2)).entries
 
     def test_commutes(self):
         rng = random.Random(28)
@@ -384,7 +386,7 @@ class TestSerialization:
 
     def test_repeated_pair_rejected(self):
         p = CORPUS["c2"]
-        items = morphism_to_json(induced_auto(p, (0, 1)))
+        items = morphism_json(induced_auto(p, (0, 1)))
         with pytest.raises(MalformedInputError, match=r"\(0, 0\) listed twice"):
             morphism_from_json(p, items + items[:1])
 
@@ -392,7 +394,7 @@ class TestSerialization:
         rng = random.Random(39)
         p = CORPUS["c3"]
         phi = inner_auto(random_invertible(rng, p))
-        assert morphism_from_json(p, morphism_to_json(phi)) == phi
+        assert morphism_from_json(p, morphism_json(phi)) == phi
 
 
 PRODUCT_MESSAGE = re.compile(
@@ -583,7 +585,7 @@ class TestWorkCounts:
         p = ten_chain()
         phi = inner_auto(random_invertible(random.Random(44), p))
         pairs = p.comparable_pairs()
-        up = [sum(row) for row in p.leq]
+        up = [row.bit_count() for row in p.up]
         budget = p.n ** 2 + 2 * len(pairs) + sum(up[y] for (_, y) in pairs)
         calls = []
         original = algebra._product

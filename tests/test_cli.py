@@ -464,6 +464,43 @@ class TestCliContract:
         assert captured.err == (
             f"error: {message} exceed the enumeration budget 3\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["monomials", "--poset", "c1", "--group", "C32", "--theta", "1",
+          "--max-degree", "4"], "1082400 words"),
+        (["transitivity-check", "--poset", "c14.json", "--group", "C2"],
+         "268419072 word sweeps"),
+    ], ids=["monomials", "transitivity-check"])
+    def test_degree_sweep_is_bounded(self, argv, message, tmp_path,
+                                     monkeypatch, capsys):
+        # C32 has 32 + 32^2 + 32^3 + 32^4 words up to degree 4; a 14-chain
+        # has 2^13 classes over C2, each swept over 2^15 - 2 words.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c14.json").write_text(json.dumps({
+            "elements": [f"c{i}" for i in range(14)],
+            "covers": [[i, i + 1] for i in range(13)]}))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {message} exceed the enumeration budget 1000000\n")
+
+    @pytest.mark.parametrize("argv, content", [
+        (["validate", "--poset"], b'\xff\xfe{"elements": [], "covers": []}'),
+        (["validate", "--poset"],
+         '{"elements": ["\xe9"], "covers": []}'.encode("latin-1")),
+        (["decompose", "--poset", "c1", "--morphism"],
+         '[{"pair": [0, 0], "image": [[0, 0, "1"]]}] \xe9'.encode("latin-1")),
+    ], ids=["poset-utf16-bom", "poset-latin1-label", "morphism-latin1"])
+    def test_input_that_is_not_utf8_is_usage_error(self, argv, content,
+                                                   tmp_path, capsys):
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        assert main([*argv, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: not UTF-8")
+        assert len(captured.err.splitlines()) == 1
+
     def test_failed_self_check_exits_one(self, monkeypatch, capsys):
         # invert checks its result against the unit; compare with zeta.
         monkeypatch.setattr(algebra, "delta", zeta)

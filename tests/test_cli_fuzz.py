@@ -2,11 +2,12 @@
 
 Each example builds one invocation from valid inputs (a poset, a group, a
 grading, a morphism and flag values) and then spoils some of them: JSON
-values of the wrong type or shape, out-of-range and over-long integers,
-empty values, missing flags. It runs in-process through cli.main. Every
-exit must be 0, 1 or 2; exit 2 gives exactly one stderr line and no
-traceback; exit 1 comes only with a results payload. Inputs stay small:
-posets of at most four elements and groups of at most six.
+values of the wrong type or shape, files that are not UTF-8, out-of-range
+and over-long integers, empty values, missing flags. It runs in-process
+through cli.main. Every exit must be 0, 1 or 2; exit 2 gives exactly one
+stderr line and no traceback; exit 1 comes only with a results payload.
+Inputs stay small: posets of at most four elements and groups of at most
+six.
 """
 
 import contextlib
@@ -27,6 +28,10 @@ from incgrade.poset import poset_from_json  # noqa: E402
 # string is written out as a bare integer of this many digits.
 LONG = "1" * 5000
 LONG_MARK = "<long integer>"
+
+# Files that do not decode as UTF-8: a UTF-16 byte order mark before a
+# document, and a Latin-1 label.
+UNDECODABLE = [b'\xff\xfe{"elements": []}', '["\xe9"]'.encode("latin-1")]
 
 SCALARS = [None, True, 0, -1, 2, 7, 10 ** 30, 1.5, "", "x", "1/0", "-2/3",
            LONG, LONG_MARK, [], {}]
@@ -70,13 +75,22 @@ def mutated(draw, value):
 
 def json_text(draw, value):
     """The JSON text of value, spoiled one time in two: mutated, or raw
-    text that is not JSON."""
+    text or bytes that are not JSON."""
     if draw(st.booleans()):
         return json.dumps(value)
-    raw = draw(st.sampled_from([None, None, None, "", "{", "[1, 2"]))
+    raw = draw(st.sampled_from([None, None, None, "", "{", "[1, 2",
+                                *UNDECODABLE]))
     if raw is not None:
         return raw
     return json.dumps(draw(mutated(value))).replace(json.dumps(LONG_MARK), LONG)
+
+
+def write(path, content):
+    """Write text, or bytes as they are."""
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
 
 
 @st.composite
@@ -112,7 +126,7 @@ def invocations(draw, tmp_path):
     else:
         doc = draw(posets())
         poset = poset_from_json(doc)
-        (tmp_path / "poset.json").write_text(json_text(draw, doc))
+        write(tmp_path / "poset.json", json_text(draw, doc))
         flags["poset"] = str(tmp_path / "poset.json")
     n = poset.n if poset else 2
     pairs = poset.comparable_pairs() if poset else [(0, 0)]
@@ -122,7 +136,7 @@ def invocations(draw, tmp_path):
     flags["theta"] = csv(draw, names, n)
     flags["mu"] = csv(draw, names, n)
     flags["multidegree"] = csv(draw, names, draw(st.integers(1, 4)))
-    (tmp_path / "morphism.json").write_text(json_text(
+    write(tmp_path / "morphism.json", json_text(
         draw, [{"pair": list(p), "image": [[p[0], p[1], "1"]]} for p in pairs]))
     flags["morphism"] = str(tmp_path / "morphism.json")
     flags["max_degree"] = spoiled(draw, draw(st.sampled_from("0123")),

@@ -8,7 +8,6 @@ from incgrade import identities
 from incgrade.corpus import corpus_posets
 from incgrade.errors import (
     DegreeMismatchError,
-    MalformedInputError,
     NotChainTransitiveError,
 )
 from incgrade.grading import GradingMap, cyclic_group, equivalent, group_from_spec
@@ -19,8 +18,6 @@ from incgrade.identities import (
     identity_slice,
     lex_permutations,
     monomial_identities,
-    polynomial_from_json,
-    polynomial_to_json,
     slices_equal_upto,
     verify_chain_reduction,
     words,
@@ -85,28 +82,6 @@ class TestPolynomials:
         with pytest.raises(DegreeMismatchError):
             MultilinearPolynomial(g, (0, 0), {(1, 1): 1})
 
-    def test_json_round_trip(self):
-        g = cyclic_group(2)
-        poly = MultilinearPolynomial(
-            g, (1, 0), {(2, 1): Fraction(-1), (1, 2): Fraction(1, 2)})
-        back = polynomial_from_json(g, polynomial_to_json(poly))
-        assert back.multidegree == poly.multidegree
-        assert back.terms == poly.terms
-
-    @pytest.mark.parametrize("obj", [
-        {},
-        [],
-        {"multidegree": ["1"], "terms": 5},
-        {"multidegree": ["1"], "terms": [{"perm": [1]}]},
-        {"multidegree": ["1"], "terms": [{"coeff": "1"}]},
-        {"multidegree": ["1"], "terms": [{"perm": 1, "coeff": "1"}]},
-        {"multidegree": ["1"], "terms": ["x"]},
-        {"multidegree": "1", "terms": [{"perm": [1], "coeff": "1"}]},
-    ])
-    def test_json_shape_checked(self, obj):
-        with pytest.raises(MalformedInputError, match="polynomial JSON"):
-            polynomial_from_json(cyclic_group(2), obj)
-
 
 class TestEvaluate:
     def test_commutator_on_chain(self):
@@ -154,13 +129,6 @@ class TestIdentitySlice:
         assert theta.component_basis(h) == ((1, 2),)
         assert identity_slice(theta, (h, h)).dimension == 2
 
-    def test_contains_polynomial_checks_multidegree(self):
-        theta = trivial_grading(CORPUS["c2"])
-        s = identity_slice(theta, (0, 0))
-        poly = poly_from_vector(theta.group, (0,), [1])
-        with pytest.raises(DegreeMismatchError):
-            s.contains_polynomial(poly)
-
     def test_empty_multidegree_rejected(self):
         with pytest.raises(DegreeMismatchError):
             identity_slice(trivial_grading(CORPUS["c2"]), ())
@@ -177,12 +145,14 @@ class TestIdentitySlice:
         # The algebra of a 2-chain is 2x2 upper triangular matrices.
         theta = trivial_grading(CORPUS["c2"])
         s = identity_slice(theta, (0, 0, 0, 0))
-        assert s.contains_polynomial(commutator_product(theta.group))
+        assert s.contains_vector(
+            commutator_product(theta.group).coefficient_vector())
 
     def test_commutator_product_fails_on_three_chain(self):
         theta = trivial_grading(CORPUS["c3"])
         s = identity_slice(theta, (0, 0, 0, 0))
-        assert not s.contains_polynomial(commutator_product(theta.group))
+        assert not s.contains_vector(
+            commutator_product(theta.group).coefficient_vector())
 
     def test_slice_members_vanish_on_random_substitutions(self):
         rng = random.Random(50)
@@ -198,7 +168,7 @@ class TestIdentitySlice:
                     poly = poly_from_vector(g, multidegree, row)
                     for _ in range(50):
                         sub = [rng.choice(b) for b in bases]
-                        assert evaluate(poly, theta, sub).is_zero()
+                        assert not evaluate(poly, theta, sub).entries
 
     def test_vectors_outside_slice_have_witnesses(self):
         # Anything the nullspace rejects must fail on some substitution.
@@ -209,7 +179,7 @@ class TestIdentitySlice:
             assert not s.contains_vector([Fraction(v) for v in vector])
             poly = poly_from_vector(theta.group, (0, 0), vector)
             hits = [sub for sub in itertools.product(*bases)
-                    if not evaluate(poly, theta, sub).is_zero()]
+                    if evaluate(poly, theta, sub).entries]
             assert hits
 
     @pytest.mark.parametrize("spec", ["C2", "C3", "S3"])
@@ -348,7 +318,8 @@ class TestChainReduction:
         multidegree = (0, 0)
         whole = identity_slice(theta, multidegree)
         for chain in maximal_chains(p):
-            restricted = theta.restrict(subposet(p, chain), chain)
+            restricted = GradingMap(subposet(p, chain), g,
+                                    [theta.theta[i] for i in chain])
             piece = identity_slice(restricted, multidegree)
             for row in whole.basis.rows:
                 assert piece.contains_vector(row)

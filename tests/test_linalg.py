@@ -261,7 +261,6 @@ class TestAgainstFractionOracle:
             for row in rows:
                 assert reducer.add(row) == oracle.add(row)
                 assert reducer.rank == oracle.rank
-                assert reducer.pivot_columns() == oracle.pivot_columns()
                 assert reducer.matrix() == oracle.matrix()
             for probe in random_rows(rng, 4, ncols) + rows:
                 assert reducer.contains(probe) == oracle.contains(probe)

@@ -32,7 +32,6 @@ def test_reducer_matches_oracle(m):
         reducer.add(row)
     oracle = fraction_row_reducer(m.ncols, m.rows)
     assert reducer.matrix() == oracle.matrix()
-    assert reducer.pivot_columns() == oracle.pivot_columns()
 
 
 @SETTINGS

@@ -41,6 +41,7 @@ from util import (
     brute_force_automorphisms,
     brute_force_chains,
     brute_force_components,
+    leq_matrix,
     loop_close,
     loop_poset_covers,
     matrix_of,
@@ -77,13 +78,14 @@ class TestConstruction:
     def test_singleton(self):
         p = poset_from_covers(["a"], [])
         assert p.n == 1
-        assert p.leq == ((True,),)
+        assert leq_matrix(p) == [[True]]
 
     def test_example_closure(self):
         p = CORPUS["example"]
+        leq = leq_matrix(p)
         assert p.elements == ("p1", "p2", "p3", "p4")
-        assert p.leq[0][3] and p.leq[1][2] and p.leq[1][3]
-        assert not p.leq[0][1] and not p.leq[0][2] and not p.leq[2][3]
+        assert leq[0][3] and leq[1][2] and leq[1][3]
+        assert not leq[0][1] and not leq[0][2] and not leq[2][3]
 
     def test_two_cycle_rejected(self):
         with pytest.raises(CycleError):
@@ -103,15 +105,15 @@ class TestConstruction:
 
     def test_axioms_on_corpus(self):
         for p in CORPUS.values():
-            n = p.n
+            n, leq = p.n, leq_matrix(p)
             for i in range(n):
-                assert p.leq[i][i]
+                assert leq[i][i]
                 for j in range(n):
                     if i != j:
-                        assert not (p.leq[i][j] and p.leq[j][i])
+                        assert not (leq[i][j] and leq[j][i])
                     for k in range(n):
-                        if p.leq[i][j] and p.leq[j][k]:
-                            assert p.leq[i][k]
+                        if leq[i][j] and leq[j][k]:
+                            assert leq[i][k]
 
     def test_diamond_covers(self):
         assert CORPUS["diamond"].covers == ((0, 1), (0, 2), (1, 3), (2, 3))
@@ -144,7 +146,7 @@ class TestAgainstLoopOracle:
         seen = set()
         for _ in range(400):
             p = random_poset(rng, 7)
-            leq = [list(row) for row in p.leq]
+            leq = leq_matrix(p)
             for _ in range(rng.choice((0, 1, 1, 2, 3))):
                 i, j = rng.randrange(p.n), rng.randrange(p.n)
                 leq[i][j] = not leq[i][j]
@@ -164,10 +166,11 @@ class TestAgainstLoopOracle:
             p = random_poset(rng, 7)
             indices = rng.sample(range(p.n), rng.randint(1, p.n))
             labels = tuple(p.elements[i] for i in indices)
-            leq = [[p.leq[a][b] for b in indices] for a in indices]
+            whole = leq_matrix(p)
+            leq = [[whole[a][b] for b in indices] for a in indices]
             sub = subposet(p, indices)
             assert sub.elements == labels
-            assert [list(row) for row in sub.leq] == leq
+            assert leq_matrix(sub) == leq
             assert sub.covers == loop_poset_covers(labels, leq)
             rebuilt = poset_from_covers(p.elements, p.covers)
             assert rebuilt == p and hash(rebuilt) == hash(p)
@@ -238,7 +241,8 @@ class TestSegment:
         p = CORPUS["diamond"]
         sub = subposet(p, (0, 1, 3))
         assert sub.elements == ("bot", "a", "top")
-        assert sub.leq[0][2] and sub.leq[1][2]
+        leq = leq_matrix(sub)
+        assert leq[0][2] and leq[1][2]
 
 
 class TestMaximalChains:
@@ -269,10 +273,11 @@ class TestMaximalChains:
     def test_chain_properties(self):
         for p in CORPUS.values():
             chains = maximal_chains(p)
+            leq = leq_matrix(p)
             covered = set()
             for chain in chains:
                 for a, b in zip(chain, chain[1:]):
-                    assert p.leq[a][b] and a != b
+                    assert leq[a][b] and a != b
                 covered.update(chain)
             assert covered == set(range(p.n))
             for chain in chains:
@@ -317,9 +322,10 @@ class TestBound:
         for p in CORPUS.values():
             order = linear_extension(p)
             position = {v: i for i, v in enumerate(order)}
+            leq = leq_matrix(p)
             for x in range(p.n):
                 for y in range(p.n):
-                    if x != y and p.leq[x][y]:
+                    if x != y and leq[x][y]:
                         assert position[x] < position[y]
 
 
@@ -505,10 +511,11 @@ class TestAgainstNetworkx:
         rng = random.Random(92)
         for _ in range(60):
             p = random_poset(rng, 14, min_n=8)
+            leq = leq_matrix(p)
             strict = nx.DiGraph()
             strict.add_nodes_from(range(p.n))
             strict.add_edges_from((i, j) for i in range(p.n)
-                                  for j in range(p.n) if i != j and p.leq[i][j])
+                                  for j in range(p.n) if i != j and leq[i][j])
             auts = sorted(tuple(m[i] for i in range(p.n)) for m in
                           DiGraphMatcher(strict, strict).isomorphisms_iter())
             assert list(automorphisms(p)) == auts

@@ -77,12 +77,28 @@ def random_poset(rng, max_n, min_n=1):
                              [(order[i], order[j]) for i, j in covers])
 
 
+def leq_matrix(poset):
+    """The order as a boolean matrix read off the bit rows: entry [i][j]
+    is whether element i is below-or-equal element j."""
+    return matrix_of(poset.up, poset.n)
+
+
+def morphism_json(phi):
+    """The morphism JSON that morphism_from_json reads: one item per
+    comparable pair, in sorted order, with its image's entries."""
+    return [{"pair": [x, y],
+             "image": [[u, v, str(c)] for (u, v), c
+                       in sorted(phi.images[(x, y)].entries.items())]}
+            for (x, y) in sorted(phi.images)]
+
+
 def brute_force_chains(poset):
     """All maximal chains by filtering every subset of elements."""
+    leq = leq_matrix(poset)
     chains = []
     for size in range(1, poset.n + 1):
         for subset in itertools.combinations(range(poset.n), size):
-            if all(poset.leq[a][b] or poset.leq[b][a]
+            if all(leq[a][b] or leq[b][a]
                    for a, b in itertools.combinations(subset, 2)):
                 chains.append(frozenset(subset))
     maximal = [c for c in chains
@@ -90,15 +106,16 @@ def brute_force_chains(poset):
     out = []
     for members in maximal:
         out.append(tuple(sorted(
-            members, key=lambda i: sum(poset.leq[j][i] for j in members))))
+            members, key=lambda i: sum(leq[j][i] for j in members))))
     return sorted(out)
 
 
 def brute_force_automorphisms(poset):
     """All permutations preserving the relation in both directions."""
+    leq = leq_matrix(poset)
     found = []
     for perm in itertools.permutations(range(poset.n)):
-        if all(poset.leq[i][j] == poset.leq[perm[i]][perm[j]]
+        if all(leq[i][j] == leq[perm[i]][perm[j]]
                for i in range(poset.n) for j in range(poset.n)):
             found.append(perm)
     return sorted(found)
@@ -123,7 +140,8 @@ def scan_chain_transitive(poset):
 
 def brute_force_components(poset):
     """Connected components via closure of the symmetric comparability."""
-    adj = [[poset.leq[i][j] or poset.leq[j][i] for j in range(poset.n)]
+    leq = leq_matrix(poset)
+    adj = [[leq[i][j] or leq[j][i] for j in range(poset.n)]
            for i in range(poset.n)]
     for k in range(poset.n):
         for i in range(poset.n):
@@ -213,9 +231,9 @@ def monomial_vanishes_by_products(grading, word):
         product = e_basis(poset, *pairs[0])
         for pair in pairs[1:]:
             product = convolve(product, e_basis(poset, *pair))
-            if product.is_zero():
+            if not product.entries:
                 break
-        if not product.is_zero():
+        if product.entries:
             return False
     return True
 
@@ -271,9 +289,6 @@ class FractionRowReducer:
     def contains(self, row):
         """True iff row lies in the span of the rows added so far."""
         return all(v == 0 for v in self.reduce_row(row))
-
-    def pivot_columns(self):
-        return tuple(self._pivots)
 
     def matrix(self):
         return RationalMatrix([tuple(r) for r in self._rows], self.ncols)
@@ -380,7 +395,8 @@ def pairwise_chain_reduction(grading, multidegree):
     chain_dims = []
     meet = None
     for chain in maximal_chains(grading.poset):
-        restricted = grading.restrict(subposet(grading.poset, chain), chain)
+        restricted = GradingMap(subposet(grading.poset, chain), grading.group,
+                                [grading.theta[i] for i in chain])
         piece = identity_slice(restricted, multidegree)
         chain_dims.append(piece.dimension)
         meet = piece.basis if meet is None else pairwise_subspace_intersect(
@@ -413,6 +429,7 @@ def segment_ordered_invert(f):
         if f(i, i) == 0:
             raise NotInvertibleError(
                 f"zero diagonal at {poset.elements[i]!r}")
+    leq = leq_matrix(poset)
     pairs = sorted(poset.comparable_pairs(), key=lambda p: segment(poset, *p).n)
     inv = {}
     for (x, y) in pairs:
@@ -421,7 +438,7 @@ def segment_ordered_invert(f):
             continue
         acc = Fraction(0)
         for z in range(poset.n):
-            if z != x and poset.leq[x][z] and poset.leq[z][y]:
+            if z != x and leq[x][z] and leq[z][y]:
                 acc += f(x, z) * inv.get((z, y), Fraction(0))
         inv[(x, y)] = -acc / f(x, x)
     g = IncidenceFunction(poset, inv)

@@ -18,13 +18,6 @@ import sys
 import time
 
 from . import __version__
-from .algebra import (
-    function_to_json,
-    invert,
-    morphism_from_json,
-    decompose_automorphism,
-    zeta,
-)
 from .corpus import FIXTURE_NAMES, load_poset, read_json
 from .errors import CapExceededError, IncgradeError, VerificationError
 from .grading import (
@@ -34,15 +27,6 @@ from .grading import (
     equivalent,
     group_from_spec,
 )
-from .identities import (
-    chain_transitivity_identity_check,
-    identity_slice,
-    monomial_identities,
-    slices_equal_upto,
-    verify_chain_reduction,
-    words,
-)
-from .linalg import format_rational
 from .poset import (
     automorphisms,
     bound,
@@ -51,6 +35,9 @@ from .poset import (
     maximal_chains,
     poset_to_json,
 )
+
+# The rational layers (algebra, identities, linalg) load fractions and
+# decimal, so the handlers that need them import them on use.
 
 # A slice of multidegree length m has m! columns, so commands refuse a
 # longer multidegree or a higher --max-degree. The library has no cap.
@@ -112,11 +99,16 @@ def cmd_chain_transitive(args, poset, group):
 
 
 def cmd_mobius(args, poset, group):
+    from .algebra import function_to_json, invert, zeta
+
     mobius = invert(zeta(poset))
     return {"entries": function_to_json(mobius)["entries"]}
 
 
 def cmd_decompose(args, poset, group):
+    from .algebra import (decompose_automorphism, function_to_json,
+                          morphism_from_json)
+
     phi = morphism_from_json(poset, read_json(args.morphism))
     r, s, sigma = decompose_automorphism(phi)
     return {
@@ -166,6 +158,9 @@ def cmd_equiv(args, poset, group):
 
 
 def cmd_slice(args, poset, group):
+    from .identities import identity_slice
+    from .linalg import format_rational
+
     theta = _parse_theta(poset, group, args.theta)
     multidegree = _parse_multidegree(group, args.multidegree)
     _check_cap(len(multidegree))
@@ -179,6 +174,8 @@ def cmd_slice(args, poset, group):
 
 
 def cmd_compare_identities(args, poset, group):
+    from .identities import slices_equal_upto
+
     theta = _parse_theta(poset, group, args.theta)
     mu = _parse_theta(poset, group, args.mu)
     _check_cap(args.max_degree)
@@ -192,6 +189,8 @@ def cmd_compare_identities(args, poset, group):
 
 
 def cmd_verify_reduction(args, poset, group):
+    from .identities import verify_chain_reduction, words
+
     if args.theta:
         theta = _parse_theta(poset, group, args.theta)
     else:
@@ -226,6 +225,8 @@ def cmd_verify_reduction(args, poset, group):
 
 
 def cmd_monomials(args, poset, group):
+    from .identities import monomial_identities
+
     theta = _parse_theta(poset, group, args.theta)
     _check_cap(args.max_degree)
     found = monomial_identities(theta, args.max_degree)
@@ -237,6 +238,8 @@ def cmd_monomials(args, poset, group):
 
 
 def cmd_transitivity_check(args, poset, group):
+    from .identities import chain_transitivity_identity_check
+
     report = chain_transitivity_identity_check(poset, group)
     result = {
         "degree": report["degree"],
@@ -403,8 +406,7 @@ def run(argv):
     return _render_table(report, elapsed_ms), code
 
 
-def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
+def _main(argv):
     try:
         output, code = run(argv)
     except (IncgradeError, OSError, json.JSONDecodeError, ValueError) as exc:
@@ -414,12 +416,34 @@ def main(argv=None):
         print(output)
         sys.stdout.flush()
     except BrokenPipeError:
-        # The reader went away. Point stdout at devnull so the flush at
-        # interpreter exit does not fail again, and keep the exit code.
+        # The reader went away. Point stdout at devnull so a later flush
+        # does not fail again, and keep the exit code.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
     return code
 
 
+def main(argv=None):
+    """Run the command in argv and return its exit code.
+
+    Without argv, as the `incgrade` script runs it, the command comes
+    from sys.argv and the process ends here: the output is flushed, then
+    os._exit skips the interpreter's teardown, so atexit handlers do not
+    run.
+    """
+    if argv is not None:
+        return _main(argv)
+    try:
+        code = _main(sys.argv[1:])
+    except SystemExit as exc:  # argparse: --help or a usage error
+        code = 0 if exc.code is None else exc.code
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:
+            pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

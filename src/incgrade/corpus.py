@@ -6,7 +6,6 @@ is treated as a filesystem path to a poset JSON file.
 
 import json
 import os
-from importlib import resources
 
 from .errors import MalformedInputError
 from .poset import poset_from_json
@@ -25,11 +24,13 @@ FIXTURE_NAMES = (
     "c2_disjoint_c3",
 )
 
+# Read by path rather than through importlib.resources, whose import
+# costs more than the rest of the package's.
+_FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
+
 
 def load_fixture(name):
-    text = resources.files("incgrade.fixtures").joinpath(
-        f"{name}.json").read_text()
-    return poset_from_json(json.loads(text))
+    return poset_from_json(read_json(os.path.join(_FIXTURE_DIR, f"{name}.json")))
 
 
 def load_poset(name_or_path):

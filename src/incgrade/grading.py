@@ -26,10 +26,30 @@ MAX_GROUP_ORDER = 256
 
 
 def _check_order(order):
-    """Refuse a group whose order**3 associativity check is too costly."""
+    """Refuse a group whose Cayley table of order**2 entries is too large."""
     if order > MAX_GROUP_ORDER:
         raise InvalidGroupError(
             f"group order {order} exceeds the cap of {MAX_GROUP_ORDER} elements")
+
+
+def _generators(t, identity):
+    """Elements chosen greedily so that their left-normed products
+    ((g1*g2)*g3)*... reach every element of the Cayley table t. A group
+    of order m needs at most log2(m) of them: each one at least doubles
+    the subgroup reached."""
+    reached = {identity}
+    generators = []
+    for g in range(len(t)):
+        if g in reached:
+            continue
+        generators.append(g)
+        todo = [t[x][g] for x in reached]
+        while todo:
+            x = todo.pop()
+            if x not in reached:
+                reached.add(x)
+                todo.extend(t[x][s] for s in generators)
+    return generators
 
 
 class FiniteGroup:
@@ -64,9 +84,12 @@ class FiniteGroup:
             raise InvalidGroupError(
                 f"no inverse for {self.names[inverse.index(None)]!r}")
         self.inverse = tuple(inverse)
-        if any(t[t[a][b]][c] != t[a][t[b][c]]
-               for a in range(m) for b in range(m) for c in range(m)):
-            raise InvalidGroupError("multiplication is not associative")
+        # Light's test: the g with (x*g)*y == x*(g*y) for all x, y are
+        # closed under products, so checking generators is exact.
+        for g in _generators(t, identity):
+            tg = t[g]
+            if any(t[tx[g]] != tuple(map(tx.__getitem__, tg)) for tx in t):
+                raise InvalidGroupError("multiplication is not associative")
 
     @property
     def order(self):

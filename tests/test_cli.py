@@ -371,6 +371,35 @@ class TestCliContract:
         assert proc.returncode == 0
         assert proc.stderr == ""
 
+    def test_report_beyond_the_pipe_buffer_arrives_whole(self, tmp_path,
+                                                         capsys):
+        # 5,040 automorphisms: far more than a 64 KiB pipe buffer, all of
+        # it flushed before the process ends without interpreter teardown.
+        path = tmp_path / "antichain7.json"
+        path.write_text(json.dumps({"elements": list("abcdefg"), "covers": []}))
+        argv = ["aut", "--poset", str(path), "--format", "json"]
+        proc = run_cli(*argv)
+        assert len(proc.stdout) > 65536
+        assert json.loads(proc.stdout)["results"]["order"] == 5040
+        assert main(argv) == 0
+        assert capsys.readouterr().out == proc.stdout
+
+    @pytest.mark.parametrize("argv, code", [
+        (["validate", "--poset", "c2"], 0),
+        (["transitivity-check", "--poset", "diamond", "--group", "C2"], 1),
+        (["bound", "--poset", "nope"], 2),
+        (["count", "--poset", "c2"], 2),
+    ], ids=["success", "counterexample", "bad-input", "usage"])
+    def test_process_and_in_process_runs_agree(self, argv, code, capsys):
+        proc = run_cli(*argv, "--format", "json", expect=code)
+        try:
+            returned = main([*argv, "--format", "json"])
+        except SystemExit as exc:  # a usage error exits from argparse
+            returned = exc.code
+        assert returned == code
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (proc.stdout, proc.stderr)
+
     def test_negative_max_degree_is_usage_error(self):
         proc = run_cli("monomials", "--poset", "c2", "--group", "C2",
                        "--theta", "1,h", "--max-degree", "-1", expect=2)
@@ -410,7 +439,7 @@ class TestCliContract:
         def sweep(*args, **kwargs):
             raise AssertionError("swept before checking the cap")
 
-        monkeypatch.setattr("incgrade.cli.verify_chain_reduction", sweep)
+        monkeypatch.setattr("incgrade.identities.verify_chain_reduction", sweep)
         assert main(["verify-reduction", "--poset", "diamond", "--group",
                      "C2", "--max-degree", "9"]) == 2
         captured = capsys.readouterr()

@@ -32,7 +32,9 @@ from incgrade.poset import (
 from util import (
     brute_force_burnside,
     brute_force_classes,
+    is_associative,
     leq_matrix,
+    product_table,
     random_grading,
     relabelled_group,
 )
@@ -143,6 +145,9 @@ class TestGroups:
     # (1 * 1) * 2 = 2 while 1 * (1 * 2) = 4.
     _LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
               [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    # Its product with C2: the first generator found, the central
+    # element of order 2, associates with everything.
+    _LOOP5_C2 = product_table(_LOOP5, [[0, 1], [1, 0]])
 
     @pytest.mark.parametrize("names, table, message", [
         ([], [], "a group needs at least one element"),
@@ -152,12 +157,39 @@ class TestGroups:
         (["e", "a"], [[0, 0], [1, 1]], "no identity element"),
         (["e", "a"], [[0, 1], [1, 1]], "no inverse for 'a'"),
         (list("eabcd"), _LOOP5, "multiplication is not associative"),
+        (list("0123456789"), _LOOP5_C2, "multiplication is not associative"),
     ], ids=["empty", "duplicate-names", "non-square", "out-of-range",
-            "no-identity", "no-inverse", "not-associative"])
+            "no-identity", "no-inverse", "not-associative",
+            "not-associative-past-first-generator"])
     def test_each_group_axiom_is_checked(self, names, table, message):
         spec = json.dumps({"names": names, "table": table})
         with pytest.raises(InvalidGroupError, match=f"^{re.escape(message)}$"):
             group_from_spec(spec)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_associativity_check_matches_all_triples(self, seed):
+        # Relabelled groups, and the same tables with two entries of one
+        # row swapped: identity and inverses survive the swap, so only
+        # the associativity check can refuse the table.
+        rng = random.Random(seed)
+        group = group_from_spec(rng.choice(
+            ["C4", "C6", "C2xC2", "S3", "C2xC2xC2", "C3xC3", "S3xC2", "S4"]))
+        order = list(range(group.order))
+        rng.shuffle(order)
+        table = [list(row) for row in relabelled_group(group, order).table]
+        if seed % 4:
+            e = next(i for i in range(len(table)) if table[i][i] == i)
+            a = rng.choice([x for x in range(len(table)) if x != e])
+            b, c = rng.sample([x for x in range(len(table))
+                               if table[a][x] not in (e, a)], 2)
+            table[a][b], table[a][c] = table[a][c], table[a][b]
+        spec = json.dumps({"names": list(group.names), "table": table})
+        if is_associative(table):
+            assert group_from_spec(spec).table == tuple(map(tuple, table))
+        else:
+            with pytest.raises(InvalidGroupError,
+                               match="^multiplication is not associative$"):
+                group_from_spec(spec)
 
     def test_unknown_element_name(self):
         with pytest.raises(InvalidGroupError):

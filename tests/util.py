@@ -159,6 +159,20 @@ def brute_force_components(poset):
     return out
 
 
+def is_associative(table):
+    """(a*b)*c == a*(b*c) over all order**3 triples of a Cayley table."""
+    m = len(table)
+    return all(table[table[a][b]][c] == table[a][table[b][c]]
+               for a in range(m) for b in range(m) for c in range(m))
+
+
+def product_table(a, b):
+    """The direct product of two Cayley tables, (i, j) at index i*|b| + j."""
+    m = len(b)
+    return [[a[i // m][k // m] * m + b[i % m][k % m] for k in range(len(a) * m)]
+            for i in range(len(a) * m)]
+
+
 def relabelled_group(group, order):
     """The same group with new index i naming old element order[i]."""
     position = {old: new for new, old in enumerate(order)}

@@ -7,7 +7,8 @@ table with wall-clock timing. Each subcommand is declared once, in
 COMMANDS.
 
 Exit codes: 0 success, 1 a verification subcommand found a counterexample
-or a cross-check failed, 2 input or usage error.
+or a cross-check failed, 2 input or usage error or a report that cannot
+be written.
 """
 
 import argparse
@@ -19,7 +20,12 @@ import time
 
 from . import __version__
 from .corpus import FIXTURE_NAMES, load_poset, read_json
-from .errors import CapExceededError, IncgradeError, VerificationError
+from .errors import (
+    CapExceededError,
+    IncgradeError,
+    ResultTooLongError,
+    VerificationError,
+)
 from .grading import (
     GradingMap,
     classify_gradings,
@@ -401,26 +407,39 @@ def run(argv):
         "results": results,
         "timing_ms": None,
     }
-    if args.format == "json":
-        return json.dumps(report, indent=2), code
-    return _render_table(report, elapsed_ms), code
+    try:
+        if args.format == "json":
+            return json.dumps(report, indent=2), code
+        return _render_table(report, elapsed_ms), code
+    except ValueError:  # an int past sys.get_int_max_str_digits()
+        raise ResultTooLongError() from None
+
+
+def _write(stream, text):
+    """Write text and a newline to stream and flush it. Returns None, or
+    why it could not: the stream is closed (None) or the write failed."""
+    if stream is None:
+        return "the stream is closed"
+    try:
+        stream.write(text + "\n")
+        stream.flush()
+    except (OSError, UnicodeEncodeError) as exc:
+        return exc
+    return None
 
 
 def _main(argv):
     try:
         output, code = run(argv)
-    except (IncgradeError, OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (IncgradeError, OSError) as exc:
+        _write(sys.stderr, f"error: {exc}")
         return 2
-    try:
-        print(output)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader went away. Point stdout at devnull so a later flush
-        # does not fail again, and keep the exit code.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-    return code
+    failure = _write(sys.stdout, output)
+    # A reader that went away early keeps the command's code.
+    if failure is None or isinstance(failure, BrokenPipeError):
+        return code
+    _write(sys.stderr, f"error: cannot write the report: {failure}")
+    return 2
 
 
 def main(argv=None):
@@ -438,10 +457,11 @@ def main(argv=None):
     except SystemExit as exc:  # argparse: --help or a usage error
         code = 0 if exc.code is None else exc.code
     for stream in (sys.stdout, sys.stderr):
-        try:
-            stream.flush()
-        except OSError:
-            pass
+        if stream is not None:
+            try:
+                stream.flush()
+            except OSError:
+                pass
     os._exit(code)
 
 

@@ -45,23 +45,31 @@ def load_poset(name_or_path):
 
 
 def read_json(path):
-    """Parse a JSON input file, which must be UTF-8 (RFC 8259); a file
-    that does not decode, a document nested too deeply to parse, or one
-    with an integer too long to convert, is malformed input."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            return json.load(handle)
-        except json.JSONDecodeError:
-            raise
-        except RecursionError:
-            raise MalformedInputError(
-                f"{path}: JSON nested too deeply") from None
-        except UnicodeDecodeError as exc:
-            raise MalformedInputError(
-                f"{path}: not UTF-8 text (byte {exc.start})") from None
-        except ValueError:
-            raise MalformedInputError(
-                f"{path}: JSON integer has too many digits") from None
+    """Parse a JSON input file, which must be UTF-8 (RFC 8259)."""
+    try:
+        handle = open(path, encoding="utf-8")
+    except ValueError as exc:  # a NUL byte in the path
+        raise MalformedInputError(f"{path!r}: {exc}") from None
+    with handle:
+        return _parse_json(json.load, handle, path)
+
+
+def _parse_json(parse, source, label):
+    """parse(source). A text that is not JSON, does not decode, is nested
+    too deeply to parse, or holds an integer too long to convert is
+    malformed input, reported after label."""
+    try:
+        return parse(source)
+    except json.JSONDecodeError as exc:
+        raise MalformedInputError(f"{label}: {exc}") from None
+    except RecursionError:
+        raise MalformedInputError(f"{label}: JSON nested too deeply") from None
+    except UnicodeDecodeError as exc:
+        raise MalformedInputError(
+            f"{label}: not UTF-8 text (byte {exc.start})") from None
+    except ValueError:
+        raise MalformedInputError(
+            f"{label}: JSON integer has too many digits") from None
 
 
 def corpus_posets():

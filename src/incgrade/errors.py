@@ -2,7 +2,11 @@
 
 Every error raised by this package derives from IncgradeError, so callers
 can catch one type at the boundary (the CLI maps them to exit code 2).
+The only other type the CLI maps to 2 is the OSError of an input file
+that cannot be opened or read.
 """
+
+import sys
 
 
 class IncgradeError(Exception):
@@ -68,6 +72,16 @@ class BudgetExceededError(IncgradeError):
 
 class CapExceededError(IncgradeError):
     """A command-line multidegree or degree limit is above cli.DEGREE_CAP."""
+
+
+class ResultTooLongError(IncgradeError):
+    """A result holds an integer with more decimal digits than the
+    interpreter writes (sys.get_int_max_str_digits())."""
+
+    def __init__(self):
+        super().__init__(
+            "a result has an integer of more than "
+            f"{sys.get_int_max_str_digits()} digits, too long to write")
 
 
 class DegreeMismatchError(IncgradeError):

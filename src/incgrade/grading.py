@@ -11,7 +11,13 @@ import itertools
 import json
 import math
 
-from .errors import InvalidGroupError, MismatchError, VerificationError
+from .corpus import _parse_json
+from .errors import (
+    InvalidGroupError,
+    MalformedInputError,
+    MismatchError,
+    VerificationError,
+)
 from .poset import (
     _check_budget,
     _check_leq,
@@ -163,14 +169,9 @@ def group_from_spec(spec):
     spec = str(spec).strip()
     if spec.startswith("{"):
         try:
-            obj = json.loads(spec)
-        except json.JSONDecodeError as exc:
-            raise InvalidGroupError(f"bad group JSON: {exc}") from None
-        except RecursionError:
-            raise InvalidGroupError("bad group JSON: nested too deeply") from None
-        except ValueError:
-            raise InvalidGroupError(
-                "bad group JSON: integer has too many digits") from None
+            obj = _parse_json(json.loads, spec, "bad group JSON")
+        except MalformedInputError as exc:
+            raise InvalidGroupError(str(exc)) from None
         if (not isinstance(obj, dict) or not isinstance(obj.get("names"), list)
                 or not isinstance(obj.get("table"), list)
                 or any(not isinstance(row, list) for row in obj["table"])):

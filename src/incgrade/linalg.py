@@ -15,7 +15,12 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter, itemgetter, mul
 
-from .errors import DimensionMismatchError, MalformedInputError, VerificationError
+from .errors import (
+    DimensionMismatchError,
+    MalformedInputError,
+    ResultTooLongError,
+    VerificationError,
+)
 
 ZERO = Fraction(0)
 _EXACT_TYPES = frozenset((int, Fraction))
@@ -45,7 +50,11 @@ def parse_rational(text):
 
 def format_rational(value):
     """Canonical string form: 'num' for integers, 'num/den' otherwise."""
-    return str(Fraction(value))
+    value = Fraction(value)
+    try:
+        return str(value)
+    except ValueError:  # a part past sys.get_int_max_str_digits()
+        raise ResultTooLongError() from None
 
 
 class RationalMatrix:

@@ -72,12 +72,12 @@ class Poset:
         up = tuple(up)
         # row >> n is nonzero for a negative row or one wider than n bits.
         if len(up) != n or any(not isinstance(row, int) or row >> n for row in up):
-            raise ValueError("up must be n bit rows over n elements")
+            raise MalformedInputError("up must be n bit rows over n elements")
         strict = [row & ~(1 << i) for i, row in enumerate(up)]
         down, covers = [1 << j for j in range(n)], []
         for i, row in enumerate(up):
             if not row >> i & 1:
-                raise ValueError(f"relation not reflexive at {elements[i]!r}")
+                raise MalformedInputError(f"relation not reflexive at {elements[i]!r}")
             above, beyond = _bits(strict[i]), 0
             for j in above:
                 beyond |= strict[j]
@@ -89,7 +89,7 @@ class Poset:
                 if up[j] >> i & 1:
                     raise CycleError(
                         f"{elements[i]!r} and {elements[j]!r} are mutually comparable")
-                raise ValueError("relation not transitive")
+                raise MalformedInputError("relation not transitive")
             covers += [(i, j) for j in _bits(strict[i] & ~beyond)]
         self.elements = elements
         self.n = n
@@ -129,7 +129,7 @@ def _close(n, edges):
     up = [1 << i for i in range(n)]
     for i, j in edges:
         if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"index pair ({i}, {j}) out of range")
+            raise MalformedInputError(f"index pair ({i}, {j}) out of range")
         up[i] |= 1 << j
     for k in range(n):
         bit, row_k = 1 << k, up[k]

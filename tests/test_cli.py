@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -357,19 +358,78 @@ class TestCliContract:
         assert len(proc.stderr.splitlines()) == 1
         assert "set_int_max_str_digits" not in proc.stderr
 
-    def test_closed_stdout_keeps_exit_code(self):
-        # The reader of stdout is gone before the first write.
+    @pytest.mark.parametrize("argv, redirect, code, err", [
+        (["validate", "--poset", "c2"], ">&-", 2,
+         "error: cannot write the report: the stream is closed\n"),
+        (["validate", "--poset", "c2"], ">/dev/full", 2,
+         "error: cannot write the report: [Errno 28] No space left on device\n"),
+        (["validate", "--poset", "nonexist"], "2>&-", 2, None),
+        (["validate", "--poset", "c2"], ">&- 2>&-", 2, None),
+        # No redirect: stdout is a pipe whose reader is gone before the
+        # first write.
+        (["aut", "--poset", "antichain4", "--format", "json"], "", 0, ""),
+    ], ids=["stdout-closed", "stdout-full", "stderr-closed-bad-input",
+            "both-closed", "pipe-closed-early"])
+    def test_stream_state_exit_code(self, argv, redirect, code, err):
+        if "/dev/full" in redirect and not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
             proc = subprocess.run(
-                [sys.executable, "-m", "incgrade.cli", "aut", "--poset",
-                 "antichain4", "--format", "json"],
-                stdout=write_end, stderr=subprocess.PIPE, text=True, env=ENV)
+                ["sh", "-c", f'exec "$@" {redirect}',
+                 "sh", sys.executable, "-m", "incgrade.cli", *argv],
+                stdout=write_end if not redirect else subprocess.PIPE,
+                stderr=subprocess.PIPE, text=True, env=ENV)
         finally:
             os.close(write_end)
-        assert proc.returncode == 0
-        assert proc.stderr == ""
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        if err is not None:
+            assert proc.stderr == err
+
+    def test_report_the_stream_cannot_encode_exits_two(self, tmp_path,
+                                                       monkeypatch, capsys):
+        # The table echoes the path as given; json.dumps escapes the rest.
+        path = tmp_path / "\xe9.json"
+        path.write_text(json.dumps({"elements": ["a"], "covers": []}))
+        monkeypatch.setattr(sys, "stdout",
+                            io.TextIOWrapper(io.BytesIO(), encoding="ascii"))
+        assert main(["validate", "--poset", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: cannot write the report: 'ascii' codec can't encode")
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_over_long_result_is_refused_on_one_line(self, fmt, tmp_path):
+        # 256**299, 721 digits, past the lowest limit the interpreter takes.
+        path = tmp_path / "chain300.json"
+        path.write_text(json.dumps({"elements": [str(i) for i in range(300)],
+                                    "covers": [[i, i + 1] for i in range(299)]}))
+        proc = subprocess.run(
+            [sys.executable, "-X", "int_max_str_digits=640", "-m", "incgrade.cli",
+             "count", "--poset", str(path), "--group", "C256", "--format", fmt],
+            capture_output=True, text=True, env=ENV)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == ("error: a result has an integer of more than "
+                               "640 digits, too long to write\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--poset"],
+        ["decompose", "--poset", "c2", "--morphism"],
+    ], ids=["poset", "morphism"])
+    def test_undecodable_json_names_its_file(self, argv, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        path.write_text("[")
+        assert main([*argv, str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: Expecting value: line 1 column 2 (char 1)\n")
+
+    def test_path_with_a_nul_byte_is_usage_error(self, capsys):
+        argv = ["decompose", "--poset", "c2", "--morphism", "a\0b"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: 'a\\x00b': embedded null byte\n")
 
     def test_report_beyond_the_pipe_buffer_arrives_whole(self, tmp_path,
                                                          capsys):

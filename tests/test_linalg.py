@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from incgrade import linalg
 from incgrade.errors import (
     DimensionMismatchError,
     MalformedInputError,
+    ResultTooLongError,
     VerificationError,
 )
 from incgrade.linalg import (
@@ -63,6 +65,15 @@ class TestRationalStrings:
             with pytest.raises(MalformedInputError,
                                match="^rational part has more than 4300 digits"):
                 parse_rational(text)
+
+    def test_over_long_parts_are_refused_on_output(self):
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("the interpreter has no digit limit")
+        for value in [10 ** limit, Fraction(1, 10 ** limit)]:
+            with pytest.raises(ResultTooLongError,
+                               match=f"more than {limit} digits"):
+                format_rational(value)
 
 
 class TestRref:

@@ -1,6 +1,6 @@
 """Checks on the package as a whole: every import in src/incgrade is
-used, every exported name resolves, and the CLI runs on the standard
-library alone."""
+used, every raise is of the package's own error types, every exported
+name resolves, and the CLI runs on the standard library alone."""
 
 import ast
 import subprocess
@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import incgrade
+from incgrade import errors
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 MODULES = sorted((SRC / "incgrade").glob("*.py"))
@@ -40,6 +41,48 @@ def test_unused_import_is_found():
     assert unused_imports(
         "import json\nfrom .grading import GradingMap, cyclic_group\n"
         "cyclic_group(2)\n") == [(1, "json"), (2, "GradingMap")]
+
+
+# The errors a module may raise besides those of incgrade.errors: the
+# CLI's counterexample signal and argparse's flag error, which never leave
+# the CLI, the unknown --poset that load_poset reports, and the
+# AttributeError that a module __getattr__ owes an unknown name (PEP 562).
+OTHER_RAISES = {
+    ("__init__.py", "AttributeError"),
+    ("cli.py", "CounterexampleFound"),
+    ("cli.py", "argparse.ArgumentTypeError"),
+    ("corpus.py", "FileNotFoundError"),
+}
+ERROR_CLASSES = {name for name, value in vars(errors).items()
+                 if isinstance(value, type)
+                 and issubclass(value, errors.IncgradeError)}
+
+
+def foreign_raises(name, source):
+    """The raises of a module that are neither a bare re-raise, nor of an
+    incgrade.errors class, nor listed in OTHER_RAISES."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            raised = ast.unparse(exc)
+            if raised not in ERROR_CLASSES and (name, raised) not in OTHER_RAISES:
+                found.append((node.lineno, raised))
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_raise_is_a_package_error(path):
+    assert foreign_raises(path.name, path.read_text(encoding="utf-8")) == []
+
+
+def test_foreign_raise_is_found():
+    source = ("try:\n    pass\nexcept KeyError:\n    raise\n"
+              "raise ValueError('x')\nraise CycleError('y')\n"
+              "raise FileNotFoundError\n")
+    assert foreign_raises("poset.py", source) == [
+        (5, "ValueError"), (7, "FileNotFoundError")]
+    assert foreign_raises("corpus.py", source) == [(5, "ValueError")]
 
 
 def test_every_export_resolves():

@@ -10,6 +10,7 @@ from incgrade.errors import (
     CycleError,
     DuplicateLabelError,
     EmptyPosetError,
+    MalformedInputError,
     NotComparableError,
 )
 from incgrade import poset
@@ -138,7 +139,7 @@ class TestAgainstLoopOracle:
     def build(build, elements, leq):
         try:
             return ("covers", build(elements, leq))
-        except (ValueError, CycleError) as exc:
+        except (MalformedInputError, CycleError) as exc:
             return (type(exc), str(exc))
 
     def test_errors_and_covers_match(self):
@@ -179,7 +180,7 @@ class TestAgainstLoopOracle:
     def close(close, n, edges):
         try:
             return close(n, edges)
-        except ValueError as exc:
+        except MalformedInputError as exc:
             return str(exc)
 
     def test_close_matches_triple_loop(self):

@@ -17,6 +17,7 @@ from incgrade.errors import (
     CycleError,
     DecompositionError,
     DimensionMismatchError,
+    MalformedInputError,
     NotAutomorphismError,
     NotInvertibleError,
     VerificationError,
@@ -556,14 +557,14 @@ def loop_poset_covers(elements, leq):
     n = len(elements)
     for i in range(n):
         if not leq[i][i]:
-            raise ValueError(f"relation not reflexive at {elements[i]!r}")
+            raise MalformedInputError(f"relation not reflexive at {elements[i]!r}")
         for j in range(n):
             if i != j and leq[i][j] and leq[j][i]:
                 raise CycleError(
                     f"{elements[i]!r} and {elements[j]!r} are mutually comparable")
             for k in range(n):
                 if leq[i][j] and leq[j][k] and not leq[i][k]:
-                    raise ValueError("relation not transitive")
+                    raise MalformedInputError("relation not transitive")
     covers = []
     for i in range(n):
         for j in range(n):
@@ -592,7 +593,7 @@ def loop_close(n, edges):
     leq = [[i == j for j in range(n)] for i in range(n)]
     for i, j in edges:
         if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"index pair ({i}, {j}) out of range")
+            raise MalformedInputError(f"index pair ({i}, {j}) out of range")
         leq[i][j] = True
     for k in range(n):
         for i in range(n):

@@ -10,6 +10,7 @@ spanned by the basis elements of the pairs graded g.
 import itertools
 import json
 import math
+import types
 
 from .corpus import _parse_json
 from .errors import (
@@ -21,6 +22,7 @@ from .errors import (
 from .poset import (
     _check_budget,
     _check_leq,
+    _derived,
     automorphisms,
     component_index,
     connected_components,
@@ -67,7 +69,7 @@ class FiniteGroup:
 
     def __init__(self, names, table):
         self.names = tuple(str(v) for v in names)
-        m = len(self.names)
+        self.order = m = len(self.names)
         if m == 0:
             raise InvalidGroupError("a group needs at least one element")
         if len(set(self.names)) != m:
@@ -96,10 +98,6 @@ class FiniteGroup:
             tg = t[g]
             if any(t[tx[g]] != tuple(map(tx.__getitem__, tg)) for tx in t):
                 raise InvalidGroupError("multiplication is not associative")
-
-    @property
-    def order(self):
-        return len(self.names)
 
     def mul(self, a, b):
         return self.table[a][b]
@@ -144,7 +142,8 @@ def _cycle_name(perm):
 
 def symmetric_group(n):
     if not 1 <= n <= 4:
-        raise InvalidGroupError("symmetric groups supported up to S4")
+        raise InvalidGroupError("symmetric groups supported up to S4" if n > 4
+                                else "symmetric group degree must be between 1 and 4")
     perms = list(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     names = [_cycle_name(p) for p in perms]
@@ -213,12 +212,14 @@ class GradingMap:
     def __init__(self, poset, group, theta):
         theta = tuple(int(v) for v in theta)
         if len(theta) != poset.n:
-            raise MismatchError("theta length must equal the poset size")
+            raise MismatchError(f"a grading needs one value per poset element: "
+                                f"got {len(theta)} for {poset.n} elements")
         if any(not 0 <= v < group.order for v in theta):
             raise InvalidGroupError("theta value out of group range")
         self.poset = poset
         self.group = group
         self.theta = theta
+        self._derived = {}
 
     def grade_of_pair(self, x, y):
         _check_leq(self.poset, x, y)
@@ -233,12 +234,15 @@ class GradingMap:
         """The basis pairs of the component of degree g, () if unrealized."""
         return self.components().get(g, ())
 
+    @_derived
     def components(self):
-        """Map from degree to basis pairs, realized degrees only."""
+        """Read-only map from degree to basis pairs, realized degrees only,
+        ascending by degree; derived once, as the grading is immutable."""
         out = {}
         for (x, y) in self.poset.comparable_pairs():
             out.setdefault(self.grade_of_pair(x, y), []).append((x, y))
-        return {g: tuple(pairs) for g, pairs in sorted(out.items())}
+        return types.MappingProxyType(
+            {g: tuple(pairs) for g, pairs in sorted(out.items())})
 
     def compose_with_automorphism(self, sigma):
         """theta after sigma^{-1}, the right action used in transport."""
@@ -285,47 +289,47 @@ class EquivalenceWitness:
         return f"EquivalenceWitness(shifts={list(self.shifts)}, sigma={list(self.sigma)})"
 
 
-def _shift_table(poset, group):
-    """Each element's anchor, the least element of its connected
-    component, and table[a][v]: v after the left shift that sends the
-    anchor value a to group index 0."""
+def _shift_normal_form(poset, group):
+    """The per-component shift normal form of maps P -> G: each element's
+    anchor, the least element of its connected component; table[a][v], v
+    after the left shift that sends the anchor value a to group index 0;
+    and the function taking theta to table[theta[anchor[x]]][theta[x]] at
+    each x. That is the one map of the shift orbit with every anchor at
+    index 0, and, as each anchor comes first in its component, the orbit's
+    lexicographically least map."""
     comps = connected_components(poset)
     anchor = [comps[c][0] for c in component_index(poset)]
     table = [[group.mul(group.mul(0, group.inv(a)), v) for v in range(group.order)]
              for a in range(group.order)]
-    return anchor, table
-
-
-def _shift_normalizer(poset, group):
-    """The per-component shift normal form of maps P -> G, as a function.
-
-    The normal form of theta takes table[theta[anchor[x]]][theta[x]] at
-    each x. It is the one map of the shift orbit with every anchor at
-    index 0, and, as each anchor comes first in its component, the orbit's
-    lexicographically least map.
-    """
-    anchor, table = _shift_table(poset, group)
-    return lambda theta: tuple(table[theta[a]][v] for a, v in zip(anchor, theta))
+    return anchor, table, lambda theta: tuple(
+        [table[theta[a]][v] for a, v in zip(anchor, theta)])
 
 
 def equivalent(theta, mu):
     """Witness that the two gradings are equivalent, or None.
 
-    The witness holds the first poset automorphism sigma, in sorted order,
-    for which theta o sigma^{-1} has mu's shift normal form; the shift of
-    each connected component is then read off at its anchor.
+    A graded isomorphism I(P)^theta -> I(P)^mu is, up to conjugation by a
+    unit of neutral degree, one poset automorphism sigma with one left
+    shift per connected component. It maps the e_x to primitive orthogonal
+    idempotents of the neutral component, conjugate there to the e_x, so
+    after that conjugation e_x goes to e_{sigma(x)}. e_x I e_y is nonzero
+    exactly when x <= y, so sigma is in Aut(P), and equal degrees
+    theta_x^{-1} theta_y = mu_{sigma x}^{-1} mu_{sigma y} on comparable
+    pairs make mu_{sigma x} theta_x^{-1} constant on each component.
+
+    The witness holds the first sigma, in sorted order, with mu o sigma in
+    the shift orbit of theta, which is mu = shifts * (theta o sigma^{-1}).
     """
     if theta.poset != mu.poset or theta.group != mu.group:
         raise MismatchError("gradings live over different posets or groups")
     poset, group = theta.poset, theta.group
-    normal = _shift_normalizer(poset, group)
-    target = normal(mu.theta)
+    normal = _shift_normal_form(poset, group)[2]
+    target = normal(theta.theta)
     for sigma in automorphisms(poset):
-        moved = theta.compose_with_automorphism(sigma).theta
-        if normal(moved) == target:
-            shifts = [group.mul(mu.theta[c[0]], group.inv(moved[c[0]]))
-                      for c in connected_components(poset)]
-            return EquivalenceWitness(shifts, sigma)
+        if normal(list(map(mu.theta.__getitem__, sigma))) == target:
+            return EquivalenceWitness(
+                [group.mul(mu.theta[c[0]], group.inv(theta.theta[sigma.index(c[0])]))
+                 for c in connected_components(poset)], sigma)
     return None
 
 
@@ -338,9 +342,8 @@ def count_distinct_gradings(poset, group, verify=False):
     expected = group.order ** (poset.n - len(connected_components(poset)))
     if verify:
         _check_budget(group.order ** poset.n)
-        normal = _shift_normalizer(poset, group)
-        canon = {normal(theta)
-                 for theta in itertools.product(range(group.order), repeat=poset.n)}
+        canon = set(map(_shift_normal_form(poset, group)[2],
+                        itertools.product(range(group.order), repeat=poset.n)))
         if len(canon) != expected:
             raise VerificationError(
                 f"orbit enumeration found {len(canon)}, formula gives {expected}")
@@ -413,27 +416,23 @@ def classify_gradings(poset, group):
     Only the |G|^(n-k) shift normal forms are enumerated (k connected
     components), and the budget bounds those. The least normal form of a
     class is the least map of the class. A representative's class is
-    marked by acting with each automorphism and renormalizing, |Aut(P)|
-    maps each.
+    marked by renormalizing theta o tau for each tau in Aut(P), |Aut(P)|
+    maps each; Aut(P) is closed under inverses, so these are the
+    theta o sigma^{-1}.
     """
     _check_budget(group.order ** (poset.n - len(connected_components(poset))))
-    anchor, table = _shift_table(poset, group)
-    # Per automorphism sigma, the map theta o sigma^{-1} reads element x
-    # and its anchor from these positions of theta.
-    moves = []
-    for sigma in automorphisms(poset):
-        inv = inverse_permutation(sigma)
-        moves.append(tuple((inv[anchor[x]], inv[x]) for x in range(poset.n)))
+    anchor, table, _ = _shift_normal_form(poset, group)
+    auts = automorphisms(poset)
+    anchored = list(enumerate(anchor))
     seen = set()
     reps = []
-    values = [(0,) if anchor[x] == x else range(group.order)
-              for x in range(poset.n)]
+    values = [(0,) if a == x else range(group.order) for x, a in anchored]
     for theta in itertools.product(*values):
         if theta in seen:
             continue
         reps.append(GradingMap(poset, group, theta))
-        for move in moves:
-            seen.add(tuple(table[theta[a]][theta[x]] for a, x in move))
+        for tau in auts:
+            seen.add(tuple([table[theta[tau[a]]][theta[tau[x]]] for x, a in anchored]))
     expected = burnside_class_count(poset, group)
     if len(reps) != expected:
         raise VerificationError(

@@ -37,8 +37,9 @@ def _check_budget(count, what="maps"):
 
 
 def _derived(compute):
-    """Make compute(p) run at most once per poset: the result is stored on
-    p, which is immutable, and later calls return it."""
+    """Make compute(p) run at most once per owner p, a poset or a grading:
+    the result is stored on p, which is immutable, and later calls return
+    it."""
     @functools.wraps(compute)
     def once(p):
         if compute.__name__ not in p._derived:
@@ -48,8 +49,17 @@ def _derived(compute):
 
 
 def _bits(mask):
-    """The indices of the set bits of a nonnegative mask, ascending."""
-    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+    """The indices of the set bits of a nonnegative mask, ascending. A mask
+    of few set bits is read bit by bit, so a high lone bit costs no scan
+    over the digits below it."""
+    if mask.bit_count() > 64:
+        return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 class Poset:
@@ -125,17 +135,45 @@ def _check_leq(p, x, y, message="({}, {}) is not a comparable pair"):
 
 def _close(n, edges):
     """Reflexive-transitive closure as bit rows, bit j of up[i] meaning
-    i <= j: Warshall's algorithm on the rows."""
-    up = [1 << i for i in range(n)]
+    i <= j, in one pass over the edges. Tarjan's algorithm completes the
+    strongly connected components sinks first, so the rows a component ORs
+    in are final; the members of a cycle share one row, which Poset then
+    refuses. A row stays 0 until its component completes."""
+    succ = [[] for _ in range(n)]
     for i, j in edges:
         if not (0 <= i < n and 0 <= j < n):
             raise MalformedInputError(f"index pair ({i}, {j}) out of range")
-        up[i] |= 1 << j
-    for k in range(n):
-        bit, row_k = 1 << k, up[k]
-        for i in range(n):
-            if up[i] & bit:
-                up[i] |= row_k
+        succ[i].append(j)
+    up, low = [0] * n, [0] * n
+    at = [0] * n  # 1 + position on the stack when visited, 0 before
+    stack, path = [], []
+    for root in range(n):
+        if not at[root]:
+            path.append((root, iter(succ[root])))
+        while path:
+            v, todo = path[-1]
+            if not at[v]:
+                stack.append(v)
+                at[v] = low[v] = len(stack)
+            w = next(todo, None)
+            if w is None:
+                path.pop()
+                if path:
+                    low[path[-1][0]] = min(low[path[-1][0]], low[v])
+                if low[v] == at[v]:
+                    component = stack[at[v] - 1:]
+                    del stack[at[v] - 1:]
+                    row = 0
+                    for m in component:
+                        row |= 1 << m
+                        for j in succ[m]:
+                            row |= up[j]
+                    for m in component:
+                        up[m] = row
+            elif not at[w]:
+                path.append((w, iter(succ[w])))
+            elif not up[w]:  # w is on the stack, in v's component
+                low[v] = min(low[v], at[w])
     return up
 
 

@@ -281,6 +281,26 @@ class TestCliContract:
         assert len(proc.stderr.splitlines()) == 1
         assert "set_int_max_str_digits" not in proc.stderr
 
+    @pytest.mark.parametrize("argv, message", [
+        (["equiv", "--poset", "c2", "--group", "C2", "--theta", "1,h",
+          "--mu", "h"],
+         "a grading needs one value per poset element: got 1 for 2 elements"),
+        (["compare-identities", "--poset", "c2", "--group", "C2",
+          "--theta", "1,h", "--mu", "1,h,h"],
+         "a grading needs one value per poset element: got 3 for 2 elements"),
+        (["classify", "--poset", "c2", "--group", "S0"],
+         "symmetric group degree must be between 1 and 4"),
+        (["classify", "--poset", "c2", "--group", "C1xS0"],
+         "symmetric group degree must be between 1 and 4"),
+        (["classify", "--poset", "c2", "--group", "S5"],
+         "symmetric groups supported up to S4"),
+    ], ids=["equiv-mu", "compare-identities-mu", "S0", "C1xS0", "S5"])
+    def test_input_error_names_the_bad_input(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_group_axiom_violation_is_usage_error(self, capsys):
         spec = json.dumps({"names": ["e", "a"], "table": [[0, 0], [1, 1]]})
         assert main(["classify", "--poset", "c2", "--group", spec]) == 2

@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -30,12 +31,16 @@ from incgrade.poset import (
 )
 
 from util import (
+    brute_force_automorphisms,
     brute_force_burnside,
     brute_force_classes,
+    brute_force_components,
+    brute_force_witness,
     is_associative,
     leq_matrix,
     product_table,
     random_grading,
+    random_poset,
     relabelled_group,
 )
 
@@ -239,6 +244,20 @@ class TestGradingMap:
             assert (shifted.component_basis(grade)
                     == theta.component_basis(grade))
 
+    def test_components_are_derived_once_and_read_only(self):
+        g = cyclic_group(3)
+        theta = gm(CORPUS["c3"], g, ["1", "h", "h^2"])
+        first = theta.components()
+        with pytest.raises(TypeError):
+            first[g.index_of("h")] = ()
+        with pytest.raises(AttributeError):
+            first.clear()
+        again = theta.components()
+        assert again is first
+        assert dict(again) == {0: ((0, 0), (1, 1), (2, 2)),
+                               1: ((0, 1), (1, 2)), 2: ((0, 2),)}
+        assert theta.support() == (0, 1, 2)
+
     def test_compose_with_automorphism(self):
         p = CORPUS["antichain2"]
         g = cyclic_group(2)
@@ -351,6 +370,51 @@ class TestEquivalence:
                         found = True
             assert (equivalent(theta, mu) is not None) == found
 
+    @pytest.mark.parametrize("group", [
+        cyclic_group(2), cyclic_group(3), symmetric_group(3),
+        relabelled_group(symmetric_group(3), [3, 1, 4, 0, 5, 2]),
+    ], ids=["C2", "C3", "S3", "S3-relabelled"])
+    def test_witness_matches_brute_force(self, group):
+        # The relabelled S3 has a non-identity element at index 0.
+        rng = random.Random(48)
+        found = 0
+        for _ in range(60):
+            p = random_poset(rng, 6)
+            theta = random_grading(rng, p, group)
+            if rng.random() < 0.5:
+                sigma = rng.choice(brute_force_automorphisms(p))
+                shifts = [rng.randrange(group.order)
+                          for _ in brute_force_components(p)]
+                mu = theta.compose_with_automorphism(sigma).shift(shifts)
+            else:
+                mu = random_grading(rng, p, group)
+            witness = equivalent(theta, mu)
+            got = None if witness is None else (witness.sigma, witness.shifts)
+            assert got == brute_force_witness(theta, mu)
+            found += witness is not None and witness.sigma != tuple(range(p.n))
+        assert found
+
+    def test_inequivalent_pair_builds_no_grading_per_automorphism(
+            self, monkeypatch):
+        # One bottom below four tops: Aut(P) = S4, and one top graded h
+        # is not two.
+        p = poset_from_covers(["b", "t1", "t2", "t3", "t4"],
+                              [(0, i) for i in range(1, 5)])
+        g = cyclic_group(2)
+        theta = gm(p, g, ["1", "h", "1", "1", "1"])
+        mu = gm(p, g, ["1", "h", "h", "1", "1"])
+        automorphisms(p)
+        built = []
+        init = GradingMap.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(GradingMap, "__init__", counting_init)
+        assert equivalent(theta, mu) is None
+        assert built == []
+
     def test_group_mismatch_rejected(self):
         p = CORPUS["c2"]
         theta = GradingMap(p, cyclic_group(2), (0, 1))
@@ -413,6 +477,21 @@ class TestClassification:
         with pytest.raises(BudgetExceededError,
                            match="^1048576 maps exceed the enumeration budget 1000000$"):
             classify_gradings(chain(21), cyclic_group(2))
+
+    def test_marking_keeps_no_table_per_automorphism(self):
+        # 7! = 5040 automorphisms and one map: a table of |Aut(P)| * n
+        # index pairs peaked at 2.6 MiB here.
+        p = poset_from_covers([f"a{i}" for i in range(7)], [])
+        group = cyclic_group(1)
+        automorphisms(p)
+        tracemalloc.start()
+        try:
+            reps = classify_gradings(p, group)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [rep.theta for rep in reps] == [(0,) * 7]
+        assert peak < 1 << 20
 
     def test_budget_counts_walked_maps(self):
         # 24^4 maps, but one normal form: each element is its own component.

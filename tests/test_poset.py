@@ -1,5 +1,6 @@
 import gc
 import random
+import time
 import weakref
 
 import pytest
@@ -202,6 +203,42 @@ class TestAgainstLoopOracle:
             assert got == want
             kinds.add(type(want))
         assert kinds == {list, str}
+
+    def test_cyclic_relation_names_the_oracles_pair(self):
+        # The least element on a cycle and the least other member of its
+        # strongly connected component, as the triple loop finds them.
+        rng = random.Random(72)
+        for _ in range(200):
+            n = rng.randint(2, 9)
+            edges = [(rng.randrange(n), rng.randrange(n))
+                     for _ in range(rng.randint(n, 2 * n))]
+            labels = [f"e{i}" for i in range(n)]
+            want = TestAgainstLoopOracle.build(
+                loop_poset_covers, labels, loop_close(n, edges))
+            got = TestAgainstLoopOracle.build(
+                lambda e, rel: poset_from_covers(e, rel).covers, labels, edges)
+            assert got == want
+
+    @pytest.mark.parametrize("n, edges, top_row", [
+        (20000, [], 1),
+        (3000, [(i, i + 1) for i in range(2999)], (1 << 3000) - 1),
+    ], ids=["antichain-20000", "chain-3000"])
+    def test_close_takes_one_pass(self, n, edges, top_row):
+        # One pass over the edges; n**2 row tests take minutes on the antichain.
+        started = time.perf_counter()
+        up = poset._close(n, edges)
+        assert time.perf_counter() - started < 0.5
+        assert up[0] == top_row and up[-1] == 1 << n - 1
+
+    def test_bits_match_a_digit_scan(self):
+        rng = random.Random(73)
+        masks = [0, 1, 1 << 19999, (1 << 3000) - 1]
+        masks += [rng.getrandbits(rng.choice((8, 70, 300))) for _ in range(300)]
+        masks += [sum(1 << rng.randrange(5000) for _ in range(rng.randint(1, 90)))
+                  for _ in range(100)]
+        for mask in masks:
+            assert poset._bits(mask) == [
+                i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def test_out_of_range_pairs_are_not_comparable():

@@ -181,6 +181,25 @@ def relabelled_group(group, order):
     return FiniteGroup([group.names[a] for a in order], table)
 
 
+def brute_force_witness(theta, mu):
+    """(sigma, shifts) for the first sigma in sorted Aut(P) with a shift
+    vector mapping theta o sigma^{-1} to mu, or None. Every automorphism
+    is tried against every shift of each component; the components'
+    shifts are independent, so this is the search over all vectors."""
+    poset, group = theta.poset, theta.group
+    for sigma in brute_force_automorphisms(poset):
+        moved = [None] * poset.n
+        for x in range(poset.n):
+            moved[sigma[x]] = theta.theta[x]
+        shifts = tuple(next((h for h in range(group.order)
+                             if all(group.mul(h, moved[x]) == mu.theta[x]
+                                    for x in members)), None)
+                       for members in brute_force_components(poset))
+        if None not in shifts:
+            return sigma, shifts
+    return None
+
+
 def brute_force_classes(poset, group):
     """The least map of each equivalence class, ascending: walk all |G|^n
     maps and mark the whole orbit, |Aut| * |G|^k maps, of each new one."""

@@ -69,7 +69,7 @@ class FiniteGroup:
 
     def __init__(self, names, table):
         self.names = tuple(str(v) for v in names)
-        self.order = m = len(self.names)
+        m = len(self.names)
         if m == 0:
             raise InvalidGroupError("a group needs at least one element")
         if len(set(self.names)) != m:
@@ -98,6 +98,10 @@ class FiniteGroup:
             tg = t[g]
             if any(t[tx[g]] != tuple(map(tx.__getitem__, tg)) for tx in t):
                 raise InvalidGroupError("multiplication is not associative")
+
+    @property
+    def order(self):
+        return len(self.names)
 
     def mul(self, a, b):
         return self.table[a][b]
@@ -236,8 +240,8 @@ class GradingMap:
 
     @_derived
     def components(self):
-        """Read-only map from degree to basis pairs, realized degrees only,
-        ascending by degree; derived once, as the grading is immutable."""
+        """Read-only map from each realized degree, ascending, to its basis
+        pairs; derived once, as the grading is immutable."""
         out = {}
         for (x, y) in self.poset.comparable_pairs():
             out.setdefault(self.grade_of_pair(x, y), []).append((x, y))
@@ -289,47 +293,51 @@ class EquivalenceWitness:
         return f"EquivalenceWitness(shifts={list(self.shifts)}, sigma={list(self.sigma)})"
 
 
-def _shift_normal_form(poset, group):
-    """The per-component shift normal form of maps P -> G: each element's
-    anchor, the least element of its connected component; table[a][v], v
-    after the left shift that sends the anchor value a to group index 0;
-    and the function taking theta to table[theta[anchor[x]]][theta[x]] at
-    each x. That is the one map of the shift orbit with every anchor at
-    index 0, and, as each anchor comes first in its component, the orbit's
-    lexicographically least map."""
+def _shift_table(poset, group):
+    """Each element's anchor, the least element of its connected
+    component, and table[a][v]: v after the left shift that sends the
+    anchor value a to group index 0."""
     comps = connected_components(poset)
     anchor = [comps[c][0] for c in component_index(poset)]
     table = [[group.mul(group.mul(0, group.inv(a)), v) for v in range(group.order)]
              for a in range(group.order)]
-    return anchor, table, lambda theta: tuple(
-        [table[theta[a]][v] for a, v in zip(anchor, theta)])
+    return anchor, table
+
+
+def _shift_normalizer(poset, group):
+    """The per-component shift normal form of maps P -> G, as a function.
+
+    The normal form of theta takes table[theta[anchor[x]]][theta[x]] at
+    each x. It is the one map of the shift orbit with every anchor at
+    index 0, and, as each anchor comes first in its component, the orbit's
+    lexicographically least map.
+    """
+    anchor, table = _shift_table(poset, group)
+    return lambda theta: tuple([table[theta[a]][v] for a, v in zip(anchor, theta)])
 
 
 def equivalent(theta, mu):
     """Witness that the two gradings are equivalent, or None.
 
-    A graded isomorphism I(P)^theta -> I(P)^mu is, up to conjugation by a
-    unit of neutral degree, one poset automorphism sigma with one left
-    shift per connected component. It maps the e_x to primitive orthogonal
-    idempotents of the neutral component, conjugate there to the e_x, so
-    after that conjugation e_x goes to e_{sigma(x)}. e_x I e_y is nonzero
-    exactly when x <= y, so sigma is in Aut(P), and equal degrees
-    theta_x^{-1} theta_y = mu_{sigma x}^{-1} mu_{sigma y} on comparable
-    pairs make mu_{sigma x} theta_x^{-1} constant on each component.
-
-    The witness holds the first sigma, in sorted order, with mu o sigma in
-    the shift orbit of theta, which is mu = shifts * (theta o sigma^{-1}).
+    Equivalence is exactly some sigma in Aut(P) and one left shift per
+    connected component. A graded isomorphism I(P)^theta -> I(P)^mu, after
+    conjugation by a neutral unit, sends each e_x to some e_{sigma(x)}, as
+    both sets are primitive orthogonal idempotents of the neutral component.
+    e_x I e_y is nonzero exactly when x <= y, so sigma is in Aut(P), and
+    equal degrees on comparable pairs make mu(sigma(x)) theta(x)^{-1}
+    constant on each component. The witness holds the first such sigma in
+    sorted order, with mu = shifts * (theta o sigma^{-1}).
     """
     if theta.poset != mu.poset or theta.group != mu.group:
         raise MismatchError("gradings live over different posets or groups")
     poset, group = theta.poset, theta.group
-    normal = _shift_normal_form(poset, group)[2]
+    normal = _shift_normalizer(poset, group)
     target = normal(theta.theta)
     for sigma in automorphisms(poset):
         if normal(list(map(mu.theta.__getitem__, sigma))) == target:
-            return EquivalenceWitness(
-                [group.mul(mu.theta[c[0]], group.inv(theta.theta[sigma.index(c[0])]))
-                 for c in connected_components(poset)], sigma)
+            shifts = [group.mul(mu.theta[a], group.inv(theta.theta[sigma.index(a)]))
+                      for a, *_ in connected_components(poset)]
+            return EquivalenceWitness(shifts, sigma)
     return None
 
 
@@ -342,8 +350,9 @@ def count_distinct_gradings(poset, group, verify=False):
     expected = group.order ** (poset.n - len(connected_components(poset)))
     if verify:
         _check_budget(group.order ** poset.n)
-        canon = set(map(_shift_normal_form(poset, group)[2],
-                        itertools.product(range(group.order), repeat=poset.n)))
+        normal = _shift_normalizer(poset, group)
+        canon = {normal(theta)
+                 for theta in itertools.product(range(group.order), repeat=poset.n)}
         if len(canon) != expected:
             raise VerificationError(
                 f"orbit enumeration found {len(canon)}, formula gives {expected}")
@@ -421,9 +430,9 @@ def classify_gradings(poset, group):
     theta o sigma^{-1}.
     """
     _check_budget(group.order ** (poset.n - len(connected_components(poset))))
-    anchor, table, _ = _shift_normal_form(poset, group)
-    auts = automorphisms(poset)
+    anchor, table = _shift_table(poset, group)
     anchored = list(enumerate(anchor))
+    auts = automorphisms(poset)
     seen = set()
     reps = []
     values = [(0,) if a == x else range(group.order) for x, a in anchored]

@@ -49,17 +49,8 @@ def _derived(compute):
 
 
 def _bits(mask):
-    """The indices of the set bits of a nonnegative mask, ascending. A mask
-    of few set bits is read bit by bit, so a high lone bit costs no scan
-    over the digits below it."""
-    if mask.bit_count() > 64:
-        return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    """The indices of the set bits of a nonnegative mask, ascending."""
+    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
 class Poset:
@@ -252,19 +243,25 @@ def maximal_chains(p):
 @_derived
 def connected_components(p):
     """Partition of indices under zig-zag comparability, each component
-    sorted, components ordered by least index."""
-    left = (1 << p.n) - 1
-    components = []
-    while left:
-        component = frontier = left & -left
-        while frontier:
-            for i in _bits(frontier):
-                frontier |= p.up[i] | p.down[i]
-            frontier &= ~component
-            component |= frontier
-        components.append(tuple(_bits(component)))
-        left &= ~component
-    return tuple(components)
+    sorted, components ordered by least index.
+
+    These are the components of the Hasse diagram, joined by union-find
+    over the covers; each root is the least index of its component.
+    """
+    root = list(range(p.n))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    for a, b in p.covers:
+        a, b = sorted((find(a), find(b)))
+        root[b] = a
+    members = {}
+    for i in range(p.n):
+        members.setdefault(find(i), []).append(i)
+    return tuple(map(tuple, members.values()))
 
 
 @_derived

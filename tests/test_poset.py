@@ -230,16 +230,6 @@ class TestAgainstLoopOracle:
         assert time.perf_counter() - started < 0.5
         assert up[0] == top_row and up[-1] == 1 << n - 1
 
-    def test_bits_match_a_digit_scan(self):
-        rng = random.Random(73)
-        masks = [0, 1, 1 << 19999, (1 << 3000) - 1]
-        masks += [rng.getrandbits(rng.choice((8, 70, 300))) for _ in range(300)]
-        masks += [sum(1 << rng.randrange(5000) for _ in range(rng.randint(1, 90)))
-                  for _ in range(100)]
-        for mask in masks:
-            assert poset._bits(mask) == [
-                i for i in range(mask.bit_length()) if mask >> i & 1]
-
 
 def test_out_of_range_pairs_are_not_comparable():
     # Index -1 would read the last row and index 5 would overrun c3.
@@ -339,6 +329,22 @@ class TestComponents:
     def test_brute_force_agreement(self):
         for p in CORPUS.values():
             assert list(connected_components(p)) == brute_force_components(p)
+
+    def test_random_posets_match_brute_force(self):
+        # The covers join exactly the zig-zag comparable elements.
+        rng = random.Random(74)
+        for _ in range(200):
+            p = random_poset(rng, 9)
+            assert list(connected_components(p)) == brute_force_components(p)
+
+    def test_wide_antichain_takes_one_pass(self):
+        # One pass over the covers; walking bit rows rescans each lone bit.
+        n = 20000
+        p = poset.Poset([f"e{i}" for i in range(n)], [1 << i for i in range(n)])
+        started = time.perf_counter()
+        components = connected_components(p)
+        assert time.perf_counter() - started < 0.5
+        assert components == tuple((i,) for i in range(n))
 
 
 class TestBound:

@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "IncgradeError": "errors",
     **dict.fromkeys((
-        "Poset", "poset_from_covers", "poset_from_json", "poset_to_json",
+        "Poset", "poset_from_json", "poset_to_json",
         "segment", "subposet", "maximal_chains", "connected_components",
         "bound", "automorphisms", "is_chain_transitive"), "poset"),
     **dict.fromkeys((

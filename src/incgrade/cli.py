@@ -197,14 +197,14 @@ def cmd_compare_identities(args, poset, group):
 def cmd_verify_reduction(args, poset, group):
     from .identities import verify_chain_reduction, words
 
-    if args.theta:
+    if args.theta is not None:
         theta = _parse_theta(poset, group, args.theta)
     else:
         rng = random.Random(args.seed)
         theta = GradingMap(
             poset, group,
             [rng.randrange(group.order) for _ in range(poset.n)])
-    if args.multidegree:
+    if args.multidegree is not None:
         multidegree = _parse_multidegree(group, args.multidegree)
         _check_cap(len(multidegree))
         degrees = [multidegree]
@@ -336,7 +336,7 @@ def _echo_flags(args, required, echoed):
     echo = {flag: getattr(args, flag) for flag in required}
     for choice in echoed:
         for flag in choice if isinstance(choice, tuple) else (choice,):
-            if getattr(args, flag) not in (None, ""):
+            if getattr(args, flag) is not None:
                 echo[flag] = getattr(args, flag)
                 break
     return echo

@@ -1,17 +1,17 @@
-"""Finite posets: construction with validation, segments, maximal chains,
-connected components, chain-length bound, automorphisms, and chain
+"""Finite posets: construction from a relation, segments, maximal
+chains, connected components, chain-length bound, automorphisms, and chain
 transitivity.
 
-Elements carry stable 0-based indices in input order. The order is stored
-once, closed, as bit rows: bit j of up[i] is set when i is below-or-equal
-j. down (the transpose) and the covers are derived from up, and every
-order query reads the rows. A Poset is immutable, so each structure derived
-from it (comparable pairs, components, maximal chains, Aut(P)) is computed
-at most once, on first request, stored on it and freed with it. Set-valued
-results come back in a deterministic order so they can be frozen into
-golden tests. Aut(P), the maximal chains, and the table of chain pairs
-behind chain transitivity count against MAX_MAPS, which also bounds the
-grading enumerations and the identity degree sweeps.
+Elements carry stable 0-based indices in input order. Poset closes its
+relation once, as bit rows (bit j of up[i] is set when i is below-or-equal
+j; down is the transpose), and reads the covers off the relation's edges.
+Every order query reads the rows. A Poset is immutable, so each structure
+derived from it (comparable pairs, components, maximal chains, Aut(P)) is
+computed at most once, on first request, stored on it and freed with it.
+Set-valued results come back in a deterministic order so they can be
+frozen into golden tests. Aut(P), the maximal chains, and the table of
+chain pairs behind chain transitivity count against MAX_MAPS, which also
+bounds the grading enumerations and the identity degree sweeps.
 """
 
 import functools
@@ -54,14 +54,15 @@ def _bits(mask):
 
 
 class Poset:
-    """Immutable finite poset over labeled, indexed elements.
+    """Immutable finite poset over labeled, indexed elements. The order is
+    the reflexive-transitive closure of relation, a list of (i, j) index
+    pairs with i below j: the covers, every comparable pair, or between."""
 
-    The bit rows up must already be reflexive, antisymmetric, and
-    transitive; use poset_from_covers to close an arbitrary relation first.
-    """
-
-    def __init__(self, elements, up):
+    def __init__(self, elements, relation):
         elements = tuple(str(e) for e in elements)
+        relation = tuple(relation)
+        n = len(elements)
+        up = _close(n, relation)
         if not elements:
             raise EmptyPosetError("poset needs at least one element")
         seen = set()
@@ -69,34 +70,27 @@ class Poset:
             if label in seen:
                 raise DuplicateLabelError(f"duplicate label {label!r}")
             seen.add(label)
-        n = len(elements)
-        up = tuple(up)
-        # row >> n is nonzero for a negative row or one wider than n bits.
-        if len(up) != n or any(not isinstance(row, int) or row >> n for row in up):
-            raise MalformedInputError("up must be n bit rows over n elements")
-        strict = [row & ~(1 << i) for i, row in enumerate(up)]
-        down, covers = [1 << j for j in range(n)], []
-        for i, row in enumerate(up):
-            if not row >> i & 1:
-                raise MalformedInputError(f"relation not reflexive at {elements[i]!r}")
-            above, beyond = _bits(strict[i]), 0
-            for j in above:
-                beyond |= strict[j]
-                down[j] |= 1 << i
-            # beyond holds i if some j above i is also below i, and leaves
-            # up[i] if transitivity fails at i; else above - beyond are covers.
-            if beyond & ~strict[i]:
-                j = next(j for j in above if strict[j] & ~strict[i])
-                if up[j] >> i & 1:
-                    raise CycleError(
-                        f"{elements[i]!r} and {elements[j]!r} are mutually comparable")
-                raise MalformedInputError("relation not transitive")
-            covers += [(i, j) for j in _bits(strict[i] & ~beyond)]
+        down = _close(n, [(j, i) for i, j in relation])
+        # The members of a cycle share their rows, so i is on one when up[i]
+        # and down[i] meet beyond i; name the least other member.
+        for i in range(n):
+            cycle = up[i] & down[i] & ~(1 << i)
+            if cycle:
+                j = (cycle & -cycle).bit_length() - 1
+                raise CycleError(
+                    f"{elements[i]!r} and {elements[j]!r} are mutually comparable")
+        # Every cover is an edge. An edge i -> j is one unless j lies
+        # strictly above the end of another edge leaving i.
+        beyond = [0] * n
+        for i, k in relation:
+            if i != k:
+                beyond[i] |= up[k] & ~(1 << k)
         self.elements = elements
         self.n = n
-        self.up = up
+        self.up = tuple(up)
         self.down = tuple(down)
-        self.covers = tuple(covers)
+        self.covers = tuple(sorted({(i, j) for i, j in relation
+                                    if i != j and not beyond[i] >> j & 1}))
         self._derived = {}
 
     @_derived
@@ -113,7 +107,7 @@ class Poset:
         return hash((self.elements, self.up))
 
     def __repr__(self):
-        return f"Poset({list(self.elements)}, covers={list(self.covers)})"
+        return f"Poset({list(self.elements)}, {list(self.covers)})"
 
 
 def _check_leq(p, x, y, message="({}, {}) is not a comparable pair"):
@@ -168,21 +162,18 @@ def _close(n, edges):
     return up
 
 
-def poset_from_covers(labels, covers):
-    """Build a poset from cover pairs, or from any relation: the order is
-    its reflexive-transitive closure."""
-    labels = tuple(labels)
-    return Poset(labels, _close(len(labels), covers))
-
-
 def poset_from_json(obj):
     """Read {"elements": [...], "covers": [[i,j],...]} or
-    {"elements": [...], "relation": [[i,j],...]}."""
+    {"elements": [...], "relation": [[i,j],...]}: either key names a
+    relation for Poset to close."""
     if not isinstance(obj, dict) or not isinstance(obj.get("elements"), list):
         raise MalformedInputError(
             'poset JSON must be an object with an "elements" list')
     if any(type(v) is not str for v in obj["elements"]):
         raise MalformedInputError("poset JSON elements must be strings")
+    if "covers" in obj and "relation" in obj:
+        raise MalformedInputError(
+            "poset JSON must have one of 'covers' and 'relation', not both")
     key = "covers" if "covers" in obj else "relation"
     if key not in obj:
         raise MalformedInputError("poset JSON needs a 'covers' or 'relation' key")
@@ -190,7 +181,7 @@ def poset_from_json(obj):
     if not isinstance(pairs, list) or not all(map(_is_index_pair, pairs)):
         raise MalformedInputError(
             f"poset JSON {key!r} must be a list of [i, j] integer pairs")
-    return poset_from_covers(obj["elements"], [tuple(p) for p in pairs])
+    return Poset(obj["elements"], [tuple(p) for p in pairs])
 
 
 def _is_index_pair(value):
@@ -205,11 +196,18 @@ def poset_to_json(p):
 
 
 def subposet(p, indices):
-    """Induced subposet on the given indices, kept in the given order."""
+    """Induced subposet on the given indices, kept in the given order. Its
+    relation is its covers: each element's minimal strict upper bounds
+    among the indices."""
     indices = list(indices)
-    return Poset([p.elements[i] for i in indices],
-                 [sum(1 << b for b, j in enumerate(indices) if p.up[i] >> j & 1)
-                  for i in indices])
+    position = {j: b for b, j in enumerate(indices)}
+    inside = sum(1 << j for j in position)
+    covers = []
+    for a, i in enumerate(indices):
+        above = p.up[i] & inside & ~(1 << i)
+        covers += [(a, position[j]) for j in _bits(above)
+                   if p.down[j] & above == 1 << j]
+    return Poset([p.elements[i] for i in indices], covers)
 
 
 def segment(p, x, z):

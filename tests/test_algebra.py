@@ -34,7 +34,7 @@ from incgrade.errors import (
     PosetMismatchError,
     VerificationError,
 )
-from incgrade.poset import Poset, automorphisms, poset_from_covers
+from incgrade.poset import Poset, automorphisms
 
 from util import (
     NONZERO,
@@ -558,8 +558,8 @@ def outcome(decompose, phi):
 
 
 def ten_chain():
-    return poset_from_covers([str(i) for i in range(10)],
-                             [(i, i + 1) for i in range(9)])
+    return Poset([str(i) for i in range(10)],
+                 [(i, i + 1) for i in range(9)])
 
 
 class TestWorkCounts:

@@ -16,7 +16,7 @@ from incgrade.algebra import (  # noqa: E402
     invert,
     mult_auto,
 )
-from incgrade.poset import automorphisms, poset_from_covers  # noqa: E402
+from incgrade.poset import Poset, automorphisms  # noqa: E402
 
 from util import compose_chain_decompose  # noqa: E402
 
@@ -30,7 +30,7 @@ def posets(draw, max_n=5):
     covers = [pair for pair, keep in zip(
         below, draw(st.lists(st.booleans(), min_size=len(below),
                              max_size=len(below)))) if keep]
-    return poset_from_covers([f"e{i}" for i in range(n)], covers)
+    return Poset([f"e{i}" for i in range(n)], covers)
 
 
 def functions(poset, invertible=False):

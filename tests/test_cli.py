@@ -294,7 +294,15 @@ class TestCliContract:
          "symmetric group degree must be between 1 and 4"),
         (["classify", "--poset", "c2", "--group", "S5"],
          "symmetric groups supported up to S4"),
-    ], ids=["equiv-mu", "compare-identities-mu", "S0", "C1xS0", "S5"])
+        # An empty value is read like any other, not taken as absent.
+        (["verify-reduction", "--poset", "c2", "--group", "C2", "--theta="],
+         "unknown group element ''"),
+        (["verify-reduction", "--poset", "c2", "--group", "C2",
+          "--multidegree="],
+         "unknown group element ''"),
+    ], ids=["equiv-mu", "compare-identities-mu", "S0", "C1xS0", "S5",
+            "verify-reduction-empty-theta",
+            "verify-reduction-empty-multidegree"])
     def test_input_error_names_the_bad_input(self, argv, message, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -324,6 +332,21 @@ class TestCliContract:
         assert captured.out == ""
         assert captured.err == (
             f"error: group order {order} exceeds the cap of 256 elements\n")
+
+    @pytest.mark.parametrize("document, message", [
+        ({"elements": ["a", "b"], "covers": [[0, 1]], "relation": []},
+         "poset JSON must have one of 'covers' and 'relation', not both"),
+        ({"elements": ["a", "b"]},
+         "poset JSON needs a 'covers' or 'relation' key"),
+    ], ids=["both", "neither"])
+    def test_poset_json_names_one_relation(self, document, message, tmp_path,
+                                           capsys):
+        path = tmp_path / "poset.json"
+        path.write_text(json.dumps(document))
+        assert main(["validate", "--poset", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_malformed_poset_file_is_usage_error(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -25,9 +25,9 @@ from incgrade.grading import (
     symmetric_group,
 )
 from incgrade.poset import (
+    Poset,
     automorphisms,
     connected_components,
-    poset_from_covers,
 )
 
 from util import (
@@ -52,8 +52,8 @@ def gm(poset, group, names):
 
 
 def chain(n):
-    return poset_from_covers([f"c{i}" for i in range(n)],
-                             [(i, i + 1) for i in range(n - 1)])
+    return Poset([f"c{i}" for i in range(n)],
+                 [(i, i + 1) for i in range(n - 1)])
 
 
 class TestGroups:
@@ -398,8 +398,8 @@ class TestEquivalence:
             self, monkeypatch):
         # One bottom below four tops: Aut(P) = S4, and one top graded h
         # is not two.
-        p = poset_from_covers(["b", "t1", "t2", "t3", "t4"],
-                              [(0, i) for i in range(1, 5)])
+        p = Poset(["b", "t1", "t2", "t3", "t4"],
+                  [(0, i) for i in range(1, 5)])
         g = cyclic_group(2)
         theta = gm(p, g, ["1", "h", "1", "1", "1"])
         mu = gm(p, g, ["1", "h", "h", "1", "1"])
@@ -481,7 +481,7 @@ class TestClassification:
     def test_marking_keeps_no_table_per_automorphism(self):
         # 7! = 5040 automorphisms and one map: a table of |Aut(P)| * n
         # index pairs peaked at 2.6 MiB here.
-        p = poset_from_covers([f"a{i}" for i in range(7)], [])
+        p = Poset([f"a{i}" for i in range(7)], [])
         group = cyclic_group(1)
         automorphisms(p)
         tracemalloc.start()
@@ -519,7 +519,7 @@ class TestClassification:
             covers = [(i, j) for i in range(n) for j in range(i + 1, n)
                       if rng.random() < 0.3]
             order = rng.sample(range(n), n)
-            posets.append(poset_from_covers(
+            posets.append(Poset(
                 [f"e{i}" for i in range(n)],
                 [(order[i], order[j]) for i, j in covers]))
         for p in posets:
@@ -538,7 +538,7 @@ class TestClassification:
     def test_antichains_over_s3_have_one_class(self):
         g = symmetric_group(3)
         for n in range(1, 8):
-            p = poset_from_covers([f"a{i}" for i in range(n)], [])
+            p = Poset([f"a{i}" for i in range(n)], [])
             assert [rep.theta for rep in classify_gradings(p, g)] == [(0,) * n]
 
     def test_burnside_chain_formula(self):

@@ -1,15 +1,21 @@
-"""The paper's main theorem on the Boolean lattice B3.
+"""Counterexamples to the paper's main theorem: the Boolean lattice B3
+and the 5-element lattice M3.
 
 The abstract states: if P is bounded, Aut(P) acts transitively on the
 maximal chains of P, and two elementary G-gradings of the incidence
 algebra satisfy the same graded identities, then they are graded
-isomorphic. On B3 over C2 the gradings theta = (bc -> h) and
-mu = (ac, bc -> h) meet every hypothesis, agree on every identity slice
-through degree 5, and are still not isomorphic: their h-components differ
-in dimension. Every multilinear identity evaluates along a multichain and
-every multichain lies in a maximal chain, so gradings with the same
+isomorphic. Two posets over C2 meet every hypothesis and fail the
+conclusion; in each, the two gradings agree on every identity slice
+through degree 5 and are still not isomorphic, because their
+h-components differ in dimension:
+- B3, the subsets of {a, b, c}, with theta = (bc -> h) and
+  mu = (ac, bc -> h);
+- M3 = 0 < a, b, c < 1, with theta = (a -> h) and mu = (a, b -> h).
+Every multilinear identity evaluates along a multichain and every
+multichain lies in a maximal chain, so gradings with the same
 covering-degree words on the maximal chains ("chain words") have the same
-slices at every degree; theta and mu have the same chain words.
+slices at every degree; in both pairs theta and mu have the same chain
+words.
 """
 
 import pytest
@@ -23,7 +29,12 @@ from incgrade.grading import (
     group_from_spec,
 )
 from incgrade.identities import slices_equal_upto
-from incgrade.poset import is_chain_transitive, maximal_chains, poset_from_covers
+from incgrade.poset import (
+    Poset,
+    automorphisms,
+    is_chain_transitive,
+    maximal_chains,
+)
 
 LETTERS = "abc"
 
@@ -35,21 +46,26 @@ def boolean_lattice_b3():
               for i in range(8)]
     covers = [(i, i | 1 << b) for i in range(8) for b in range(3)
               if not i >> b & 1]
-    return poset_from_covers(labels, covers)
+    return Poset(labels, covers)
 
 
 B3 = boolean_lattice_b3()
+# 0 below a, b and c, all three below 1.
+M3 = Poset(["0", "a", "b", "c", "1"],
+           [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
 C2 = cyclic_group(2)
 H = C2.index_of("h")
 
 
-def grading(*graded_h):
-    return GradingMap(B3, C2, [H if label in graded_h else C2.identity
-                               for label in B3.elements])
+def grading(poset, *graded_h):
+    return GradingMap(poset, C2, [H if label in graded_h else C2.identity
+                                  for label in poset.elements])
 
 
-THETA = grading("bc")
-MU = grading("ac", "bc")
+THETA = grading(B3, "bc")
+MU = grading(B3, "ac", "bc")
+M3_THETA = grading(M3, "a")
+M3_MU = grading(M3, "a", "b")
 
 
 def chain_words(g):
@@ -57,11 +73,15 @@ def chain_words(g):
             for chain in maximal_chains(g.poset)}
 
 
+def bottom_and_top(p):
+    full = (1 << p.n) - 1
+    return ([x for x in range(p.n) if p.up[x] == full],
+            [y for y in range(p.n) if p.down[y] == full])
+
+
 class TestB3Certificate:
     def test_hypotheses_hold(self):
-        full = (1 << B3.n) - 1
-        assert [x for x in range(B3.n) if B3.up[x] == full] == [0]
-        assert [y for y in range(B3.n) if B3.down[y] == full] == [7]
+        assert bottom_and_top(B3) == ([0], [7])
         assert len(maximal_chains(B3)) == 6
         transitive, witnesses = is_chain_transitive(B3)
         assert transitive
@@ -81,6 +101,34 @@ class TestB3Certificate:
 
     def test_same_identity_slices_through_degree_5(self):
         assert slices_equal_upto(THETA, MU, 5) == (True, None)
+
+
+class TestM3Certificate:
+    def test_hypotheses_hold(self):
+        assert bottom_and_top(M3) == ([0], [4])
+        assert len(maximal_chains(M3)) == 3
+        assert len(automorphisms(M3)) == 6
+        transitive, witnesses = is_chain_transitive(M3)
+        assert transitive
+        assert len(witnesses) == 9
+
+    def test_same_chain_words(self):
+        e = C2.identity
+        assert chain_words(M3_THETA) == chain_words(M3_MU) == {(e, e), (H, H)}
+
+    def test_not_equivalent(self):
+        assert equivalent(M3_THETA, M3_MU) is None
+
+    def test_h_components_differ_in_dimension(self):
+        assert len(M3_THETA.components()[H]) == 2
+        assert len(M3_MU.components()[H]) == 4
+
+    def test_same_identity_slices_through_degree_5(self):
+        assert slices_equal_upto(M3_THETA, M3_MU, 5) == (True, None)
+
+    def test_classification(self):
+        assert len(classify_gradings(M3, C2)) == 8
+        assert burnside_class_count(M3, C2) == 8
 
 
 @pytest.mark.parametrize("spec, classes", [("C2", 40), ("S3", 50616)])

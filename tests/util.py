@@ -26,9 +26,9 @@ from incgrade.grading import FiniteGroup, GradingMap
 from incgrade.identities import identity_slice
 from incgrade.linalg import RationalMatrix, RowReducer, nullspace, rref
 from incgrade.poset import (
+    Poset,
     inverse_permutation,
     maximal_chains,
-    poset_from_covers,
     segment,
     subposet,
 )
@@ -74,8 +74,8 @@ def random_poset(rng, max_n, min_n=1):
     covers = [(i, j) for i in range(n) for j in range(i + 1, n)
               if rng.random() < 0.3]
     order = rng.sample(range(n), n)
-    return poset_from_covers([f"e{i}" for i in range(n)],
-                             [(order[i], order[j]) for i, j in covers])
+    return Poset([f"e{i}" for i in range(n)],
+                 [(order[i], order[j]) for i, j in covers])
 
 
 def leq_matrix(poset):
@@ -571,19 +571,14 @@ def compose_chain_decompose(phi):
 
 
 def loop_poset_covers(elements, leq):
-    """Poset's validation and cover search by triple loops over the
-    matrix: the same errors, raised in the same order, or the covers."""
+    """Poset's cycle check and cover search by plain loops over a closed
+    matrix: the same error, naming the same pair, or the covers."""
     n = len(elements)
     for i in range(n):
-        if not leq[i][i]:
-            raise MalformedInputError(f"relation not reflexive at {elements[i]!r}")
         for j in range(n):
             if i != j and leq[i][j] and leq[j][i]:
                 raise CycleError(
                     f"{elements[i]!r} and {elements[j]!r} are mutually comparable")
-            for k in range(n):
-                if leq[i][j] and leq[j][k] and not leq[i][k]:
-                    raise MalformedInputError("relation not transitive")
     covers = []
     for i in range(n):
         for j in range(n):
@@ -594,11 +589,6 @@ def loop_poset_covers(elements, leq):
                 continue
             covers.append((i, j))
     return tuple(sorted(covers))
-
-
-def rows_of(leq):
-    """The bit rows of a boolean matrix: bit j of row i is leq[i][j]."""
-    return [sum(1 << j for j, v in enumerate(row) if v) for row in leq]
 
 
 def matrix_of(rows, n):

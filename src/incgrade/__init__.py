@@ -28,7 +28,7 @@ _EXPORTS = {
         "equivalent", "count_distinct_gradings", "classify_gradings",
         "burnside_class_count"), "grading"),
     **dict.fromkeys((
-        "MultilinearPolynomial", "IdentitySlice", "evaluate",
+        "MultilinearPolynomial", "evaluate",
         "identity_slice", "slices_equal_upto", "verify_chain_reduction",
         "monomial_identities", "chain_transitivity_identity_check"),
         "identities"),

@@ -454,14 +454,15 @@ def decompose_automorphism(phi):
     r^-1 phi'(e_xy) r = c e_xy with c != 0. Conjugation is bijective, so
     that is phi'(e_xy) = c r e_xy r^-1, tested against the closed-form
     outer product of inner_auto. Evaluating both sides at (x, y) gives
-    c = phi'(e_xy)(x, y) r(y, y) / r(x, x). Then s must be multiplicative,
-    and phi(e_uv) = s(sigma u, sigma v) r e_{sigma u sigma v} r^-1 is
-    checked again for every pair as the rebuild. All comparisons run on
-    integer numerators by cross-multiplication.
+    c = phi'(e_xy)(x, y) r(y, y) / r(x, x). Then s must be multiplicative.
+    No rebuild of phi from (r, s, sigma) is compared: phi(e_uv) =
+    s(sigma u, sigma v) r e_{sigma u sigma v} r^-1 is, with x = sigma u and
+    y = sigma v, the scaling test at (x, y) once more, and sigma permutes
+    the comparable pairs. All comparisons run on integer numerators by
+    cross-multiplication.
     """
     phi.validate()
     poset = phi.poset
-    pairs = poset.comparable_pairs()
     sigma = []
     for x in range(poset.n):
         image = phi.images[(x, x)]
@@ -486,7 +487,7 @@ def decompose_automorphism(phi):
 
     conjugate, den = _conjugator(r)
     values = {}
-    for (x, y) in pairs:
+    for (x, y) in poset.comparable_pairs():
         image, image_den = images[(back[x], back[y])]
         target = conjugate(x, y)
         a, t = image.get((x, y), 0), target[(x, y)]
@@ -497,11 +498,4 @@ def decompose_automorphism(phi):
     s = IncidenceFunction(poset, values)
     if not is_multiplicative(s):
         raise DecompositionError("residual scaling is not multiplicative")
-
-    for (u, v) in pairs:
-        image, image_den = images[(u, v)]
-        c = values[(sigma[u], sigma[v])]
-        if not _same(image, image_den * c.numerator,
-                     conjugate(sigma[u], sigma[v]), den * c.denominator):
-            raise DecompositionError("reconstruction does not match the input")
     return r, s, sigma

@@ -170,12 +170,11 @@ def cmd_slice(args, poset, group):
     theta = _parse_theta(poset, group, args.theta)
     multidegree = _parse_multidegree(group, args.multidegree)
     _check_cap(len(multidegree))
-    piece = identity_slice(theta, multidegree)
+    basis = identity_slice(theta, multidegree)
     return {
         "multidegree": [group.names[g] for g in multidegree],
-        "dimension": piece.dimension,
-        "basis": [[format_rational(v) for v in row]
-                  for row in piece.basis.rows],
+        "dimension": basis.nrows,
+        "basis": [[format_rational(v) for v in row] for row in basis.rows],
     }
 
 

@@ -326,7 +326,8 @@ def equivalent(theta, mu):
     e_x I e_y is nonzero exactly when x <= y, so sigma is in Aut(P), and
     equal degrees on comparable pairs make mu(sigma(x)) theta(x)^{-1}
     constant on each component. The witness holds the first such sigma in
-    sorted order, with mu = shifts * (theta o sigma^{-1}).
+    sorted order, with mu = shifts * (theta o sigma^{-1}), and is checked
+    before it is returned.
     """
     if theta.poset != mu.poset or theta.group != mu.group:
         raise MismatchError("gradings live over different posets or groups")
@@ -337,7 +338,10 @@ def equivalent(theta, mu):
         if normal(list(map(mu.theta.__getitem__, sigma))) == target:
             shifts = [group.mul(mu.theta[a], group.inv(theta.theta[sigma.index(a)]))
                       for a, *_ in connected_components(poset)]
-            return EquivalenceWitness(shifts, sigma)
+            witness = EquivalenceWitness(shifts, sigma)
+            if not witness.check(theta, mu):
+                raise VerificationError("equivalence witness fails its check")
+            return witness
     return None
 
 

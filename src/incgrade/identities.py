@@ -10,8 +10,10 @@ the monomials x_{pi(1)} ... x_{pi(m)}. Substituting basis elements of the
 matching components is enough to decide identities, so a slice is the
 nullspace of a finite 0/1 evaluation matrix. Its distinct rows are
 collected as bitmasks and handed to linalg.nullspace as rows of 0/1
-ints, which it eliminates fraction-free; Fractions appear only in the
-slice bases it returns and in polynomial coefficients.
+ints, which it eliminates fraction-free. A slice is its canonical basis:
+identity_slice returns the RationalMatrix itself, whose nrows is the
+slice's dimension. Fractions appear only in those bases and in
+polynomial coefficients.
 """
 
 import functools
@@ -22,7 +24,7 @@ from fractions import Fraction
 from .errors import DegreeMismatchError, MismatchError, NotChainTransitiveError
 from .algebra import IncidenceFunction, convolve, e_basis
 from .grading import classify_gradings
-from .linalg import RationalMatrix, RowReducer, nullspace
+from .linalg import RationalMatrix, nullspace
 from .poset import _check_budget, bound, is_chain_transitive, maximal_chains
 
 
@@ -105,28 +107,6 @@ def evaluate(poly, grading, pairs):
     return out
 
 
-class IdentitySlice:
-    """All identities of one multidegree: the canonical echelon basis of
-    coefficient vectors (over the lex-ordered monomials) that vanish under
-    every substitution."""
-
-    def __init__(self, grading, multidegree, basis):
-        self.grading = grading
-        self.multidegree = tuple(multidegree)
-        self.basis = basis
-
-    @property
-    def dimension(self):
-        return self.basis.nrows
-
-    def contains_vector(self, vector):
-        return RowReducer(self.basis.ncols, self.basis.rows).contains(vector)
-
-    def __repr__(self):
-        names = [self.grading.group.names[g] for g in self.multidegree]
-        return f"IdentitySlice(type={names}, dim={self.dimension})"
-
-
 def _slice_rows(bases):
     """The distinct evaluation rows for one tuple of per-position basis
     pair lists, as a sorted tuple of bitmasks over the permutations.
@@ -166,7 +146,9 @@ def _slice_matrix(rows, width):
 
 
 def identity_slice(grading, multidegree):
-    """Nullspace of the evaluation map for one multidegree.
+    """All identities of one multidegree: the canonical echelon basis of
+    the coefficient vectors (over the lex-ordered monomials) that vanish
+    under every substitution, i.e. the nullspace of the evaluation map.
 
     Rows are substitutions (one basis pair per variable) crossed with
     output pairs; columns are the m! monomials. A degree with an empty
@@ -177,8 +159,7 @@ def identity_slice(grading, multidegree):
         raise DegreeMismatchError("multidegree must have length >= 1")
     components = grading.components()
     bases = tuple(components.get(g, ()) for g in multidegree)
-    return IdentitySlice(grading, multidegree, _slice_matrix(
-        _slice_rows(bases), math.factorial(len(multidegree))))
+    return _slice_matrix(_slice_rows(bases), math.factorial(len(multidegree)))
 
 
 def slices_equal_upto(theta, mu, d):
@@ -192,9 +173,7 @@ def slices_equal_upto(theta, mu, d):
         raise MismatchError("gradings live over different posets or groups")
     alphabet = sorted(set(theta.support()) | set(mu.support()))
     for multidegree in words(alphabet, d):
-        a = identity_slice(theta, multidegree)
-        b = identity_slice(mu, multidegree)
-        if a.basis != b.basis:
+        if identity_slice(theta, multidegree) != identity_slice(mu, multidegree):
             return False, multidegree
     return True, None
 
@@ -212,7 +191,7 @@ def verify_chain_reduction(grading, multidegree):
     """
     multidegree = tuple(multidegree)
     whole = identity_slice(grading, multidegree)
-    width = whole.basis.ncols
+    width = whole.ncols
     components = grading.components()
     chain_rows = []
     for chain in maximal_chains(grading.poset):
@@ -222,9 +201,9 @@ def verify_chain_reduction(grading, multidegree):
                   if members.issuperset(pair)) for g in multidegree)))
     pieces = [_slice_matrix(rows, width) for rows in chain_rows]
     meet = _slice_matrix(tuple(sorted(set().union(*chain_rows))), width)
-    equal = whole.basis == meet
+    equal = whole == meet
     report = {
-        "whole_dimension": whole.dimension,
+        "whole_dimension": whole.nrows,
         "chain_dimensions": [piece.nrows for piece in pieces],
         "intersection_dimension": meet.nrows,
         "equal": equal,

@@ -9,7 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from incgrade import algebra, poset, zeta
+from incgrade import algebra, grading, poset, zeta
 from incgrade.cli import COMMANDS, main
 
 # Run the CLI module from the source tree, so no installed script is needed.
@@ -640,6 +640,17 @@ class TestCliContract:
         report = json.loads(capsys.readouterr().out)
         assert report["results"] == {
             "error": "inverse failed verification against the unit"}
+
+    def test_failed_equivalence_certificate_exits_one(self, monkeypatch,
+                                                      capsys):
+        # equivalent checks the witness it found before returning it.
+        monkeypatch.setattr(grading.EquivalenceWitness, "check",
+                            lambda self, theta, mu: False)
+        assert main(["equiv", "--poset", "c2", "--group", "C2", "--theta",
+                     "1,h", "--mu", "h,1", "--format", "json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["results"] == {
+            "error": "equivalence witness fails its check"}
 
 
 # One valid invocation per case, and the "inputs" it must echo, in order.

@@ -24,7 +24,7 @@ from incgrade.errors import (
 )
 from incgrade.grading import FiniteGroup, GradingMap
 from incgrade.identities import identity_slice
-from incgrade.linalg import RationalMatrix, RowReducer, nullspace, rref
+from incgrade.linalg import RationalMatrix
 from incgrade.poset import (
     Poset,
     inverse_permutation,
@@ -336,10 +336,22 @@ def fraction_row_reducer(ncols, rows):
     return reducer
 
 
+def rref(matrix):
+    """The unique reduced row echelon form, zero rows trimmed, by the
+    Fraction oracle."""
+    return fraction_row_reducer(matrix.ncols, matrix.rows).matrix()
+
+
+def in_span(basis, vector):
+    """True iff vector lies in the row space of basis, by the Fraction
+    oracle."""
+    return fraction_row_reducer(basis.ncols, basis.rows).contains(vector)
+
+
 def fraction_nullspace(matrix):
     """Kernel basis from the Fraction RREF: one vector per free column,
     then reduced once more to the canonical echelon form."""
-    reduced = fraction_row_reducer(matrix.ncols, matrix.rows).matrix()
+    reduced = rref(matrix)
     pivots = set()
     col_of_row = []
     for row in reduced.rows:
@@ -409,15 +421,13 @@ def pairwise_subspace_intersect(a, b):
     if a.ncols != b.ncols:
         raise DimensionMismatchError(
             f"ambient dimensions differ: {a.ncols} vs {b.ncols}")
-    constraints = list(nullspace(a).rows) + list(nullspace(b).rows)
-    result = nullspace(RationalMatrix(constraints, a.ncols))
+    constraints = (list(fraction_nullspace(a).rows)
+                   + list(fraction_nullspace(b).rows))
+    result = fraction_nullspace(RationalMatrix(constraints, a.ncols))
     for side in (a, b):
-        reducer = RowReducer(side.ncols)
-        for row in side.rows:
-            reducer.add(row)
-        for vec in result.rows:
-            if not reducer.contains(vec):
-                raise VerificationError("intersection vector escapes a factor")
+        reducer = fraction_row_reducer(side.ncols, side.rows)
+        if not all(reducer.contains(vec) for vec in result.rows):
+            raise VerificationError("intersection vector escapes a factor")
     return result
 
 
@@ -432,12 +442,12 @@ def pairwise_chain_reduction(grading, multidegree):
         restricted = GradingMap(subposet(grading.poset, chain), grading.group,
                                 [grading.theta[i] for i in chain])
         piece = identity_slice(restricted, multidegree)
-        chain_dims.append(piece.dimension)
-        meet = piece.basis if meet is None else pairwise_subspace_intersect(
-            meet, piece.basis)
-    equal = subspace_equal(whole.basis, meet)
+        chain_dims.append(piece.nrows)
+        meet = piece if meet is None else pairwise_subspace_intersect(
+            meet, piece)
+    equal = subspace_equal(whole, meet)
     return equal, {
-        "whole_dimension": whole.dimension,
+        "whole_dimension": whole.nrows,
         "chain_dimensions": chain_dims,
         "intersection_dimension": meet.nrows,
         "equal": equal,
@@ -502,7 +512,7 @@ def all_pairs_validate(phi):
         unit = unit + phi.images[(i, i)]
     if unit != delta(poset):
         raise NotAutomorphismError("unit is not preserved")
-    reducer = RowReducer(len(pairs))
+    reducer = FractionRowReducer(len(pairs))
     col = {pair: k for k, pair in enumerate(pairs)}
     for pair in pairs:
         row = [Fraction(0)] * len(pairs)

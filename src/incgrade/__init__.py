@@ -22,13 +22,13 @@ _EXPORTS = {
     **dict.fromkeys((
         "IncidenceFunction", "AlgebraMorphism", "e_basis", "delta", "zeta",
         "convolve", "hadamard", "invert", "is_multiplicative", "inner_auto",
-        "mult_auto", "induced_auto", "decompose_automorphism"), "algebra"),
+        "mult_auto", "induced_auto", "decompose_automorphism", "evaluate"),
+        "algebra"),
     **dict.fromkeys((
         "FiniteGroup", "GradingMap", "EquivalenceWitness", "group_from_spec",
         "equivalent", "count_distinct_gradings", "classify_gradings",
         "burnside_class_count"), "grading"),
     **dict.fromkeys((
-        "MultilinearPolynomial", "evaluate",
         "identity_slice", "slices_equal_upto", "verify_chain_reduction",
         "monomial_identities", "chain_transitivity_identity_check"),
         "identities"),

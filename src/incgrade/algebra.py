@@ -1,9 +1,9 @@
 """Exact arithmetic in the incidence algebra of a finite poset over the
 rationals: convolution, Hadamard product, triangular inversion, the basis
-functions e_xy with the unit delta and all-ones zeta, multiplicative
-functions, and the inner / multiplicative / induced automorphism families
-with constructive decomposition of an arbitrary automorphism into the
-three.
+functions e_xy with the unit delta and all-ones zeta, evaluation of a
+multilinear polynomial at comparable pairs, multiplicative functions, and
+the inner / multiplicative / induced automorphism families with
+constructive decomposition of an arbitrary automorphism into the three.
 
 Values at the API are fractions.Fraction. Convolution, inversion and the
 automorphism checks run fraction-free inside: each operand is read once
@@ -12,10 +12,13 @@ built only for the values a routine returns.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from functools import reduce
+from itertools import permutations
+from math import factorial, gcd, lcm
 
 from .errors import (
     DecompositionError,
+    DegreeMismatchError,
     MalformedInputError,
     NotAutomorphismError,
     NotInvertibleError,
@@ -196,6 +199,27 @@ def hadamard(f1, f2):
     out = {pair: value * f2.entries[pair]
            for pair, value in f1.entries.items() if pair in f2.entries}
     return IncidenceFunction(f1.poset, out)
+
+
+def evaluate(poset, coefficients, pairs):
+    """Value at one comparable pair per variable, by exact convolution, of
+    the multilinear polynomial with m = len(pairs) variables given by its
+    m! coefficients over the monomials x_{pi(1)} ... x_{pi(m)}, pi in
+    itertools.permutations(range(m)) order, as a slice's rows hold them.
+    Every pair is checked, even one only zero coefficients use."""
+    pairs = [(int(x), int(y)) for x, y in pairs]
+    m = len(pairs)
+    if not m or len(coefficients) != factorial(m):
+        raise DegreeMismatchError(
+            f"{len(coefficients)} coefficients for {m} pairs, need m! with m >= 1")
+    for x, y in pairs:
+        _check_leq(poset, x, y)
+    out = IncidenceFunction(poset, {})
+    for perm, coeff in zip(permutations(range(m)), coefficients):
+        if coeff:
+            term = reduce(convolve, (e_basis(poset, *pairs[j]) for j in perm))
+            out = out + coeff * term
+    return out
 
 
 def _inverse(poset, numerators, den):

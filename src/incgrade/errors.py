@@ -85,7 +85,7 @@ class ResultTooLongError(IncgradeError):
 
 
 class DegreeMismatchError(IncgradeError):
-    """A substitution's multidegree does not match the polynomial's."""
+    """A multidegree is empty, or m pairs do not meet m! coefficients."""
 
 
 class DimensionMismatchError(IncgradeError):

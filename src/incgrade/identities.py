@@ -1,28 +1,28 @@
 """Multilinear graded polynomial identities of an elementary grading:
-evaluation of multilinear polynomials, per-multidegree identity slices as
-exact nullspaces, slice comparison between gradings, reduction of the
-whole-poset slice to maximal chains, monomial identities, and the
-separation probe for chain-transitive posets.
+per-multidegree identity slices as exact nullspaces, slice comparison
+between gradings, reduction of the whole-poset slice to maximal chains,
+monomial identities, and the separation probe for chain-transitive
+posets.
 
 A multidegree (g_1, ..., g_m) fixes the degree of each variable; the
 multilinear polynomials of that type live in the m!-dimensional span of
-the monomials x_{pi(1)} ... x_{pi(m)}. Substituting basis elements of the
-matching components is enough to decide identities, so a slice is the
-nullspace of a finite 0/1 evaluation matrix. Its distinct rows are
-collected as bitmasks and handed to linalg.nullspace as rows of 0/1
-ints, which it eliminates fraction-free. A slice is its canonical basis:
-identity_slice returns the RationalMatrix itself, whose nrows is the
-slice's dimension. Fractions appear only in those bases and in
-polynomial coefficients.
+the monomials x_{pi(1)} ... x_{pi(m)}, and a polynomial is its vector of
+m! coefficients over them in itertools.permutations(range(m)) order.
+Substituting basis elements of the matching components is enough to
+decide identities, so a slice is the nullspace of a finite 0/1
+evaluation matrix. Its distinct rows are collected as bitmasks and handed
+to linalg.nullspace as rows of 0/1 ints, which it eliminates
+fraction-free. A slice is its canonical basis: identity_slice returns the
+RationalMatrix itself, whose nrows is the slice's dimension and whose
+rows are polynomials. algebra.evaluate substitutes into one; this module
+needs no algebra arithmetic.
 """
 
 import functools
 import itertools
 import math
-from fractions import Fraction
 
 from .errors import DegreeMismatchError, MismatchError, NotChainTransitiveError
-from .algebra import IncidenceFunction, convolve, e_basis
 from .grading import classify_gradings
 from .linalg import RationalMatrix, nullspace
 from .poset import _check_budget, bound, is_chain_transitive, maximal_chains
@@ -40,71 +40,6 @@ def words(alphabet, d):
     _check_budget(_word_count(len(alphabet), d), "words")
     return itertools.chain.from_iterable(
         itertools.product(alphabet, repeat=m) for m in range(1, d + 1))
-
-
-def lex_permutations(m):
-    """The m! permutations of (1..m) in lexicographic order."""
-    return tuple(itertools.permutations(range(1, m + 1)))
-
-
-class MultilinearPolynomial:
-    """Multilinear polynomial of one multidegree: a rational combination
-    of the monomials x_{pi(1)} ... x_{pi(m)} over permutations pi."""
-
-    def __init__(self, group, multidegree, terms):
-        self.group = group
-        self.multidegree = tuple(int(g) for g in multidegree)
-        m = len(self.multidegree)
-        if m < 1:
-            raise DegreeMismatchError("multidegree must have length >= 1")
-        valid = set(lex_permutations(m))
-        cleaned = {}
-        for perm, coeff in terms.items():
-            perm = tuple(int(v) for v in perm)
-            if perm not in valid:
-                raise DegreeMismatchError(f"{perm} is not a permutation of 1..{m}")
-            coeff = Fraction(coeff)
-            if coeff:
-                cleaned[perm] = coeff
-        self.terms = cleaned
-
-    @property
-    def m(self):
-        return len(self.multidegree)
-
-    def coefficient_vector(self):
-        """Coefficients over the lexicographically ordered monomials."""
-        perms = lex_permutations(self.m)
-        return [self.terms.get(p, Fraction(0)) for p in perms]
-
-    def __repr__(self):
-        names = [self.group.names[g] for g in self.multidegree]
-        return f"MultilinearPolynomial(type={names}, {len(self.terms)} terms)"
-
-
-def evaluate(poly, grading, pairs):
-    """Value of the polynomial at a substitution of one comparable pair per
-    variable, by exact convolution.
-
-    The pairs must match the polynomial's multidegree: pair i must carry
-    degree g_i in the grading.
-    """
-    pairs = tuple((int(x), int(y)) for x, y in pairs)
-    if len(pairs) != poly.m:
-        raise DegreeMismatchError(
-            f"substitution has {len(pairs)} pairs, polynomial needs {poly.m}")
-    for (x, y), g in zip(pairs, poly.multidegree):
-        if grading.grade_of_pair(x, y) != g:
-            raise DegreeMismatchError(
-                f"pair ({x}, {y}) has the wrong degree for its slot")
-    poset = grading.poset
-    out = IncidenceFunction(poset, {})
-    for perm, coeff in poly.terms.items():
-        term = e_basis(poset, *pairs[perm[0] - 1])
-        for j in perm[1:]:
-            term = convolve(term, e_basis(poset, *pairs[j - 1]))
-        out = out + coeff * term
-    return out
 
 
 def _slice_rows(bases):

@@ -97,14 +97,13 @@ class RationalMatrix:
 
 
 class RowReducer:
-    """Incrementally maintained canonical reduced echelon basis of integer
-    rows.
+    """Incrementally maintained reduced echelon basis of integer rows.
 
     add() folds one row into the basis and reports whether the rank grew.
-    Each stored row is a primitive integer multiple of one row of the
-    RREF: its entries have gcd 1, its pivot is positive, and it is zero in
-    every other stored row's pivot column. kernel() reads the integer
-    kernel basis off the stored rows.
+    Each stored row is primitive (its entries have gcd 1), its pivot is its
+    last nonzero entry and positive, and it is zero in every other stored
+    row's pivot column. kernel() reads the canonical integer kernel basis
+    off the stored rows.
     """
 
     def __init__(self, ncols):
@@ -133,7 +132,7 @@ class RowReducer:
                 common = gcd(prow[pcol], factor)
                 a, b = prow[pcol] // common, factor // common
                 work = [a * w - b * p for w, p in zip(work, prow)]
-        lead = next((j for j, v in enumerate(work) if v), None)
+        lead = next((j for j in reversed(range(self.ncols)) if work[j]), None)
         if lead is None:
             return False
         content = gcd(*work) if work[lead] > 0 else -gcd(*work)
@@ -156,7 +155,9 @@ class RowReducer:
         """Integer basis of the right kernel of the rows added so far, one
         vector per free column f in ascending order: L at f, zero at the
         other free columns, and -row[f] * L / pivot at the pivot column of
-        each stored row, where L is the lcm of the pivots involved."""
+        each stored row, where L is the lcm of the pivots involved. Only rows
+        pivoting right of f are nonzero at f, so f's vector leads at f, where
+        every other vector is zero: the canonical echelon basis up to scale."""
         pivots = set(self._pivots)
         basis = []
         for free in range(self.ncols):
@@ -182,21 +183,18 @@ def nullspace(matrix):
     """Canonical echelon basis of the right kernel {v : M v = 0} of a
     matrix of ints.
 
-    The rows are reduced with their columns in reverse order. Read back in
-    the original order, the kernel vector of free column f is nonzero only
-    at f and at pivot columns right of f, and every other kernel vector is
-    zero at f, so these vectors, taken by ascending f, already form the
-    canonical echelon basis. Each is checked against every row of M in
-    integer arithmetic, over its nonzero entries only, before it is
-    returned with its leading entry scaled to 1.
+    RowReducer.kernel() is that basis up to the scale of each vector. Each
+    vector is checked against every row of M in integer arithmetic, over
+    its nonzero entries only, before it is returned with its leading entry
+    scaled to 1.
     """
     ncols = matrix.ncols
     reducer = RowReducer(ncols)
     for row in matrix.rows:
         if reducer.rank == ncols:
             break
-        reducer.add(row[::-1])
-    kernel = [vec[::-1] for vec in reversed(reducer.kernel())]
+        reducer.add(row)
+    kernel = reducer.kernel()
     for vec in kernel:
         # Column 0 rides along with weight 0, so pick returns a tuple even
         # when vec has a single nonzero entry.

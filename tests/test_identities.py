@@ -5,18 +5,17 @@ from fractions import Fraction
 import pytest
 
 from incgrade import identities
+from incgrade.algebra import evaluate
 from incgrade.corpus import corpus_posets
 from incgrade.errors import (
     DegreeMismatchError,
     NotChainTransitiveError,
+    NotComparableError,
 )
 from incgrade.grading import GradingMap, cyclic_group, equivalent, group_from_spec
 from incgrade.identities import (
-    MultilinearPolynomial,
     chain_transitivity_identity_check,
-    evaluate,
     identity_slice,
-    lex_permutations,
     monomial_identities,
     slices_equal_upto,
     verify_chain_reduction,
@@ -45,19 +44,11 @@ def trivial_grading(poset):
     return GradingMap(poset, group_from_spec("C1"), [0] * poset.n)
 
 
-def poly_from_vector(group, multidegree, vector):
-    perms = lex_permutations(len(multidegree))
-    return MultilinearPolynomial(group, multidegree, dict(zip(perms, vector)))
-
-
-def commutator_product(group):
-    # [x1, x2][x3, x4] expanded over the lex-ordered monomials.
-    return MultilinearPolynomial(group, (group.identity,) * 4, {
-        (1, 2, 3, 4): 1,
-        (1, 2, 4, 3): -1,
-        (2, 1, 3, 4): -1,
-        (2, 1, 4, 3): 1,
-    })
+# [x1, x2][x3, x4] expanded over the lex-ordered monomials.
+COMMUTATOR_PRODUCT = [
+    {(1, 2, 3, 4): 1, (1, 2, 4, 3): -1, (2, 1, 3, 4): -1,
+     (2, 1, 4, 3): 1}.get(perm, 0)
+    for perm in itertools.permutations((1, 2, 3, 4))]
 
 
 def test_words_are_shortest_first_in_product_order():
@@ -67,46 +58,28 @@ def test_words_are_shortest_first_in_product_order():
     assert list(words("", 3)) == []
 
 
-class TestPolynomials:
-    def test_lex_permutation_order(self):
-        assert lex_permutations(3) == (
-            (1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1))
-
-    def test_zero_coefficients_dropped(self):
-        g = cyclic_group(2)
-        poly = MultilinearPolynomial(g, (0, 0), {(1, 2): 1, (2, 1): 0})
-        assert poly.terms == {(1, 2): Fraction(1)}
-        assert poly.coefficient_vector() == [1, 0]
-
-    def test_bad_permutation_rejected(self):
-        g = cyclic_group(2)
-        with pytest.raises(DegreeMismatchError):
-            MultilinearPolynomial(g, (0, 0), {(1, 1): 1})
-
-
 class TestEvaluate:
     def test_commutator_on_chain(self):
-        p = CORPUS["c2"]
-        theta = trivial_grading(p)
-        poly = poly_from_vector(theta.group, (0, 0), [1, -1])
-        value = evaluate(poly, theta, [(0, 1), (1, 1)])
+        value = evaluate(CORPUS["c2"], [1, -1], [(0, 1), (1, 1)])
         assert value(0, 1) == 1
         assert value.support() == ((0, 1),)
 
     def test_substitution_length_checked(self):
-        p = CORPUS["c2"]
-        theta = trivial_grading(p)
-        poly = poly_from_vector(theta.group, (0, 0), [1, -1])
-        with pytest.raises(DegreeMismatchError):
-            evaluate(poly, theta, [(0, 0)])
+        # m pairs take exactly m! coefficients, and m is at least 1.
+        p = CORPUS["c3"]
+        for coefficients, pairs in [([1, -1], [(0, 0)]),
+                                    ([1], [(0, 0), (0, 1)]),
+                                    ([1] * 6, [(0, 0), (0, 1)]),
+                                    ([1], [])]:
+            with pytest.raises(DegreeMismatchError):
+                evaluate(p, coefficients, pairs)
 
-    def test_substitution_degree_checked(self):
+    def test_pairs_must_be_comparable(self):
+        # Even a pair that only a zero coefficient would use is checked.
         p = CORPUS["c2"]
-        g = cyclic_group(2)
-        theta = gm(p, g, ["1", "h"])
-        poly = poly_from_vector(g, (g.index_of("h"),), [1])
-        with pytest.raises(DegreeMismatchError):
-            evaluate(poly, theta, [(0, 0)])
+        for pairs in ([(1, 0), (0, 1)], [(0, 1), (0, 2)]):
+            with pytest.raises(NotComparableError):
+                evaluate(p, [0, 0], pairs)
 
 
 class TestIdentitySlice:
@@ -146,13 +119,12 @@ class TestIdentitySlice:
         # The algebra of a 2-chain is 2x2 upper triangular matrices.
         theta = trivial_grading(CORPUS["c2"])
         s = identity_slice(theta, (0, 0, 0, 0))
-        assert in_span(s, commutator_product(theta.group).coefficient_vector())
+        assert in_span(s, COMMUTATOR_PRODUCT)
 
     def test_commutator_product_fails_on_three_chain(self):
         theta = trivial_grading(CORPUS["c3"])
         s = identity_slice(theta, (0, 0, 0, 0))
-        assert not in_span(
-            s, commutator_product(theta.group).coefficient_vector())
+        assert not in_span(s, COMMUTATOR_PRODUCT)
 
     def test_slice_members_vanish_on_random_substitutions(self):
         rng = random.Random(50)
@@ -165,10 +137,9 @@ class TestIdentitySlice:
                 if any(not b for b in bases):
                     continue
                 for row in s.rows:
-                    poly = poly_from_vector(g, multidegree, row)
                     for _ in range(50):
                         sub = [rng.choice(b) for b in bases]
-                        assert not evaluate(poly, theta, sub).entries
+                        assert not evaluate(theta.poset, row, sub).entries
 
     def test_vectors_outside_slice_have_witnesses(self):
         # Anything the nullspace rejects must fail on some substitution.
@@ -177,9 +148,8 @@ class TestIdentitySlice:
         bases = [theta.component_basis(0)] * 2
         for vector in ([1, 0], [0, 1], [1, 1]):
             assert not in_span(s, vector)
-            poly = poly_from_vector(theta.group, (0, 0), vector)
             hits = [sub for sub in itertools.product(*bases)
-                    if evaluate(poly, theta, sub).entries]
+                    if evaluate(theta.poset, vector, sub).entries]
             assert hits
 
     @pytest.mark.parametrize("spec", ["C2", "C3", "S3"])

@@ -287,6 +287,21 @@ class TestAgainstFractionOracle:
             m = mat(random_rows(rng, rng.randint(0, 7), ncols), ncols=ncols)
             assert nullspace(m) == fraction_nullspace(m)
 
+    def test_kernel_is_canonical_as_read(self):
+        # kernel() vectors, in the order given and each scaled by its
+        # leading entry, are already the canonical echelon basis.
+        rng = random.Random(35)
+        for _ in range(200):
+            ncols = rng.randint(0, 7)
+            rows = random_rows(rng, rng.randint(0, 8), ncols)
+            reducer = RowReducer(ncols)
+            for row in rows:
+                reducer.add(row)
+            scaled = [[Fraction(v, next(x for x in vec if x)) for v in vec]
+                      for vec in reducer.kernel()]
+            assert mat(scaled, ncols=ncols) == fraction_nullspace(
+                mat(rows, ncols=ncols))
+
     def test_zero_one_int_rows_match_oracle(self):
         # Identity slices hand nullspace 0/1 int rows; the kernel must be
         # the oracle's for the same rows given as Fractions, in Fractions.

@@ -126,3 +126,4 @@ def test_cli_runs_on_the_standard_library_alone():
                                  "--theta", "1,h", "--multidegree", "h,h")
     assert "dimension: 2" in out
     assert {"incgrade.identities", "incgrade.linalg", "fractions"} <= loaded
+    assert "incgrade.algebra" not in loaded

@@ -9,14 +9,20 @@ COMMANDS.
 Exit codes: 0 success, 1 a verification subcommand found a counterexample
 or a cross-check failed, 2 input or usage error or a report that cannot
 be written.
+
+The command line is read against COMMANDS and FLAGS alone, as argparse
+would read it: a flag may be abbreviated to any unambiguous prefix and
+take its value as the next argument or after "=", the last of a
+repeated flag wins, and a usage error is one "incgrade: error:" line.
 """
 
-import argparse
 import json
 import os
 import random
+import re
 import sys
 import time
+from types import SimpleNamespace
 
 from . import __version__
 from .corpus import FIXTURE_NAMES, load_poset, read_json
@@ -42,8 +48,8 @@ from .poset import (
     poset_to_json,
 )
 
-# The rational layers (algebra, identities, linalg) load fractions and
-# decimal, so the handlers that need them import them on use.
+# The algebra and identity layers are imported by the handlers that use
+# them; algebra and the slice's rational text load fractions and decimal.
 
 # A slice of multidegree length m has m! columns, so commands refuse a
 # longer multidegree or a higher --max-degree. The library has no cap.
@@ -286,49 +292,160 @@ COMMANDS = {
 }
 
 
-def _non_negative_int(text):
+class UsageError(Exception):
+    """A command line that cannot be read; reported as one
+    "incgrade: error:" line, with exit code 2."""
+
+
+def _int(text):
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise UsageError(f"invalid int value: {text!r}") from None
+
+
+def _non_negative_int(text):
+    value = _int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+        raise UsageError(f"must not be negative: {value}")
     return value
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as its one "incgrade: error:" line, without
-    the usage text, and exits 2."""
+def _choice(text, choices):
+    if text not in choices:
+        raise UsageError(f"invalid choice: {text!r} (choose from "
+                         f"{', '.join(map(repr, choices))})")
+    return text
 
-    def error(self, message):
-        self.exit(2, f"{self.prog}: error: {message}\n")
+
+# Each flag: its converter (None for a switch), its default and its help.
+FLAGS = {
+    "help": (None, None, "show this help and exit"),
+    "poset": (str, None,
+              f"poset JSON file or fixture name ({', '.join(FIXTURE_NAMES)})"),
+    "group": (str, None, "group spec such as C2, C3, C2xC2, S3"),
+    "theta": (str, None, "grading map as CSV of element names"),
+    "mu": (str, None, "second grading map as CSV"),
+    "multidegree": (str, None, "multidegree as CSV of group element names"),
+    "morphism": (str, None, "morphism JSON file"),
+    "max_degree": (_non_negative_int, 3, "degree limit for identity sweeps"),
+    "verify": (None, False, "enable brute-force cross-checks"),
+    "format": (lambda text: _choice(text, ("json", "table")), "table",
+               "output format: json or table"),
+    "seed": (_int, 0, "seed for randomized subcommands"),
+}
 
 
-def build_parser():
-    parser = _Parser(
-        prog="incgrade",
-        description="Elementary group gradings on incidence algebras of "
-                    "finite posets.")
-    parser.add_argument("command", choices=sorted(COMMANDS),
-                        help="operation to run")
-    parser.add_argument("--poset",
-                        help="poset JSON file or fixture name "
-                             f"({', '.join(FIXTURE_NAMES)})")
-    parser.add_argument("--group", help="group spec such as C2, C3, C2xC2, S3")
-    parser.add_argument("--theta", help="grading map as CSV of element names")
-    parser.add_argument("--mu", help="second grading map as CSV")
-    parser.add_argument("--multidegree",
-                        help="multidegree as CSV of group element names")
-    parser.add_argument("--morphism", help="morphism JSON file")
-    parser.add_argument("--max-degree", type=_non_negative_int, default=3,
-                        help="degree limit for identity sweeps (default 3)")
-    parser.add_argument("--verify", action="store_true",
-                        help="enable brute-force cross-checks")
-    parser.add_argument("--format", choices=("json", "table"),
-                        default="table", help="output format")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized subcommands")
-    return parser
+def _option(token, options):
+    """(flag, option string, explicit value) for an argument that reads as
+    a flag, with flag None for an unknown one; None for a positional one."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in options:
+        return options[token], token, None
+    head, eq, explicit = token.partition("=")
+    if eq and head in options:
+        return options[head], head, explicit
+    if token[1] == "-":
+        matches = [(option, explicit if eq else None)
+                   for option in options if option.startswith(head)]
+    else:  # -h takes the rest of its argument as a value
+        matches = [("-h", token[2:])] if token[:2] == "-h" else []
+    if len(matches) > 1:
+        raise UsageError(f"ambiguous option: {token} could match "
+                         + ", ".join(option for option, _ in matches))
+    if matches:
+        option, explicit = matches[0]
+        return options[option], option, explicit
+    if re.match(r"-\d+$|-\d*\.\d+$", token) or " " in token:
+        return None  # a negative number or a value with a space
+    return None, token, None
+
+
+def parse_args(argv):
+    """The command and flag values of argv, or None when -h or --help
+    comes before any error.
+
+    Every argument is first classified; then the arguments are consumed
+    left to right, so the first bad one is reported. The command is the
+    first positional argument. After "--" every argument is positional.
+    """
+    options = {"-h": "help",
+               **{f"--{flag.replace('_', '-')}": flag for flag in FLAGS}}
+    kinds = []
+    for at, token in enumerate(argv):
+        if token == "--":
+            kinds += ["--"] + [None] * (len(argv) - at - 1)
+            break
+        kinds.append(_option(token, options))
+    values = {flag: default for flag, (_, default, _) in FLAGS.items()}
+    command, extras, at = None, [], 0
+    while at < len(argv):
+        kind, token = kinds[at], argv[at]
+        at += 1
+        if kind == "--" and command is None and at < len(argv):
+            kind, token = None, argv[at]
+            at += 1
+        if kind is None and command is None:
+            try:
+                command = _choice(token, sorted(COMMANDS))
+            except UsageError as exc:
+                raise UsageError(f"argument command: {exc}") from None
+            if at < len(argv) and kinds[at] == "--":
+                at += 1
+            continue
+        if kind is None or kind == "--" or kind[0] is None:
+            extras.append(token)
+            continue
+        flag, option, explicit = kind
+        name = "-h/--help" if flag == "help" else f"--{flag.replace('_', '-')}"
+        convert = FLAGS[flag][0]
+        if convert is None:
+            if option == "-h" and explicit:  # -hh is -h twice
+                explicit = explicit.lstrip("h") or None
+            if explicit is not None:
+                raise UsageError(
+                    f"argument {name}: ignored explicit argument {explicit!r}")
+            if flag == "help":
+                return None
+            values[flag] = True
+            continue
+        if explicit is None:
+            if at == len(argv) or kinds[at] is not None:
+                raise UsageError(f"argument {name}: expected one argument")
+            explicit = argv[at]
+            at += 1
+        try:
+            values[flag] = convert(explicit)
+        except UsageError as exc:
+            raise UsageError(f"argument {name}: {exc}") from None
+    if command is None:
+        raise UsageError("the following arguments are required: command")
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    del values["help"]
+    return SimpleNamespace(command=command, **values)
+
+
+def _usage():
+    """The --help text, read off COMMANDS and FLAGS."""
+    lines = ["usage: incgrade COMMAND [--FLAG VALUE ...]", "",
+             "Elementary group gradings on incidence algebras of finite "
+             "posets.", "", "commands and the flags they require:"]
+    for command, (_, required, _) in sorted(COMMANDS.items()):
+        lines.append(f"  {command:<20}" + " ".join(
+            f"--{flag.replace('_', '-')}" for flag in required))
+    lines += ["", "flags (a unique prefix also works):"]
+    for flag, (convert, default, text) in FLAGS.items():
+        option = f"--{flag.replace('_', '-')}"
+        if flag == "help":
+            option = "-h, --help"
+        elif convert is not None:
+            option += " VALUE"
+        if convert is not None and default is not None:
+            text += f" (default {default})"
+        lines.append(f"  {option:<22}{text}")
+    return "\n".join(lines)
 
 
 def _echo_flags(args, required, echoed):
@@ -375,14 +492,17 @@ def _table_lines(value, indent):
 
 
 def run(argv):
-    """Run one subcommand; returns (its rendered output, exit code)."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; returns (its rendered output, exit code). A
+    command line that cannot be read raises UsageError."""
+    args = parse_args(argv)
+    if args is None:
+        return _usage(), 0
     command = args.command
     handler, required, echoed = COMMANDS[command]
     for field in required:
         if getattr(args, field) is None:
-            parser.error(f"{command} requires --{field.replace('_', '-')}")
+            raise UsageError(
+                f"{command} requires --{field.replace('_', '-')}")
     started = time.monotonic()
     code = 0
     try:
@@ -430,6 +550,9 @@ def _write(stream, text):
 def _main(argv):
     try:
         output, code = run(argv)
+    except UsageError as exc:
+        _write(sys.stderr, f"incgrade: error: {exc}")
+        sys.exit(2)
     except (IncgradeError, OSError) as exc:
         _write(sys.stderr, f"error: {exc}")
         return 2
@@ -453,7 +576,7 @@ def main(argv=None):
         return _main(argv)
     try:
         code = _main(sys.argv[1:])
-    except SystemExit as exc:  # argparse: --help or a usage error
+    except SystemExit as exc:  # a usage error
         code = 0 if exc.code is None else exc.code
     for stream in (sys.stdout, sys.stderr):
         if stream is not None:

@@ -12,17 +12,30 @@ Substituting basis elements of the matching components is enough to
 decide identities, so a slice is the nullspace of a finite 0/1
 evaluation matrix. Its distinct rows are collected as bitmasks and handed
 to linalg.nullspace as rows of 0/1 ints, which it eliminates
-fraction-free. A slice is its canonical basis: identity_slice returns the
-RationalMatrix itself, whose nrows is the slice's dimension and whose
-rows are polynomials. algebra.evaluate substitutes into one; this module
-needs no algebra arithmetic.
+fraction-free into the canonical basis in primitive integer vectors.
+Slice comparison and the chain reduction compare and count those
+integer bases. Only identity_slice, where a basis leaves the package,
+scales each row to a leading 1 as Fractions, so importing this module
+loads neither fractions nor decimal. algebra.evaluate substitutes into
+a polynomial; this module needs no algebra arithmetic.
+
+Every nonzero product runs along a multichain, which lies in a maximal
+chain, and a chain's evaluation rows depend only on its word of degrees
+(chain_words). So gradings with the same maximal-chain words have the
+same slice at every multidegree, and slices_equal_upto answers such a
+pair without computing a slice.
 """
 
 import functools
 import itertools
 import math
 
-from .errors import DegreeMismatchError, MismatchError, NotChainTransitiveError
+from .errors import (
+    BudgetExceededError,
+    DegreeMismatchError,
+    MismatchError,
+    NotChainTransitiveError,
+)
 from .grading import classify_gradings
 from .linalg import RationalMatrix, nullspace
 from .poset import _check_budget, bound, is_chain_transitive, maximal_chains
@@ -80,21 +93,42 @@ def _slice_matrix(rows, width):
         [[mask >> i & 1 for i in range(width)] for mask in rows], width))
 
 
-def identity_slice(grading, multidegree):
-    """All identities of one multidegree: the canonical echelon basis of
-    the coefficient vectors (over the lex-ordered monomials) that vanish
-    under every substitution, i.e. the nullspace of the evaluation map.
-
-    Rows are substitutions (one basis pair per variable) crossed with
-    output pairs; columns are the m! monomials. A degree with an empty
-    component admits no substitutions, so the slice is the full space.
-    """
-    multidegree = tuple(multidegree)
+def _slice(grading, multidegree):
+    """The slice of one multidegree tuple as its canonical basis of
+    primitive integer vectors."""
     if not multidegree:
         raise DegreeMismatchError("multidegree must have length >= 1")
     components = grading.components()
     bases = tuple(components.get(g, ()) for g in multidegree)
     return _slice_matrix(_slice_rows(bases), math.factorial(len(multidegree)))
+
+
+def identity_slice(grading, multidegree):
+    """All identities of one multidegree: the canonical echelon basis of
+    the coefficient vectors (over the lex-ordered monomials) that vanish
+    under every substitution, i.e. the nullspace of the evaluation map,
+    with each row scaled to a leading 1 as Fractions.
+
+    Rows are substitutions (one basis pair per variable) crossed with
+    output pairs; columns are the m! monomials. A degree with an empty
+    component admits no substitutions, so the slice is the full space.
+    """
+    from fractions import Fraction
+
+    basis = _slice(grading, tuple(multidegree))
+    zero = Fraction(0)
+    rows = []
+    for row in basis.rows:
+        lead = next(v for v in row if v)
+        rows.append([Fraction(v, lead) if v else zero for v in row])
+    return RationalMatrix(rows, basis.ncols)
+
+
+def chain_words(grading):
+    """The set of words (deg(x_0, x_1), ..., deg(x_{L-1}, x_L)) of the
+    maximal chains x_0 < ... < x_L of the poset."""
+    return {tuple(grading.grade_of_pair(x, y) for x, y in zip(chain, chain[1:]))
+            for chain in maximal_chains(grading.poset)}
 
 
 def slices_equal_upto(theta, mu, d):
@@ -103,12 +137,21 @@ def slices_equal_upto(theta, mu, d):
     Returns (True, None) or (False, first differing multidegree). Only
     multidegrees over the union of the two supports matter: any other
     degree has an empty component on both sides, giving equal full slices.
+    Gradings with equal chain_words have equal slices at every degree, so
+    they are answered without computing one; a poset with more than
+    MAX_MAPS maximal chains is searched slice by slice.
     """
     if theta.poset != mu.poset or theta.group != mu.group:
         raise MismatchError("gradings live over different posets or groups")
     alphabet = sorted(set(theta.support()) | set(mu.support()))
-    for multidegree in words(alphabet, d):
-        if identity_slice(theta, multidegree) != identity_slice(mu, multidegree):
+    degrees = words(alphabet, d)
+    try:
+        if chain_words(theta) == chain_words(mu):
+            return True, None
+    except BudgetExceededError:
+        pass
+    for multidegree in degrees:
+        if _slice(theta, multidegree) != _slice(mu, multidegree):
             return False, multidegree
     return True, None
 
@@ -125,7 +168,7 @@ def verify_chain_reduction(grading, multidegree):
     dimensions of the whole slice, each chain slice, and the intersection.
     """
     multidegree = tuple(multidegree)
-    whole = identity_slice(grading, multidegree)
+    whole = _slice(grading, multidegree)
     width = whole.ncols
     components = grading.components()
     chain_rows = []

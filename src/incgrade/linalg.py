@@ -2,16 +2,18 @@
 of an integer matrix.
 
 A slice is the kernel of a 0/1 evaluation matrix, so integers are the
-only input format: RationalMatrix keeps its rows as given, and
-RowReducer eliminates fraction-free on primitive integer rows. Fractions
-are built only for the canonical basis that nullspace returns. Matrices
-are immutable once built; RowReducer is the single mutable object, meant
-for streaming rows into a canonical reduced echelon basis one at a time.
+only input format and the kernel stays in integers: RowReducer
+eliminates fraction-free on primitive integer rows, and nullspace
+returns the canonical basis with each vector scaled to primitive
+integers. Fraction appears only in the rational text helpers
+(parse_rational, format_rational), which import it on use, so importing
+this module loads neither fractions nor decimal. Matrices are immutable
+once built; RowReducer is the single mutable object, meant for
+streaming rows into a canonical reduced echelon basis one at a time.
 """
 
 import re
 from bisect import bisect
-from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter, mul
 
@@ -22,7 +24,6 @@ from .errors import (
     VerificationError,
 )
 
-ZERO = Fraction(0)
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 _MAX_DIGITS = 4300  # CPython's default limit on int() of a digit string
 
@@ -31,6 +32,8 @@ def parse_rational(text):
     """Parse 'num' or 'num/den' (ASCII digits, num optionally signed) into
     a Fraction. Any other form, exponents and decimal points included, a
     part of over _MAX_DIGITS digits or a zero denominator is malformed."""
+    from fractions import Fraction
+
     match = _RATIONAL.fullmatch(str(text).strip())
     if match is None:
         raise MalformedInputError(
@@ -47,6 +50,8 @@ def parse_rational(text):
 
 def format_rational(value):
     """Canonical string form: 'num' for integers, 'num/den' otherwise."""
+    from fractions import Fraction
+
     value = Fraction(value)
     try:
         return str(value)
@@ -57,8 +62,9 @@ def format_rational(value):
 class RationalMatrix:
     """Dense matrix of exact rationals with a fixed column count.
 
-    Rows of int or Fraction entries are kept as given. As 1 == Fraction(1)
-    with equal hashes, equality and hashing ignore the format. The column
+    Rows are kept as given: ints in a kernel basis, Fractions in an
+    identity slice scaled to leading 1s. As 1 == Fraction(1) with equal
+    hashes, equality and hashing ignore the format. The column
     count must be given explicitly when there are no rows, so empty bases
     still know their ambient dimension.
     """
@@ -102,8 +108,8 @@ class RowReducer:
     add() folds one row into the basis and reports whether the rank grew.
     Each stored row is primitive (its entries have gcd 1), its pivot is its
     last nonzero entry and positive, and it is zero in every other stored
-    row's pivot column. kernel() reads the canonical integer kernel basis
-    off the stored rows.
+    row's pivot column. kernel() reads the canonical kernel basis, in
+    primitive integer vectors, off the stored rows.
     """
 
     def __init__(self, ncols):
@@ -155,9 +161,12 @@ class RowReducer:
         """Integer basis of the right kernel of the rows added so far, one
         vector per free column f in ascending order: L at f, zero at the
         other free columns, and -row[f] * L / pivot at the pivot column of
-        each stored row, where L is the lcm of the pivots involved. Only rows
-        pivoting right of f are nonzero at f, so f's vector leads at f, where
-        every other vector is zero: the canonical echelon basis up to scale."""
+        each stored row, where L is the lcm of the pivots involved; then the
+        vector is divided by the gcd of its entries. Only rows pivoting
+        right of f are nonzero at f, so f's vector leads at f with a
+        positive entry, where every other vector is zero: the canonical
+        echelon basis, each vector scaled to primitive integers with a
+        positive leading entry."""
         pivots = set(self._pivots)
         basis = []
         for free in range(self.ncols):
@@ -170,23 +179,20 @@ class RowReducer:
             vec[free] = scale
             for prow, pcol in hits:
                 vec[pcol] = -prow[free] * (scale // prow[pcol])
-            basis.append(vec)
+            content = gcd(*vec)
+            basis.append([v // content for v in vec])
         return basis
-
-
-def _normalized(row, lead):
-    """The integer row divided by its leading entry, as Fractions."""
-    return [Fraction(v, lead) if v else ZERO for v in row]
 
 
 def nullspace(matrix):
     """Canonical echelon basis of the right kernel {v : M v = 0} of a
-    matrix of ints.
+    matrix of ints, each vector scaled to primitive integers with a
+    positive leading entry.
 
-    RowReducer.kernel() is that basis up to the scale of each vector. Each
-    vector is checked against every row of M in integer arithmetic, over
-    its nonzero entries only, before it is returned with its leading entry
-    scaled to 1.
+    RowReducer.kernel() reads that basis off the reduced rows. Each vector
+    is checked against every row of M in integer arithmetic, over its
+    nonzero entries only, before it is returned. Two such bases are equal
+    exactly when their spaces are.
     """
     ncols = matrix.ncols
     reducer = RowReducer(ncols)
@@ -203,5 +209,4 @@ def nullspace(matrix):
         weights = [0] + [vec[j] for j in support]
         if any(sum(map(mul, pick(row), weights)) for row in matrix.rows):
             raise VerificationError("nullspace vector fails M v = 0")
-    return RationalMatrix(
-        [_normalized(vec, next(v for v in vec if v)) for vec in kernel], ncols)
+    return RationalMatrix(kernel, ncols)

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from importlib import resources
@@ -10,7 +11,9 @@ import jsonschema
 import pytest
 
 from incgrade import algebra, grading, poset, zeta
-from incgrade.cli import COMMANDS, main
+from incgrade.cli import COMMANDS, FLAGS, UsageError, main, parse_args
+
+from util import argparse_reading
 
 # Run the CLI module from the source tree, so no installed script is needed.
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -497,7 +500,7 @@ class TestCliContract:
         proc = run_cli(*argv, "--format", "json", expect=code)
         try:
             returned = main([*argv, "--format", "json"])
-        except SystemExit as exc:  # a usage error exits from argparse
+        except SystemExit as exc:  # a usage error exits
             returned = exc.code
         assert returned == code
         captured = capsys.readouterr()
@@ -740,3 +743,79 @@ class TestCommandTable:
         assert exc.value.code == 2
         assert (f"{command} requires --{flag.replace('_', '-')}"
                 in capsys.readouterr().err)
+
+
+# Arguments the reading test draws from: every flag spelled out, cut to a
+# prefix (ambiguous or not) and given with "="; values that look like
+# flags, negative numbers or have spaces; "--", "-" and -h in its forms.
+ARGV_TOKENS = [
+    "validate", "count", "compare-identities", "frobnicate", "--poset",
+    "--pos", "--p", "--poset=c2", "--pos=c2", "--poset=", "c2", "--group",
+    "--g", "C2", "--theta", "--t", "1,h", "-1,h", "--mu", "--m", "--m=x",
+    "--mo", "--multidegree", "--mul", "--morphism", "m.json", "--max-degree",
+    "--ma", "--max-degree=-1", "-1", "-5", "3", "two", "-1.5", "-.5",
+    "--verify", "--ver", "--verify=x", "--verify=", "--format", "--f",
+    "json", "xml", "--format=json", "--seed", "--s", "--seed=7", "7", "--",
+    "-", "-h", "--help", "--he", "--h", "-hh", "-hx", "-h=", "-h=x", "-hhx",
+    "--help=x", "-x", "-x=5", "---x", "--=x", "--bogus", "a b", "-a b", "",
+    "-5\n", "x", "9" * 40]
+
+
+class TestArgv:
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--poset=c2"],
+        ["validate", "--pos", "c2"],
+        ["validate", "--poset", "nope", "--poset", "c2"],
+    ], ids=["equals", "prefix", "last-wins"])
+    def test_flag_forms(self, argv, capsys):
+        assert main([*argv, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["inputs"] == {"poset": "c2"}
+
+    @pytest.mark.parametrize("argv, message", [
+        (["count", "--poset", "c2", "--group", "C2", "--verify=x"],
+         "argument --verify: ignored explicit argument 'x'"),
+        (["validate", "--poset"], "argument --poset: expected one argument"),
+        (["validate", "--m", "c2"], "ambiguous option: --m could match "
+         "--mu, --multidegree, --morphism, --max-degree"),
+        (["validate", "--poset", "c2", "extra"],
+         "unrecognized arguments: extra"),
+        (["--poset", "c2"], "the following arguments are required: command"),
+    ], ids=["switch-value", "missing-value", "ambiguous", "extra", "no-command"])
+    def test_usage_error_in_process(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", f"incgrade: error: {message}\n")
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_lists_every_command_and_flag(self, flag, capsys):
+        proc = run_cli(*(["validate"] if flag == "--help" else []), flag)
+        assert proc.stderr == ""
+        for command in COMMANDS:
+            assert f"\n  {command} " in proc.stdout
+        for name in FLAGS:
+            assert f"--{name.replace('_', '-')}" in proc.stdout
+        # A usage error before the flag is still reported.
+        proc = run_cli("validate", "--seed", "x", flag, expect=2)
+        assert proc.stdout == ""
+        assert main([flag]) == 0
+        assert capsys.readouterr().out.startswith("usage: incgrade")
+
+    def test_reading_matches_argparse(self):
+        # Seeded random command lines read as an argparse parser with the
+        # same command and flags reads them: the values, the help, or the
+        # one error line.
+        rng = random.Random(90)
+        outcomes = set()
+        for _ in range(3000):
+            argv = [rng.choice(ARGV_TOKENS) for _ in range(rng.randint(0, 6))]
+            if rng.random() < 0.5:
+                argv.insert(0, rng.choice(["validate", "count"]))
+            try:
+                args = parse_args(argv)
+                mine = ("help",) if args is None else ("ok", vars(args))
+            except UsageError as exc:
+                mine = ("error", f"incgrade: error: {exc}")
+            assert mine == argparse_reading(argv, COMMANDS), argv
+            outcomes.add(mine[0])
+        assert outcomes == {"ok", "help", "error"}

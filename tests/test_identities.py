@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from incgrade import identities
+from incgrade import identities, poset
 from incgrade.algebra import evaluate
 from incgrade.corpus import corpus_posets
 from incgrade.errors import (
+    BudgetExceededError,
     DegreeMismatchError,
     NotChainTransitiveError,
     NotComparableError,
@@ -15,6 +16,7 @@ from incgrade.errors import (
 from incgrade.grading import GradingMap, cyclic_group, equivalent, group_from_spec
 from incgrade.identities import (
     chain_transitivity_identity_check,
+    chain_words,
     identity_slice,
     monomial_identities,
     slices_equal_upto,
@@ -31,6 +33,7 @@ from util import (
     pairwise_chain_reduction,
     random_grading,
     random_poset,
+    slice_search_upto,
 )
 
 CORPUS = corpus_posets()
@@ -201,7 +204,8 @@ class TestSliceComparison:
     def test_equal_to_itself(self):
         rng = random.Random(51)
         theta = random_grading(rng, CORPUS["example"], cyclic_group(3))
-        assert slices_equal_upto(theta, theta, 2) == (True, None)
+        assert (slices_equal_upto(theta, theta, 2)
+                == slice_search_upto(theta, theta, 2) == (True, None))
 
     def test_first_difference_reported(self):
         p = CORPUS["c2"]
@@ -223,7 +227,8 @@ class TestSliceComparison:
             shift = [rng.randrange(g.order)]
             mu = theta.compose_with_automorphism(sigma).shift(shift)
             assert equivalent(theta, mu) is not None
-            assert slices_equal_upto(theta, mu, 2) == (True, None)
+            assert (slices_equal_upto(theta, mu, 2)
+                    == slice_search_upto(theta, mu, 2) == (True, None))
 
     def test_inequivalent_gradings_can_share_all_slices(self):
         # Swapping the degrees of the two isolated strict pairs gives a
@@ -234,15 +239,100 @@ class TestSliceComparison:
         theta = gm(p, g, ["1", "h", "h^2", "1"])
         mu = gm(p, g, ["1", "h^2", "h", "1"])
         assert equivalent(theta, mu) is None
-        assert slices_equal_upto(theta, mu, 3) == (True, None)
+        assert (slices_equal_upto(theta, mu, 3)
+                == slice_search_upto(theta, mu, 3) == (True, None))
 
     def test_degree_cap(self):
         # Degree 5 computes, and a shift of theta shares all its slices.
         g = cyclic_group(2)
         theta = gm(CORPUS["c2"], g, ["1", "h"])
-        assert slices_equal_upto(theta, theta.shift([1]), 5) == (True, None)
+        assert (slices_equal_upto(theta, theta.shift([1]), 5)
+                == slice_search_upto(theta, theta.shift([1]), 5)
+                == (True, None))
         flat = gm(CORPUS["c2"], g, ["1", "1"])
         assert slices_equal_upto(theta, flat, 5) == (False, (1,))
+
+
+class TestChainWords:
+    def test_diamond_words(self):
+        # bot < a, b < top. (1, h, h, 1) reads (h, h) up both chains;
+        # (1, 1, h, h) reads (1, h) up one and (h, 1) up the other.
+        p = CORPUS["diamond"]
+        g = cyclic_group(2)
+        e, h = g.identity, g.index_of("h")
+        assert chain_words(gm(p, g, ["1", "h", "h", "1"])) == {(h, h)}
+        assert chain_words(gm(p, g, ["1", "1", "h", "h"])) == {(e, h), (h, e)}
+        # An isolated element is a chain of one element: the empty word.
+        assert chain_words(trivial_grading(CORPUS["antichain2"])) == {()}
+
+    @pytest.mark.parametrize("spec", ["C2", "C3", "S3"])
+    def test_equal_words_give_equal_slices(self, spec):
+        # Seeded gradings of random posets of at most 6 elements, grouped
+        # by their chain words: every pair in a group has the same slices
+        # through degree 3 by the full search, inequivalent pairs too.
+        g = group_from_spec(spec)
+        rng = random.Random(70 + g.order)
+        pairs = 0
+        for _ in range(20):
+            p = random_poset(rng, 6)
+            by_words = {}
+            for _ in range(16):
+                theta = random_grading(rng, p, g)
+                by_words.setdefault(frozenset(chain_words(theta)),
+                                    {})[theta.theta] = theta
+            for same in by_words.values():
+                for theta, mu in itertools.combinations(same.values(), 2):
+                    assert (slices_equal_upto(theta, mu, 3)
+                            == slice_search_upto(theta, mu, 3)
+                            == (True, None)), (p, theta.theta, mu.theta)
+                    pairs += 1
+        assert pairs >= 200
+
+    def test_equal_words_compute_no_slice(self, monkeypatch):
+        # On the diamond, theta and its image under the swap of a and b
+        # share their words, so no slice is computed. A pair with different
+        # words is still searched, and the first differing multidegree is
+        # (h, h), as before the shortcut.
+        calls = []
+
+        def spy(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            monkeypatch.setattr(identities, name, wrapper)
+
+        spy("nullspace", nullspace)
+        spy("_slice_rows", identities._slice_rows)
+        identities._slice_matrix.cache_clear()
+        p = CORPUS["diamond"]
+        g = cyclic_group(2)
+        h = g.index_of("h")
+        theta = gm(p, g, ["1", "1", "h", "1"])
+        assert slices_equal_upto(theta, gm(p, g, ["1", "h", "1", "1"]), 3) == (
+            True, None)
+        assert calls == []
+        mu = gm(p, g, ["1", "1", "h", "h"])
+        assert slices_equal_upto(gm(p, g, ["1", "h", "h", "1"]), mu, 3) == (
+            False, (h, h))
+        assert "nullspace" in calls and "_slice_rows" in calls
+        identities._slice_matrix.cache_clear()
+
+    def test_too_many_chains_fall_back_to_the_search(self, monkeypatch):
+        # 0 < a, b, c < 1 has three maximal chains. With a budget of two,
+        # the two words of degree 1 are swept but the chain words cannot be
+        # read, so the slice search answers as before. The poset is built
+        # here, as a poset keeps its maximal chains once read.
+        monkeypatch.setattr(poset, "MAX_MAPS", 2)
+        p = poset.Poset(["0", "a", "b", "c", "1"],
+                        [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
+        g = cyclic_group(2)
+        theta = gm(p, g, ["1", "h", "1", "1", "1"])
+        with pytest.raises(BudgetExceededError):
+            chain_words(theta)
+        mu = gm(p, g, ["1", "1", "h", "1", "1"])
+        assert slices_equal_upto(theta, mu, 1) == (True, None)
+        flat = gm(p, g, ["1"] * 5)
+        assert slices_equal_upto(theta, flat, 1) == (False, (g.index_of("h"),))
 
 
 class TestChainReduction:

@@ -23,6 +23,7 @@ from util import (
     fraction_row_reducer,
     in_span,
     pairwise_subspace_intersect,
+    primitive,
     rref,
     subspace_equal,
 )
@@ -116,6 +117,14 @@ class TestNullspace:
     def test_repeated_constraint(self):
         assert nullspace(mat([[1, 0], [1, 0]])) == mat([[0, 1]])
 
+    def test_vectors_are_primitive_integers(self):
+        # (3, -2), not (1, -2/3): scaled to coprime integers with a
+        # positive leading entry, whatever the scale of the constraints.
+        for row in ([2, 3], [-4, -6]):
+            kernel = nullspace(mat([row]))
+            assert kernel.rows == ((3, -2),)
+            assert {type(v) for v in kernel.rows[0]} == {int}
+
     def test_empty_matrix_gives_full_space(self):
         result = nullspace(mat([], ncols=3))
         assert result == mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
@@ -195,7 +204,7 @@ class TestSubspaces:
                 want = pairwise_subspace_intersect(
                     want, nullspace(mat(side, ncols=ncols)))
             stacked = [row for side in sides for row in side]
-            assert nullspace(mat(stacked, ncols=ncols)) == want
+            assert nullspace(mat(stacked, ncols=ncols)) == primitive(want)
 
 
 class TestSelfChecks:
@@ -285,7 +294,9 @@ class TestAgainstFractionOracle:
         for _ in range(200):
             ncols = rng.randint(0, 6)
             m = mat(random_rows(rng, rng.randint(0, 7), ncols), ncols=ncols)
-            assert nullspace(m) == fraction_nullspace(m)
+            kernel = nullspace(m)
+            assert kernel == primitive(fraction_nullspace(m))
+            assert {type(v) for row in kernel.rows for v in row} <= {int}
 
     def test_kernel_is_canonical_as_read(self):
         # kernel() vectors, in the order given and each scaled by its
@@ -304,7 +315,8 @@ class TestAgainstFractionOracle:
 
     def test_zero_one_int_rows_match_oracle(self):
         # Identity slices hand nullspace 0/1 int rows; the kernel must be
-        # the oracle's for the same rows given as Fractions, in Fractions.
+        # the oracle's for the same rows given as Fractions, in primitive
+        # integers.
         rng = random.Random(34)
         for _ in range(200):
             ncols = rng.randint(0, 7)
@@ -315,8 +327,8 @@ class TestAgainstFractionOracle:
             assert {type(v) for row in ints.rows for v in row} <= {int}
             assert ints == twin and hash(ints) == hash(twin)
             kernel = nullspace(ints)
-            assert kernel == fraction_nullspace(twin)
-            assert {type(v) for row in kernel.rows for v in row} <= {Fraction}
+            assert kernel == primitive(fraction_nullspace(twin))
+            assert {type(v) for row in kernel.rows for v in row} <= {int}
 
     def test_nullspace_matches_sympy(self):
         sympy = pytest.importorskip("sympy")
@@ -327,6 +339,6 @@ class TestAgainstFractionOracle:
             kernel = sympy.Matrix([list(row) for row in m.rows]).nullspace()
             expected = (sympy.Matrix.hstack(*kernel).T.rref()[0].tolist()
                         if kernel else [])
-            assert nullspace(m) == mat(
+            assert nullspace(m) == primitive(mat(
                 [[Fraction(str(v)) for v in row] for row in expected],
-                ncols=ncols)
+                ncols=ncols))

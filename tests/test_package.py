@@ -44,13 +44,13 @@ def test_unused_import_is_found():
 
 
 # The errors a module may raise besides those of incgrade.errors: the
-# CLI's counterexample signal and argparse's flag error, which never leave
-# the CLI, the unknown --poset that load_poset reports, and the
-# AttributeError that a module __getattr__ owes an unknown name (PEP 562).
+# CLI's counterexample signal and usage error, which never leave the CLI,
+# the unknown --poset that load_poset reports, and the AttributeError
+# that a module __getattr__ owes an unknown name (PEP 562).
 OTHER_RAISES = {
     ("__init__.py", "AttributeError"),
     ("cli.py", "CounterexampleFound"),
-    ("cli.py", "argparse.ArgumentTypeError"),
+    ("cli.py", "UsageError"),
     ("corpus.py", "FileNotFoundError"),
 }
 ERROR_CLASSES = {name for name, value in vars(errors).items()
@@ -122,8 +122,22 @@ def test_cli_runs_on_the_standard_library_alone():
     ours = sys.stdlib_module_names | {"incgrade", "__main__"}
     assert sorted(m for m in loaded if m.split(".")[0] not in ours) == []
     assert sorted(loaded & LAZY) == []
+    assert sorted(loaded & {"argparse", "gettext"}) == []
     out, loaded = loaded_modules("slice", "--poset", "c2", "--group", "C2",
                                  "--theta", "1,h", "--multidegree", "h,h")
     assert "dimension: 2" in out
     assert {"incgrade.identities", "incgrade.linalg", "fractions"} <= loaded
     assert "incgrade.algebra" not in loaded
+    assert sorted(loaded & {"argparse", "gettext"}) == []
+    # Only the slice's rational text needs fractions: comparing slices,
+    # by chain words or by search, and the other identity commands stay
+    # in integers.
+    for argv in (("compare-identities", "--mu", "1,1"),
+                 ("compare-identities", "--mu", "h,1"),
+                 ("verify-reduction",), ("monomials",)):
+        out, loaded = loaded_modules(*argv, "--poset", "c2", "--group", "C2",
+                                     "--theta", "1,h", "--max-degree", "2")
+        assert f"command: {argv[0]}" in out
+        assert "incgrade.identities" in loaded
+        assert sorted(loaded & {"argparse", "gettext", "fractions",
+                                "decimal"}) == [], argv

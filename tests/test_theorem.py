@@ -28,13 +28,15 @@ from incgrade.grading import (
     equivalent,
     group_from_spec,
 )
-from incgrade.identities import slices_equal_upto
+from incgrade.identities import chain_words, slices_equal_upto
 from incgrade.poset import (
     Poset,
     automorphisms,
     is_chain_transitive,
     maximal_chains,
 )
+
+from util import slice_search_upto
 
 LETTERS = "abc"
 
@@ -68,11 +70,6 @@ M3_THETA = grading(M3, "a")
 M3_MU = grading(M3, "a", "b")
 
 
-def chain_words(g):
-    return {tuple(g.grade_of_pair(x, y) for x, y in zip(chain, chain[1:]))
-            for chain in maximal_chains(g.poset)}
-
-
 def bottom_and_top(p):
     full = (1 << p.n) - 1
     return ([x for x in range(p.n) if p.up[x] == full],
@@ -100,7 +97,10 @@ class TestB3Certificate:
         assert len(MU.components()[H]) == 8
 
     def test_same_identity_slices_through_degree_5(self):
-        assert slices_equal_upto(THETA, MU, 5) == (True, None)
+        # slices_equal_upto answers from the chain words alone, so the
+        # slices themselves are computed by the full search.
+        assert (slices_equal_upto(THETA, MU, 5)
+                == slice_search_upto(THETA, MU, 5) == (True, None))
 
 
 class TestM3Certificate:
@@ -124,7 +124,8 @@ class TestM3Certificate:
         assert len(M3_MU.components()[H]) == 4
 
     def test_same_identity_slices_through_degree_5(self):
-        assert slices_equal_upto(M3_THETA, M3_MU, 5) == (True, None)
+        assert (slices_equal_upto(M3_THETA, M3_MU, 5)
+                == slice_search_upto(M3_THETA, M3_MU, 5) == (True, None))
 
     def test_classification(self):
         assert len(classify_gradings(M3, C2)) == 8

@@ -1,8 +1,12 @@
 """Shared helpers for the test suite: seeded random algebra elements and
 small brute-force oracles kept independent of the library internals."""
 
+import argparse
+import contextlib
+import io
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
 
 from incgrade.algebra import (
     AlgebraMorphism,
@@ -348,6 +352,19 @@ def in_span(basis, vector):
     return fraction_row_reducer(basis.ncols, basis.rows).contains(vector)
 
 
+def primitive(matrix):
+    """The rows of matrix, each scaled to primitive integers with a
+    positive leading entry: the form in which nullspace returns a basis."""
+    rows = []
+    for row in matrix.rows:
+        values = [Fraction(v) for v in row]
+        scale = lcm(*(v.denominator for v in values))
+        ints = [int(v * scale) for v in values]
+        content = gcd(*ints) if next(v for v in ints if v) > 0 else -gcd(*ints)
+        rows.append([v // content for v in ints])
+    return RationalMatrix(rows, matrix.ncols)
+
+
 def fraction_nullspace(matrix):
     """Kernel basis from the Fraction RREF: one vector per free column,
     then reduced once more to the canonical echelon form."""
@@ -405,6 +422,20 @@ def brute_force_slice(grading, multidegree):
                    for i in range(fact)]
             reducer.add(row)
     return fraction_nullspace(reducer.matrix())
+
+
+def slice_search_upto(theta, mu, d):
+    """slices_equal_upto by computing every slice: identity_slice of both
+    gradings at each multidegree of length 1..d over the union of their
+    supports, shortest first and each length in product order. Returns
+    (True, None) or (False, first differing multidegree)."""
+    alphabet = sorted(set(theta.support()) | set(mu.support()))
+    for m in range(1, d + 1):
+        for multidegree in itertools.product(alphabet, repeat=m):
+            if (identity_slice(theta, multidegree)
+                    != identity_slice(mu, multidegree)):
+                return False, multidegree
+    return True, None
 
 
 def subspace_equal(a, b):
@@ -621,3 +652,35 @@ def loop_close(n, edges):
                     if leq[k][j]:
                         leq[i][j] = True
     return leq
+
+
+def _max_degree(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
+
+
+def argparse_reading(argv, commands):
+    """How an argparse parser with incgrade's command and flags reads argv:
+    ("ok", {dest: value}), ("help",) or ("error", its stderr line)."""
+    parser = argparse.ArgumentParser(prog="incgrade")
+    parser.add_argument("command", choices=sorted(commands))
+    for flag in ("poset", "group", "theta", "mu", "multidegree", "morphism"):
+        parser.add_argument(f"--{flag}")
+    parser.add_argument("--max-degree", type=_max_degree, default=3)
+    parser.add_argument("--verify", action="store_true")
+    parser.add_argument("--format", choices=("json", "table"), default="table")
+    parser.add_argument("--seed", type=int, default=0)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            return "ok", vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            if exc.code == 0:
+                return ("help",)
+    text = err.getvalue()  # the usage, then the error line
+    return "error", text[text.index("incgrade: error: "):-1]

@@ -45,10 +45,6 @@ class NotAutomorphismError(IncgradeError):
     """A basis-image table does not extend to an algebra automorphism."""
 
 
-class DecompositionError(IncgradeError):
-    """A uniqueness step of the automorphism decomposition failed."""
-
-
 class MalformedInputError(IncgradeError):
     """A poset, function or morphism JSON document has the wrong shape."""
 

@@ -25,7 +25,6 @@ from incgrade.algebra import (
 )
 from incgrade.corpus import corpus_posets
 from incgrade.errors import (
-    DecompositionError,
     MalformedInputError,
     NotAutomorphismError,
     NotComparableError,
@@ -358,8 +357,27 @@ class TestDecomposition:
     def test_rejects_invalid_input(self):
         p = CORPUS["c2"]
         images = {pair: delta(p) for pair in p.comparable_pairs()}
-        with pytest.raises(NotAutomorphismError):
+        with pytest.raises(NotAutomorphismError,
+                           match=r"e\(0,0\) has no unique unit diagonal entry"):
             decompose_automorphism(AlgebraMorphism(p, images))
+
+    def test_each_failing_step_is_named(self):
+        a2, c2, c3 = CORPUS["antichain2"], CORPUS["c2"], CORPUS["c3"]
+        cases = {
+            "diagonal tracking did not yield a permutation": AlgebraMorphism(
+                a2, {(0, 0): e_basis(a2, 0, 0), (1, 1): e_basis(a2, 0, 0)}),
+            "sigma does not preserve the order": AlgebraMorphism(
+                c2, {(0, 0): e_basis(c2, 1, 1), (0, 1): e_basis(c2, 0, 1),
+                     (1, 1): e_basis(c2, 0, 0)}),
+            "residual map does not scale e(0,1)": radical_killing(c2),
+            "residual scaling is not multiplicative": AlgebraMorphism(c3, {
+                pair: (2 if pair == (0, 2) else 1) * e_basis(c3, *pair)
+                for pair in c3.comparable_pairs()}),
+        }
+        for message, phi in cases.items():
+            assert rejection(all_pairs_validate, phi) is not None
+            assert rejection(compose_chain_decompose, phi, False) == message
+            assert rejection(AlgebraMorphism.validate, phi) == message
 
 
 class TestSerialization:
@@ -397,10 +415,6 @@ class TestSerialization:
         assert morphism_from_json(p, morphism_json(phi)) == phi
 
 
-PRODUCT_MESSAGE = re.compile(
-    r"image of e\((\d+),(\d+)\) \* e\((\d+),(\d+)\) is not the image of the product")
-
-
 def random_automorphism(rng, poset):
     """inner(r) . mult(s) . induced(sigma) for seeded random r, s, sigma."""
     return inner_auto(random_invertible(rng, poset)).compose(
@@ -434,17 +448,18 @@ def radical_killing(poset):
         for (x, y) in poset.comparable_pairs()})
 
 
-def rejection(check, phi):
+def rejection(check, phi, *args):
+    """check's NotAutomorphismError message, or None if it passes."""
     try:
-        check(phi)
+        check(phi, *args)
     except NotAutomorphismError as exc:
         return str(exc)
     return None
 
 
 class TestAgainstOracles:
-    """The sparse convolve, the up-set ordered invert and the reduced
-    product check against the code they replaced, on seeded random
+    """The sparse convolve, the up-set ordered invert and the check by
+    decomposition against the code they replaced, on seeded random
     posets of at most 7 elements."""
 
     def test_convolve_matches_all_pairs(self):
@@ -477,8 +492,11 @@ class TestAgainstOracles:
                 segment_ordered_invert(f)
 
     def test_validate_rejects_exactly_when_all_pairs_does(self):
+        # validate decomposes: it rejects exactly the maps that fail one of
+        # the |P|^2 basis products, the unit or the rank, and names the
+        # decomposition step that fails, as the oracle's own steps do.
         rng = random.Random(43)
-        outcomes = set()
+        outcomes, messages = set(), set()
         for _ in range(40):
             p = random_poset(rng, 7, min_n=3)
             families = [inner_auto(random_invertible(rng, p)),
@@ -490,30 +508,25 @@ class TestAgainstOracles:
                 got = rejection(AlgebraMorphism.validate, phi)
                 want = rejection(all_pairs_validate, phi)
                 assert (got is None) == (want is None), (got, want)
+                assert got == rejection(compose_chain_decompose, phi, False)
                 outcomes.add(got is None)
-                if got is None:
-                    continue
-                match = PRODUCT_MESSAGE.fullmatch(got)
-                if match is None:
-                    assert got == want
-                    continue
-                assert PRODUCT_MESSAGE.fullmatch(want)
-                x, y, u, v = map(int, match.groups())
-                product = convolve(phi.images[(x, y)], phi.images[(u, v)])
-                expected = (phi.images[(x, v)] if y == u
-                            else IncidenceFunction(p, {}))
-                assert product != expected
+                messages.add(re.sub(r"\(\d+,\d+\)", "", got or ""))
         assert outcomes == {True, False}
-        # An endomorphism that passes every product and the unit check,
-        # so only invertibility can reject it.
+        assert len(messages) >= 3, messages
+        # An endomorphism that passes every product and the unit check, so
+        # the oracle rejects it only for its rank. Its residual map kills
+        # e_xy for x < y, so the first such pair fails the scaling step.
         for name, p in sorted(CORPUS.items()):
             phi = radical_killing(p)
             got = rejection(AlgebraMorphism.validate, phi)
-            assert got == rejection(all_pairs_validate, phi)
-            if any(x != y for (x, y) in p.comparable_pairs()):
-                assert got == "image table is not invertible", name
+            want = rejection(all_pairs_validate, phi)
+            proper = [(x, y) for (x, y) in p.comparable_pairs() if x != y]
+            if proper:
+                assert want == "image table is not invertible", name
+                assert got == "residual map does not scale e({},{})".format(
+                    *proper[0]), name
             else:
-                assert got is None, name
+                assert got is None and want is None, name
 
     def test_inner_auto_matches_convolutions(self):
         rng = random.Random(46)
@@ -531,28 +544,31 @@ class TestAgainstOracles:
 
     @pytest.mark.parametrize("validated", [True, False],
                              ids=["validated", "unvalidated"])
-    def test_decompose_fails_like_compose_chain(self, monkeypatch, validated):
-        # With validate skipped, the near-misses reach the decomposition
-        # steps, which must reject them as the oracle's steps do.
-        if not validated:
-            monkeypatch.setattr(AlgebraMorphism, "validate", lambda self: None)
+    def test_decompose_fails_like_compose_chain(self, validated):
+        # Validated, the oracle checks every basis product first, so it
+        # rejects the same maps under a product, unit or rank message.
+        # Unvalidated, it runs its own steps, which must fail at the same
+        # step, with the same message, as decompose_automorphism.
         rng = random.Random(48)
         messages = set()
         for _ in range(30):
             p = random_poset(rng, 7, min_n=2)
             for phi in near_misses(rng, random_automorphism(rng, p)):
                 got = outcome(decompose_automorphism, phi)
-                assert got == outcome(compose_chain_decompose, phi)
+                want = outcome(compose_chain_decompose, phi, validated)
+                if validated:
+                    assert got[0] == want[0]
+                    want = outcome(compose_chain_decompose, phi, False)
+                assert got == want
                 messages.add(got[1] if got[0] == "raised" else "ok")
         assert "ok" in messages and len(messages) > 1
-        if not validated:
-            assert "residual map does not scale" in " ".join(messages)
+        assert "residual map does not scale" in " ".join(messages)
 
 
-def outcome(decompose, phi):
+def outcome(decompose, phi, *args):
     """("ok", result) or ("raised", message, exception type)."""
     try:
-        return ("ok", decompose(phi))
+        return ("ok", decompose(phi, *args))
     except Exception as exc:
         return ("raised", str(exc), type(exc))
 
@@ -580,13 +596,10 @@ class TestWorkCounts:
         assert not built
 
     def test_validate_convolve_count(self, monkeypatch):
-        # validate multiplies the images on the integer kernel, so its
-        # products are counted at the kernel's product helper.
+        # validate decomposes, so the one product it takes on the integer
+        # kernel is the check of the conjugator's inverse.
         p = ten_chain()
         phi = inner_auto(random_invertible(random.Random(44), p))
-        pairs = p.comparable_pairs()
-        up = [row.bit_count() for row in p.up]
-        budget = p.n ** 2 + 2 * len(pairs) + sum(up[y] for (_, y) in pairs)
         calls = []
         original = algebra._product
 
@@ -596,7 +609,7 @@ class TestWorkCounts:
 
         monkeypatch.setattr(algebra, "_product", counting)
         phi.validate()
-        assert 0 < len(calls) <= budget == 430
+        assert len(calls) == 1
 
     def test_decompose_neither_convolves_nor_applies(self, monkeypatch):
         rng = random.Random(45)

@@ -12,8 +12,9 @@ import pytest
 
 from incgrade import algebra, grading, poset, zeta
 from incgrade.cli import COMMANDS, FLAGS, UsageError, main, parse_args
+from incgrade.corpus import corpus_posets
 
-from util import argparse_reading
+from util import argparse_reading, morphism_json
 
 # Run the CLI module from the source tree, so no installed script is needed.
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -33,9 +34,9 @@ def c2_morphism(entry):
             {"pair": [1, 1], "image": [[1, 1, "1"]]}]
 
 
-def run_cli(*argv, expect=0):
+def run_cli(*argv, expect=0, env=ENV):
     proc = subprocess.run([sys.executable, "-m", "incgrade.cli", *argv],
-                          capture_output=True, text=True, env=ENV)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == expect, (proc.returncode, proc.stderr, proc.stdout)
     return proc
 
@@ -125,15 +126,24 @@ class TestAlgebraCommands:
             [0, 0, "1"], [0, 1, "1"], [1, 1, "1"]]
 
     def test_decompose_rejects_broken_morphism(self, tmp_path):
+        # One line naming the decomposition step that fails, no traceback.
+        delta = [[0, 0, "1"], [1, 1, "1"]]
+        tables = {
+            "residual map does not scale e(0,1)": [
+                {"pair": [0, 0], "image": [[0, 0, "1"]]},
+                {"pair": [0, 1], "image": [[0, 1, "0"]]},
+                {"pair": [1, 1], "image": [[1, 1, "1"]]}],
+            "image of e(0,0) has no unique unit diagonal entry": [
+                {"pair": pair, "image": delta}
+                for pair in ([0, 0], [0, 1], [1, 1])],
+        }
         path = tmp_path / "morphism.json"
-        path.write_text(json.dumps([
-            {"pair": [0, 0], "image": [[0, 0, "1"]]},
-            {"pair": [0, 1], "image": [[0, 1, "0"]]},
-            {"pair": [1, 1], "image": [[1, 1, "1"]]},
-        ]))
-        proc = run_cli("decompose", "--poset", "c2", "--morphism", str(path),
-                       expect=2)
-        assert proc.stderr.startswith("error:")
+        for step, table in tables.items():
+            path.write_text(json.dumps(table))
+            proc = run_cli("decompose", "--poset", "c2",
+                           "--morphism", str(path), expect=2)
+            assert proc.stderr == f"error: {step}\n"
+            assert "Traceback" not in proc.stderr
 
 
 class TestGradingCommands:
@@ -243,6 +253,30 @@ class TestCliContract:
         argv = ("verify-reduction", "--poset", "c3", "--group", "C2",
                 "--seed", "7", "--format", "json")
         assert run_cli(*argv).stdout == run_cli(*argv).stdout
+
+    def test_output_does_not_depend_on_the_hash_seed(self, tmp_path):
+        # Sets and dicts of strings iterate in an order set by
+        # PYTHONHASHSEED; no command's output may follow it.
+        diamond = corpus_posets()["diamond"]
+        phi = algebra.induced_auto(diamond, (0, 2, 1, 3)).compose(
+            algebra.inner_auto(zeta(diamond)))
+        path = tmp_path / "morphism.json"
+        path.write_text(json.dumps(morphism_json(phi)))
+        commands = [
+            ("classify", "--poset", "example", "--group", "C3"),
+            ("aut", "--poset", "antichain4"),
+            ("slice", "--poset", "diamond", "--group", "C2xC2",
+             "--theta", "1|1,1|h,h|1,h|h", "--multidegree", "1|h,h|1,h|h"),
+            ("verify-reduction", "--poset", "diamond", "--group", "S3",
+             "--seed", "5", "--max-degree", "3"),
+            ("decompose", "--poset", "diamond", "--morphism", str(path)),
+        ]
+        for argv in commands:
+            runs = {(proc.returncode, proc.stdout) for proc in (
+                run_cli(*argv, "--format", "json",
+                        env={**ENV, "PYTHONHASHSEED": seed})
+                for seed in ("0", "4242"))}
+            assert len(runs) == 1, argv
 
     def test_version_and_command_echo(self):
         report = run_json("bound", "--poset", "c1")

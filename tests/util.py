@@ -19,7 +19,6 @@ from incgrade.algebra import (
 )
 from incgrade.errors import (
     CycleError,
-    DecompositionError,
     DimensionMismatchError,
     MalformedInputError,
     NotAutomorphismError,
@@ -565,31 +564,34 @@ def convolution_inner_auto(r):
     return AlgebraMorphism(poset, images)
 
 
-def compose_chain_decompose(phi):
+def compose_chain_decompose(phi, products=True):
     """decompose_automorphism by composing whole morphisms: peel sigma off
     with induced_auto(sigma^-1), sum r from the idempotent images, peel r
     off with the inner automorphism of r^-1, read s from what is left, and
-    compare the rebuilt composite with phi."""
-    phi.validate()
+    compare the rebuilt composite with phi. all_pairs_validate runs first
+    unless products is false; then a map that is not an automorphism fails
+    at the first step that rejects it, with that step's message."""
+    if products:
+        all_pairs_validate(phi)
     poset = phi.poset
     sigma = []
     for x in range(poset.n):
         image = phi.images[(x, x)]
         hits = [y for y in range(poset.n) if image(y, y) == 1]
         if len(hits) != 1:
-            raise DecompositionError(
+            raise NotAutomorphismError(
                 f"image of e({x},{x}) has no unique unit diagonal entry")
         sigma.append(hits[0])
     sigma = tuple(sigma)
     if sorted(sigma) != list(range(poset.n)):
-        raise DecompositionError("diagonal tracking did not yield a permutation")
+        raise NotAutomorphismError("diagonal tracking did not yield a permutation")
 
     phi_prime = phi.compose(induced_auto(poset, inverse_permutation(sigma)))
     r = IncidenceFunction(poset, {})
     for x in range(poset.n):
         r = r + all_pairs_convolve(phi_prime.images[(x, x)], e_basis(poset, x, x))
     if any(r(x, x) == 0 for x in range(poset.n)):
-        raise DecompositionError("reconstructed conjugator has a zero diagonal")
+        raise NotAutomorphismError("reconstructed conjugator has a zero diagonal")
 
     peel = convolution_inner_auto(segment_ordered_invert(r)).compose(phi_prime)
     values = {}
@@ -597,17 +599,17 @@ def compose_chain_decompose(phi):
         image = peel.images[(x, y)]
         c = image(x, y)
         if c == 0 or image != c * e_basis(poset, x, y):
-            raise DecompositionError(
+            raise NotAutomorphismError(
                 f"residual map does not scale e({x},{y})")
         values[(x, y)] = c
     s = IncidenceFunction(poset, values)
     if not is_multiplicative(s):
-        raise DecompositionError("residual scaling is not multiplicative")
+        raise NotAutomorphismError("residual scaling is not multiplicative")
 
     rebuilt = convolution_inner_auto(r).compose(mult_auto(s)).compose(
         induced_auto(poset, sigma))
     if rebuilt != phi:
-        raise DecompositionError("reconstruction does not match the input")
+        raise NotAutomorphismError("reconstruction does not match the input")
     return r, s, sigma
 
 

@@ -18,12 +18,11 @@ from itertools import permutations
 from math import factorial, gcd, lcm
 
 from .errors import (
-    DegreeMismatchError,
     MalformedInputError,
+    MismatchError,
     NotAutomorphismError,
     NotInvertibleError,
     NotMultiplicativeError,
-    PosetMismatchError,
     VerificationError,
 )
 from .linalg import format_rational, parse_rational
@@ -55,7 +54,7 @@ class IncidenceFunction:
 
     def _check_same(self, other):
         if self.poset != other.poset:
-            raise PosetMismatchError("functions live over different posets")
+            raise MismatchError("functions live over different posets")
 
     def __add__(self, other):
         if not isinstance(other, IncidenceFunction):
@@ -210,7 +209,7 @@ def evaluate(poset, coefficients, pairs):
     pairs = [(int(x), int(y)) for x, y in pairs]
     m = len(pairs)
     if not m or len(coefficients) != factorial(m):
-        raise DegreeMismatchError(
+        raise MismatchError(
             f"{len(coefficients)} coefficients for {m} pairs, need m! with m >= 1")
     for x, y in pairs:
         _check_leq(poset, x, y)
@@ -306,11 +305,11 @@ class AlgebraMorphism:
             raise NotAutomorphismError("image table must cover every basis pair")
         for img in self.images.values():
             if img.poset != poset:
-                raise PosetMismatchError("image over a different poset")
+                raise MismatchError("image over a different poset")
 
     def apply(self, f):
         if f.poset != self.poset:
-            raise PosetMismatchError("argument over a different poset")
+            raise MismatchError("argument over a different poset")
         out = {}
         for pair, value in f.entries.items():
             for q, c in self.images[pair].entries.items():
@@ -320,7 +319,7 @@ class AlgebraMorphism:
     def compose(self, other):
         """self after other."""
         if self.poset != other.poset:
-            raise PosetMismatchError("morphisms over different posets")
+            raise MismatchError("morphisms over different posets")
         return AlgebraMorphism(
             self.poset,
             {pair: self.apply(img) for pair, img in other.images.items()})

@@ -4,7 +4,9 @@ Every subcommand reads poset/group/grading inputs, runs one library
 operation, and emits a run report either as deterministic JSON (stable
 key order, canonical rational strings, no timing) or as a human-readable
 table with wall-clock timing. Each subcommand is declared once, in
-COMMANDS.
+COMMANDS. Its inputs are read in one place, _read_inputs, which turns
+every flag that the command's row names into a value and checks the
+degree cap; a handler takes those values and only computes.
 
 Exit codes: 0 success, 1 a verification subcommand found a counterexample
 or a cross-check failed, 2 input or usage error or a report that cannot
@@ -48,8 +50,8 @@ from .poset import (
     poset_to_json,
 )
 
-# The algebra and identity layers are imported by the handlers that use
-# them; algebra and the slice's rational text load fractions and decimal.
+# The algebra and identity layers are imported where they are used;
+# algebra and the slice's rational text load fractions and decimal.
 
 # A slice of multidegree length m has m! columns, so commands refuse a
 # longer multidegree or a higher --max-degree. The library has no cap.
@@ -60,49 +62,36 @@ class CounterexampleFound(Exception):
     """Raised by handlers whose verification failed; maps to exit 1."""
 
 
-def _parse_theta(poset, group, csv):
-    names = [part.strip() for part in csv.split(",")]
-    return GradingMap(poset, group, [group.index_of(n) for n in names])
-
-
-def _parse_multidegree(group, csv):
-    return tuple(group.index_of(part.strip()) for part in csv.split(","))
-
-
-def _check_cap(m):
-    if m > DEGREE_CAP:
-        raise CapExceededError(f"multidegree length {m} exceeds the cap {DEGREE_CAP}")
-
-
 def _labels(poset, indices):
     return [poset.elements[i] for i in indices]
 
 
-def cmd_validate(args, poset, group):
-    return {"valid": True, **poset_to_json(poset),
-            "components": len(connected_components(poset))}
+def cmd_validate(inputs):
+    return {"valid": True, **poset_to_json(inputs.poset),
+            "components": len(connected_components(inputs.poset))}
 
 
-def cmd_chains(args, poset, group):
+def cmd_chains(inputs):
+    poset = inputs.poset
     return {"chains": [_labels(poset, c) for c in maximal_chains(poset)]}
 
 
-def cmd_components(args, poset, group):
-    return {"components": [_labels(poset, c)
-                           for c in connected_components(poset)]}
+def cmd_components(inputs):
+    return {"components": [_labels(inputs.poset, c)
+                           for c in connected_components(inputs.poset)]}
 
 
-def cmd_bound(args, poset, group):
-    return {"bound": bound(poset)}
+def cmd_bound(inputs):
+    return {"bound": bound(inputs.poset)}
 
 
-def cmd_aut(args, poset, group):
-    auts = automorphisms(poset)
+def cmd_aut(inputs):
+    auts = automorphisms(inputs.poset)
     return {"order": len(auts), "automorphisms": [list(a) for a in auts]}
 
 
-def cmd_chain_transitive(args, poset, group):
-    transitive, witness = is_chain_transitive(poset)
+def cmd_chain_transitive(inputs):
+    transitive, witness = is_chain_transitive(inputs.poset)
     if transitive:
         table = [{"from": i, "to": j, "sigma": list(sigma)}
                  for (i, j), sigma in sorted(witness.items())]
@@ -110,19 +99,17 @@ def cmd_chain_transitive(args, poset, group):
     return {"transitive": False, "unreachable": list(witness)}
 
 
-def cmd_mobius(args, poset, group):
+def cmd_mobius(inputs):
     from .algebra import function_to_json, invert, zeta
 
-    mobius = invert(zeta(poset))
+    mobius = invert(zeta(inputs.poset))
     return {"entries": function_to_json(mobius)["entries"]}
 
 
-def cmd_decompose(args, poset, group):
-    from .algebra import (decompose_automorphism, function_to_json,
-                          morphism_from_json)
+def cmd_decompose(inputs):
+    from .algebra import decompose_automorphism, function_to_json
 
-    phi = morphism_from_json(poset, read_json(args.morphism))
-    r, s, sigma = decompose_automorphism(phi)
+    r, s, sigma = decompose_automorphism(inputs.morphism)
     return {
         "r": function_to_json(r)["entries"],
         "s": function_to_json(s)["entries"],
@@ -130,8 +117,8 @@ def cmd_decompose(args, poset, group):
     }
 
 
-def cmd_grade(args, poset, group):
-    theta = _parse_theta(poset, group, args.theta)
+def cmd_grade(inputs):
+    theta, group = inputs.theta, inputs.group
     components = {}
     for g, pairs in theta.components().items():
         components[group.names[g]] = [list(p) for p in pairs]
@@ -141,88 +128,73 @@ def cmd_grade(args, poset, group):
     }
 
 
-def cmd_count(args, poset, group):
-    count = count_distinct_gradings(poset, group, verify=args.verify)
-    return {"count": count, "verified": bool(args.verify)}
+def cmd_count(inputs):
+    count = count_distinct_gradings(inputs.poset, inputs.group,
+                                    verify=inputs.verify)
+    return {"count": count, "verified": bool(inputs.verify)}
 
 
-def cmd_classify(args, poset, group):
-    reps = classify_gradings(poset, group)
+def cmd_classify(inputs):
+    reps = classify_gradings(inputs.poset, inputs.group)
     return {
         "classes": len(reps),
         "representatives": [rep.names() for rep in reps],
     }
 
 
-def cmd_equiv(args, poset, group):
-    theta = _parse_theta(poset, group, args.theta)
-    mu = _parse_theta(poset, group, args.mu)
-    witness = equivalent(theta, mu)
+def cmd_equiv(inputs):
+    witness = equivalent(inputs.theta, inputs.mu)
     if witness is None:
         return {"equivalent": False, "witness": None}
     return {
         "equivalent": True,
         "witness": {
-            "shifts": [group.names[h] for h in witness.shifts],
+            "shifts": [inputs.group.names[h] for h in witness.shifts],
             "sigma": list(witness.sigma),
         },
     }
 
 
-def cmd_slice(args, poset, group):
+def cmd_slice(inputs):
     from .identities import identity_slice
     from .linalg import format_rational
 
-    theta = _parse_theta(poset, group, args.theta)
-    multidegree = _parse_multidegree(group, args.multidegree)
-    _check_cap(len(multidegree))
-    basis = identity_slice(theta, multidegree)
+    basis = identity_slice(inputs.theta, inputs.multidegree)
     return {
-        "multidegree": [group.names[g] for g in multidegree],
+        "multidegree": [inputs.group.names[g] for g in inputs.multidegree],
         "dimension": basis.nrows,
         "basis": [[format_rational(v) for v in row] for row in basis.rows],
     }
 
 
-def cmd_compare_identities(args, poset, group):
+def cmd_compare_identities(inputs):
     from .identities import slices_equal_upto
 
-    theta = _parse_theta(poset, group, args.theta)
-    mu = _parse_theta(poset, group, args.mu)
-    _check_cap(args.max_degree)
-    equal, first = slices_equal_upto(theta, mu, args.max_degree)
+    equal, first = slices_equal_upto(inputs.theta, inputs.mu,
+                                     inputs.max_degree)
     return {
         "equal": equal,
-        "max_degree": args.max_degree,
+        "max_degree": inputs.max_degree,
         "first_difference": None if first is None
-        else [group.names[g] for g in first],
+        else [inputs.group.names[g] for g in first],
     }
 
 
-def cmd_verify_reduction(args, poset, group):
+def cmd_verify_reduction(inputs):
     from .identities import verify_chain_reduction, words
 
-    if args.theta is not None:
-        theta = _parse_theta(poset, group, args.theta)
+    theta, names = inputs.theta, inputs.group.names
+    if inputs.multidegree is not None:
+        degrees = [inputs.multidegree]
     else:
-        rng = random.Random(args.seed)
-        theta = GradingMap(
-            poset, group,
-            [rng.randrange(group.order) for _ in range(poset.n)])
-    if args.multidegree is not None:
-        multidegree = _parse_multidegree(group, args.multidegree)
-        _check_cap(len(multidegree))
-        degrees = [multidegree]
-    else:
-        _check_cap(args.max_degree)
-        degrees = words(theta.support(), args.max_degree)
+        degrees = words(theta.support(), inputs.max_degree)
     checks = []
     all_equal = True
     for multidegree in degrees:
         equal, report = verify_chain_reduction(theta, multidegree)
         all_equal = all_equal and equal
         checks.append({
-            "multidegree": [group.names[g] for g in multidegree],
+            "multidegree": [names[g] for g in multidegree],
             **report,
         })
     result = {
@@ -235,23 +207,21 @@ def cmd_verify_reduction(args, poset, group):
     return result
 
 
-def cmd_monomials(args, poset, group):
+def cmd_monomials(inputs):
     from .identities import monomial_identities
 
-    theta = _parse_theta(poset, group, args.theta)
-    _check_cap(args.max_degree)
-    found = monomial_identities(theta, args.max_degree)
+    found = monomial_identities(inputs.theta, inputs.max_degree)
     return {
-        "max_degree": args.max_degree,
-        "identities": [[group.names[g] for g in word]
+        "max_degree": inputs.max_degree,
+        "identities": [[inputs.group.names[g] for g in word]
                        for word in sorted(found, key=lambda w: (len(w), w))],
     }
 
 
-def cmd_transitivity_check(args, poset, group):
+def cmd_transitivity_check(inputs):
     from .identities import chain_transitivity_identity_check
 
-    report = chain_transitivity_identity_check(poset, group)
+    report = chain_transitivity_identity_check(inputs.poset, inputs.group)
     result = {
         "degree": report["degree"],
         "classes": report["classes"],
@@ -266,7 +236,8 @@ def cmd_transitivity_check(args, poset, group):
 
 
 # One entry per subcommand: its handler, the flags it requires, and the
-# optional flags echoed after them in the report's "inputs". A tuple
+# optional flags echoed after them in the report's "inputs". The handler
+# takes the values _read_inputs reads from the flags named here. A tuple
 # echoes the first of its flags that is set: verify-reduction draws a
 # random theta from --seed only when --theta is absent.
 COMMANDS = {
@@ -458,6 +429,45 @@ def _echo_flags(args, required, echoed):
     return echo
 
 
+def _read_inputs(args, required, echoed):
+    """The values of the flags a command's COMMANDS row names, read in
+    one fixed order, so that when several inputs are bad the earliest is
+    reported: the poset (every command requires it), the group, the
+    morphism, theta (drawn from --seed when --theta is absent), mu, the
+    multidegree, and last the DEGREE_CAP check, on the multidegree's
+    length if one was given, else on --max-degree where it is echoed."""
+    names = set(required).union(
+        *(choice if isinstance(choice, tuple) else (choice,)
+          for choice in echoed))
+    inputs = SimpleNamespace(**{flag: getattr(args, flag) for flag in names})
+    poset = inputs.poset = load_poset(args.poset)
+    if "group" in names:
+        group = inputs.group = group_from_spec(args.group)
+    if "morphism" in names:
+        from .algebra import morphism_from_json
+
+        inputs.morphism = morphism_from_json(poset, read_json(args.morphism))
+    if "theta" in names and args.theta is None:
+        rng = random.Random(args.seed)
+        inputs.theta = GradingMap(
+            poset, group, [rng.randrange(group.order) for _ in range(poset.n)])
+    for flag in ("theta", "mu", "multidegree"):
+        if flag in names and getattr(args, flag) is not None:
+            value = tuple(group.index_of(part.strip())
+                          for part in getattr(args, flag).split(","))
+            if flag != "multidegree":
+                value = GradingMap(poset, group, value)
+            setattr(inputs, flag, value)
+    if getattr(inputs, "multidegree", None) is not None:
+        degree = len(inputs.multidegree)
+    else:
+        degree = getattr(inputs, "max_degree", 0)
+    if degree > DEGREE_CAP:
+        raise CapExceededError(
+            f"multidegree length {degree} exceeds the cap {DEGREE_CAP}")
+    return inputs
+
+
 def _render_table(report, elapsed_ms):
     lines = [f"command: {report['command']}"]
     for key, value in report["inputs"].items():
@@ -506,12 +516,7 @@ def run(argv):
     started = time.monotonic()
     code = 0
     try:
-        # Every subcommand requires --poset. Loading the poset, then the
-        # group, then the handler's own inputs fixes which error is reported
-        # when several inputs are bad.
-        poset = load_poset(args.poset)
-        group = group_from_spec(args.group) if "group" in required else None
-        results = handler(args, poset, group)
+        results = handler(_read_inputs(args, required, echoed))
     except CounterexampleFound as exc:
         results = exc.args[0]
         code = 1
@@ -552,7 +557,7 @@ def _main(argv):
         output, code = run(argv)
     except UsageError as exc:
         _write(sys.stderr, f"incgrade: error: {exc}")
-        sys.exit(2)
+        return 2
     except (IncgradeError, OSError) as exc:
         _write(sys.stderr, f"error: {exc}")
         return 2
@@ -574,10 +579,7 @@ def main(argv=None):
     """
     if argv is not None:
         return _main(argv)
-    try:
-        code = _main(sys.argv[1:])
-    except SystemExit as exc:  # a usage error
-        code = 0 if exc.code is None else exc.code
+    code = _main(sys.argv[1:])
     for stream in (sys.stdout, sys.stderr):
         if stream is not None:
             try:

@@ -3,7 +3,10 @@
 Every error raised by this package derives from IncgradeError, so callers
 can catch one type at the boundary (the CLI maps them to exit code 2).
 The only other type the CLI maps to 2 is the OSError of an input file
-that cannot be opened or read.
+that cannot be opened or read. A class names a kind of failure that a
+caller could act on, not the check that found it: an input that is not
+a poset, group or grading is MalformedInputError, and values that do
+not fit together are MismatchError, each told apart by its message.
 """
 
 import sys
@@ -13,24 +16,8 @@ class IncgradeError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class CycleError(IncgradeError):
-    """The input relation relates two distinct elements in both directions."""
-
-
-class DuplicateLabelError(IncgradeError):
-    """Two poset elements carry the same label."""
-
-
-class EmptyPosetError(IncgradeError):
-    """An operation that needs a nonempty poset received an empty one."""
-
-
 class NotComparableError(IncgradeError):
     """A pair (x, y) with x not below y was used where comparability is required."""
-
-
-class PosetMismatchError(IncgradeError):
-    """Two values built over different posets were combined."""
 
 
 class NotInvertibleError(IncgradeError):
@@ -46,15 +33,18 @@ class NotAutomorphismError(IncgradeError):
 
 
 class MalformedInputError(IncgradeError):
-    """A poset, function or morphism JSON document has the wrong shape."""
-
-
-class InvalidGroupError(IncgradeError):
-    """A group specification violates a group axiom or is malformed."""
+    """An input is not what it claims to be: a poset, function, morphism or
+    group document of the wrong shape, a poset that is empty, has two
+    elements with one label or a cycle, a group spec that is unknown or
+    violates a group axiom, an unknown group element, or a theta value
+    outside the group."""
 
 
 class MismatchError(IncgradeError):
-    """Two gradings over different posets or groups were compared."""
+    """Values that do not fit together: functions, morphisms or gradings
+    over different posets or groups, a grading with the wrong number of
+    values, matrices or rows of incompatible dimensions, or an empty
+    multidegree or one whose pairs do not meet m! coefficients."""
 
 
 class NotChainTransitiveError(IncgradeError):
@@ -78,14 +68,6 @@ class ResultTooLongError(IncgradeError):
         super().__init__(
             "a result has an integer of more than "
             f"{sys.get_int_max_str_digits()} digits, too long to write")
-
-
-class DegreeMismatchError(IncgradeError):
-    """A multidegree is empty, or m pairs do not meet m! coefficients."""
-
-
-class DimensionMismatchError(IncgradeError):
-    """Two matrices with incompatible dimensions were combined."""
 
 
 class VerificationError(IncgradeError):

@@ -14,7 +14,6 @@ import types
 
 from .corpus import _parse_json
 from .errors import (
-    InvalidGroupError,
     MalformedInputError,
     MismatchError,
     VerificationError,
@@ -36,7 +35,7 @@ MAX_GROUP_ORDER = 256
 def _check_order(order):
     """Refuse a group whose Cayley table of order**2 entries is too large."""
     if order > MAX_GROUP_ORDER:
-        raise InvalidGroupError(
+        raise MalformedInputError(
             f"group order {order} exceeds the cap of {MAX_GROUP_ORDER} elements")
 
 
@@ -71,25 +70,25 @@ class FiniteGroup:
         self.names = tuple(str(v) for v in names)
         m = len(self.names)
         if m == 0:
-            raise InvalidGroupError("a group needs at least one element")
+            raise MalformedInputError("a group needs at least one element")
         if len(set(self.names)) != m:
-            raise InvalidGroupError("element names must be distinct")
+            raise MalformedInputError("element names must be distinct")
         self.table = tuple(tuple(int(v) for v in row) for row in table)
         if len(self.table) != m or any(len(row) != m for row in self.table):
-            raise InvalidGroupError("Cayley table must be square")
+            raise MalformedInputError("Cayley table must be square")
         for row in self.table:
             if any(not 0 <= v < m for v in row):
-                raise InvalidGroupError("Cayley table entry out of range")
+                raise MalformedInputError("Cayley table entry out of range")
         t = self.table
         identity = next((e for e in range(m)
                          if all(t[e][a] == a == t[a][e] for a in range(m))), None)
         if identity is None:
-            raise InvalidGroupError("no identity element")
+            raise MalformedInputError("no identity element")
         self.identity = identity
         inverse = [next((b for b in range(m) if t[a][b] == identity == t[b][a]),
                         None) for a in range(m)]
         if None in inverse:
-            raise InvalidGroupError(
+            raise MalformedInputError(
                 f"no inverse for {self.names[inverse.index(None)]!r}")
         self.inverse = tuple(inverse)
         # Light's test: the g with (x*g)*y == x*(g*y) for all x, y are
@@ -97,7 +96,7 @@ class FiniteGroup:
         for g in _generators(t, identity):
             tg = t[g]
             if any(t[tx[g]] != tuple(map(tx.__getitem__, tg)) for tx in t):
-                raise InvalidGroupError("multiplication is not associative")
+                raise MalformedInputError("multiplication is not associative")
 
     @property
     def order(self):
@@ -113,7 +112,7 @@ class FiniteGroup:
         try:
             return self.names.index(str(name))
         except ValueError:
-            raise InvalidGroupError(f"unknown group element {name!r}") from None
+            raise MalformedInputError(f"unknown group element {name!r}") from None
 
     def __eq__(self, other):
         if not isinstance(other, FiniteGroup):
@@ -129,7 +128,7 @@ class FiniteGroup:
 
 def cyclic_group(n):
     if n < 1:
-        raise InvalidGroupError("cyclic group order must be positive")
+        raise MalformedInputError("cyclic group order must be positive")
     _check_order(n)
     names = ["1"] + ["h" if k == 1 else f"h^{k}" for k in range(1, n)]
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
@@ -146,8 +145,8 @@ def _cycle_name(perm):
 
 def symmetric_group(n):
     if not 1 <= n <= 4:
-        raise InvalidGroupError("symmetric groups supported up to S4" if n > 4
-                                else "symmetric group degree must be between 1 and 4")
+        raise MalformedInputError("symmetric groups supported up to S4" if n > 4
+                                  else "symmetric group degree must be between 1 and 4")
     perms = list(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     names = [_cycle_name(p) for p in perms]
@@ -171,32 +170,29 @@ def group_from_spec(spec):
     Cayley table {"names": [...], "table": [[...]]}."""
     spec = str(spec).strip()
     if spec.startswith("{"):
-        try:
-            obj = _parse_json(json.loads, spec, "bad group JSON")
-        except MalformedInputError as exc:
-            raise InvalidGroupError(str(exc)) from None
+        obj = _parse_json(json.loads, spec, "bad group JSON")
         if (not isinstance(obj, dict) or not isinstance(obj.get("names"), list)
                 or not isinstance(obj.get("table"), list)
                 or any(not isinstance(row, list) for row in obj["table"])):
-            raise InvalidGroupError(
+            raise MalformedInputError(
                 'group JSON must be an object with a "names" list and a '
                 '"table" list of lists')
         if any(type(v) is not str for v in obj["names"]):
-            raise InvalidGroupError("group element names must be strings")
+            raise MalformedInputError("group element names must be strings")
         _check_order(len(obj["names"]))
         if any(type(v) is not int for row in obj["table"] for v in row):
-            raise InvalidGroupError("Cayley table entries must be integers")
+            raise MalformedInputError("Cayley table entries must be integers")
         return FiniteGroup(obj["names"], obj["table"])
     factors = []
     for part in spec.split("x"):
         part = part.strip()
         kind, digits = part[:1], part[1:]
         if kind not in ("C", "S") or not (digits.isascii() and digits.isdigit()):
-            raise InvalidGroupError(f"unrecognized group spec {part!r}")
+            raise MalformedInputError(f"unrecognized group spec {part!r}")
         # A size with more digits than the cap exceeds it unconverted.
         size = digits.lstrip("0") or "0"
         if len(size) > len(str(MAX_GROUP_ORDER)):
-            raise InvalidGroupError(
+            raise MalformedInputError(
                 f"group factor {kind} with a {len(size)}-digit size exceeds "
                 f"the cap of {MAX_GROUP_ORDER} elements")
         factors.append((kind, int(size)))
@@ -219,7 +215,7 @@ class GradingMap:
             raise MismatchError(f"a grading needs one value per poset element: "
                                 f"got {len(theta)} for {poset.n} elements")
         if any(not 0 <= v < group.order for v in theta):
-            raise InvalidGroupError("theta value out of group range")
+            raise MalformedInputError("theta value out of group range")
         self.poset = poset
         self.group = group
         self.theta = theta

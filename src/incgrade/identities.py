@@ -32,7 +32,6 @@ import math
 
 from .errors import (
     BudgetExceededError,
-    DegreeMismatchError,
     MismatchError,
     NotChainTransitiveError,
 )
@@ -97,7 +96,7 @@ def _slice(grading, multidegree):
     """The slice of one multidegree tuple as its canonical basis of
     primitive integer vectors."""
     if not multidegree:
-        raise DegreeMismatchError("multidegree must have length >= 1")
+        raise MismatchError("multidegree must have length >= 1")
     components = grading.components()
     bases = tuple(components.get(g, ()) for g in multidegree)
     return _slice_matrix(_slice_rows(bases), math.factorial(len(multidegree)))

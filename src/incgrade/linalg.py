@@ -13,25 +13,26 @@ streaming rows into a canonical reduced echelon basis one at a time.
 """
 
 import re
+import sys
 from bisect import bisect
 from math import gcd, lcm
 from operator import itemgetter, mul
 
 from .errors import (
-    DimensionMismatchError,
     MalformedInputError,
+    MismatchError,
     ResultTooLongError,
     VerificationError,
 )
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
-_MAX_DIGITS = 4300  # CPython's default limit on int() of a digit string
 
 
 def parse_rational(text):
     """Parse 'num' or 'num/den' (ASCII digits, num optionally signed) into
     a Fraction. Any other form, exponents and decimal points included, a
-    part of over _MAX_DIGITS digits or a zero denominator is malformed."""
+    part of more digits than int() converts (sys.get_int_max_str_digits(),
+    0 for no limit) or a zero denominator is malformed."""
     from fractions import Fraction
 
     match = _RATIONAL.fullmatch(str(text).strip())
@@ -39,9 +40,9 @@ def parse_rational(text):
         raise MalformedInputError(
             f"rational must be 'num' or 'num/den', got {text!r}")
     num, den = match.groups()
-    if max(len(num.lstrip("+-")), len(den or "")) > _MAX_DIGITS:
-        raise MalformedInputError(
-            f"rational part has more than {_MAX_DIGITS} digits")
+    limit = sys.get_int_max_str_digits()
+    if limit and max(len(num.lstrip("+-")), len(den or "")) > limit:
+        raise MalformedInputError(f"rational part has more than {limit} digits")
     try:
         return Fraction(int(num), int(den or 1))
     except ZeroDivisionError:
@@ -74,13 +75,13 @@ class RationalMatrix:
         if rows:
             width = len(rows[0])
             if any(len(row) != width for row in rows):
-                raise DimensionMismatchError("rows have differing lengths")
+                raise MismatchError("rows have differing lengths")
             if ncols is not None and ncols != width:
-                raise DimensionMismatchError(
+                raise MismatchError(
                     f"declared {ncols} columns, rows have {width}")
             ncols = width
         elif ncols is None:
-            raise DimensionMismatchError("column count required for empty matrix")
+            raise MismatchError("column count required for empty matrix")
         self.rows = rows
         self.ncols = ncols
 
@@ -114,7 +115,7 @@ class RowReducer:
 
     def __init__(self, ncols):
         if ncols < 0:
-            raise DimensionMismatchError("negative column count")
+            raise MismatchError("negative column count")
         self.ncols = ncols
         self._rows = []      # primitive integer rows, sorted by pivot column
         self._pivots = []    # pivot column of each stored row
@@ -129,7 +130,7 @@ class RowReducer:
         kept integral by positive integer scaling; the stored rows vanish
         in each other's pivot columns, so each clears its own column alone."""
         if len(row) != self.ncols:
-            raise DimensionMismatchError(
+            raise MismatchError(
                 f"row has {len(row)} entries, expected {self.ncols}")
         work = row
         for prow, pcol in zip(self._rows, self._pivots):

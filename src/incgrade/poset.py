@@ -18,9 +18,6 @@ import functools
 
 from .errors import (
     BudgetExceededError,
-    CycleError,
-    DuplicateLabelError,
-    EmptyPosetError,
     MalformedInputError,
     NotComparableError,
 )
@@ -64,11 +61,11 @@ class Poset:
         n = len(elements)
         up = _close(n, relation)
         if not elements:
-            raise EmptyPosetError("poset needs at least one element")
+            raise MalformedInputError("poset needs at least one element")
         seen = set()
         for label in elements:
             if label in seen:
-                raise DuplicateLabelError(f"duplicate label {label!r}")
+                raise MalformedInputError(f"duplicate label {label!r}")
             seen.add(label)
         down = _close(n, [(j, i) for i, j in relation])
         # The members of a cycle share their rows, so i is on one when up[i]
@@ -77,7 +74,7 @@ class Poset:
             cycle = up[i] & down[i] & ~(1 << i)
             if cycle:
                 j = (cycle & -cycle).bit_length() - 1
-                raise CycleError(
+                raise MalformedInputError(
                     f"{elements[i]!r} and {elements[j]!r} are mutually comparable")
         # Every cover is an edge. An edge i -> j is one unless j lies
         # strictly above the end of another edge leaving i.

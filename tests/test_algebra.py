@@ -26,11 +26,11 @@ from incgrade.algebra import (
 from incgrade.corpus import corpus_posets
 from incgrade.errors import (
     MalformedInputError,
+    MismatchError,
     NotAutomorphismError,
     NotComparableError,
     NotInvertibleError,
     NotMultiplicativeError,
-    PosetMismatchError,
     VerificationError,
 )
 from incgrade.poset import Poset, automorphisms
@@ -129,7 +129,8 @@ class TestConvolution:
                         == convolve(f1, convolve(f2, f3)))
 
     def test_poset_mismatch_rejected(self):
-        with pytest.raises(PosetMismatchError):
+        with pytest.raises(MismatchError,
+                           match="^functions live over different posets$"):
             convolve(zeta(CORPUS["c2"]), zeta(CORPUS["c3"]))
 
 

@@ -145,6 +145,17 @@ class TestAlgebraCommands:
             assert proc.stderr == f"error: {step}\n"
             assert "Traceback" not in proc.stderr
 
+    def test_rational_past_a_lowered_digit_limit_is_refused(self, tmp_path):
+        # The digit limit is the interpreter's, here lowered to 640.
+        path = tmp_path / "morphism.json"
+        path.write_text(json.dumps(c2_morphism([0, 1, "1" * 1000])))
+        proc = subprocess.run(
+            [sys.executable, "-X", "int_max_str_digits=640", "-m",
+             "incgrade.cli", "decompose", "--poset", "c2", "--morphism",
+             str(path)], capture_output=True, text=True, env=ENV)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "error: rational part has more than 640 digits\n")
+
 
 class TestGradingCommands:
     def test_grade(self):
@@ -346,6 +357,23 @@ class TestCliContract:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    # Two bad inputs, each named differently: the earlier one in the order
+    # poset, group, theta, mu, multidegree, degree cap is reported.
+    @pytest.mark.parametrize("argv", [
+        ["compare-identities", "--poset", "c2", "--group", "C2",
+         "--theta", "1,q", "--mu", "1,z", "--max-degree", "9"],
+        ["slice", "--poset", "c2", "--group", "C2", "--theta", "1,q",
+         "--multidegree", "h,h,h,h,h"],
+        ["slice", "--poset", "c2", "--group", "C2", "--theta", "1,h",
+         "--multidegree", "h,q,h,h,h"],
+        ["verify-reduction", "--poset", "c2", "--group", "C2",
+         "--multidegree", "q", "--max-degree", "9"],
+    ], ids=["theta-before-mu-and-cap", "theta-before-cap",
+            "multidegree-before-cap", "multidegree-before-max-degree"])
+    def test_earliest_bad_input_is_named(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: unknown group element 'q'\n")
+
     def test_group_axiom_violation_is_usage_error(self, capsys):
         spec = json.dumps({"names": ["e", "a"], "table": [[0, 0], [1, 1]]})
         assert main(["classify", "--poset", "c2", "--group", spec]) == 2
@@ -532,11 +560,7 @@ class TestCliContract:
     ], ids=["success", "counterexample", "bad-input", "usage"])
     def test_process_and_in_process_runs_agree(self, argv, code, capsys):
         proc = run_cli(*argv, "--format", "json", expect=code)
-        try:
-            returned = main([*argv, "--format", "json"])
-        except SystemExit as exc:  # a usage error exits
-            returned = exc.code
-        assert returned == code
+        assert main([*argv, "--format", "json"]) == code
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (proc.stdout, proc.stderr)
 
@@ -772,11 +796,10 @@ class TestCommandTable:
     def test_each_required_flag_is_enforced(self, command, flag, capsys):
         argv = ECHO_CASES[command][0]
         at = argv.index(f"--{flag.replace('_', '-')}")
-        with pytest.raises(SystemExit) as exc:
-            main(argv[:at] + argv[at + 2:])
-        assert exc.value.code == 2
-        assert (f"{command} requires --{flag.replace('_', '-')}"
-                in capsys.readouterr().err)
+        assert main(argv[:at] + argv[at + 2:]) == 2
+        assert capsys.readouterr() == (
+            "", f"incgrade: error: {command} requires "
+            f"--{flag.replace('_', '-')}\n")
 
 
 # Arguments the reading test draws from: every flag spelled out, cut to a
@@ -816,9 +839,7 @@ class TestArgv:
         (["--poset", "c2"], "the following arguments are required: command"),
     ], ids=["switch-value", "missing-value", "ambiguous", "extra", "no-command"])
     def test_usage_error_in_process(self, argv, message, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
+        assert main(argv) == 2
         assert capsys.readouterr() == ("", f"incgrade: error: {message}\n")
 
     @pytest.mark.parametrize("flag", ["-h", "--help"])

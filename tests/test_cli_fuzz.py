@@ -163,10 +163,7 @@ def test_every_exit_keeps_the_contract(tmp_path, data):
     argv = data.draw(invocations(tmp_path), label="argv")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2), (code, err)
     assert "Traceback" not in err

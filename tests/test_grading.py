@@ -9,7 +9,7 @@ import pytest
 from incgrade.corpus import corpus_posets
 from incgrade.errors import (
     BudgetExceededError,
-    InvalidGroupError,
+    MalformedInputError,
     MismatchError,
 )
 from incgrade.grading import (
@@ -96,14 +96,20 @@ class TestGroups:
         assert group_from_spec("C2xS3").order == 12
 
     def test_bad_spec_strings(self):
-        for bad in ("C0", "S5", "D4", "", "Cx2"):
-            with pytest.raises(InvalidGroupError):
+        for bad, message in [
+                ("C0", "cyclic group order must be positive"),
+                ("S5", "symmetric groups supported up to S4"),
+                ("D4", "unrecognized group spec 'D4'"),
+                ("", "unrecognized group spec ''"),
+                ("Cx2", "unrecognized group spec 'C'")]:
+            with pytest.raises(MalformedInputError,
+                               match=f"^{re.escape(message)}$"):
                 group_from_spec(bad)
 
     @pytest.mark.parametrize("spec", ["C\u00b2", "C\u0663", "C2xS\u00b2"])
     def test_non_ascii_digits_are_unrecognized(self, spec):
         bad = spec.split("x")[-1]
-        with pytest.raises(InvalidGroupError,
+        with pytest.raises(MalformedInputError,
                            match=f"^unrecognized group spec {bad!r}$"):
             group_from_spec(spec)
 
@@ -111,7 +117,7 @@ class TestGroups:
     def test_long_sizes_are_refused_unconverted(self, digits):
         # Converted, 1000 digits would name the order and 5000 would pass
         # int's string-length limit; neither is converted.
-        with pytest.raises(InvalidGroupError, match=(
+        with pytest.raises(MalformedInputError, match=(
                 f"^group factor C with a {digits}-digit size exceeds "
                 "the cap of 256 elements$")):
             group_from_spec("C" + "9" * digits)
@@ -128,7 +134,8 @@ class TestGroups:
         monkeypatch.setattr("incgrade.grading.FiniteGroup", build)
         with pytest.raises(Built):
             group_from_spec("C16xC16")
-        with pytest.raises(InvalidGroupError):
+        with pytest.raises(MalformedInputError, match=(
+                "^group order 272 exceeds the cap of 256 elements$")):
             group_from_spec("C16xC17")
 
     def test_json_table_spec(self):
@@ -140,7 +147,8 @@ class TestGroups:
         assert g.mul(1, 1) == g.identity
 
     def test_json_table_validation(self):
-        with pytest.raises(InvalidGroupError):
+        with pytest.raises(MalformedInputError,
+                           match="^no inverse for 'a'$"):
             group_from_spec(json.dumps({
                 "names": ["e", "a"],
                 "table": [[0, 1], [1, 1]],
@@ -168,7 +176,8 @@ class TestGroups:
             "not-associative-past-first-generator"])
     def test_each_group_axiom_is_checked(self, names, table, message):
         spec = json.dumps({"names": names, "table": table})
-        with pytest.raises(InvalidGroupError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(MalformedInputError,
+                           match=f"^{re.escape(message)}$"):
             group_from_spec(spec)
 
     @pytest.mark.parametrize("seed", range(40))
@@ -192,12 +201,13 @@ class TestGroups:
         if is_associative(table):
             assert group_from_spec(spec).table == tuple(map(tuple, table))
         else:
-            with pytest.raises(InvalidGroupError,
+            with pytest.raises(MalformedInputError,
                                match="^multiplication is not associative$"):
                 group_from_spec(spec)
 
     def test_unknown_element_name(self):
-        with pytest.raises(InvalidGroupError):
+        with pytest.raises(MalformedInputError,
+                           match="^unknown group element 'g'$"):
             cyclic_group(2).index_of("g")
 
 
@@ -266,11 +276,14 @@ class TestGradingMap:
         assert moved.names() == ["h", "1"]
 
     def test_label_count_must_match(self):
-        with pytest.raises(MismatchError):
+        with pytest.raises(MismatchError, match=(
+                "^a grading needs one value per poset element: "
+                "got 2 for 3 elements$")):
             GradingMap(CORPUS["c3"], cyclic_group(2), (0, 1))
 
     def test_labels_must_be_group_elements(self):
-        with pytest.raises(InvalidGroupError):
+        with pytest.raises(MalformedInputError,
+                           match="^theta value out of group range$"):
             GradingMap(CORPUS["c2"], cyclic_group(2), (0, 5))
 
 
@@ -419,7 +432,8 @@ class TestEquivalence:
         p = CORPUS["c2"]
         theta = GradingMap(p, cyclic_group(2), (0, 1))
         mu = GradingMap(p, cyclic_group(3), (0, 1))
-        with pytest.raises(MismatchError):
+        with pytest.raises(MismatchError,
+                           match="^gradings live over different posets or groups$"):
             equivalent(theta, mu)
 
     def test_handcrafted_witness_checks(self):

@@ -9,7 +9,7 @@ from incgrade.algebra import evaluate
 from incgrade.corpus import corpus_posets
 from incgrade.errors import (
     BudgetExceededError,
-    DegreeMismatchError,
+    MismatchError,
     NotChainTransitiveError,
     NotComparableError,
 )
@@ -74,7 +74,9 @@ class TestEvaluate:
                                     ([1], [(0, 0), (0, 1)]),
                                     ([1] * 6, [(0, 0), (0, 1)]),
                                     ([1], [])]:
-            with pytest.raises(DegreeMismatchError):
+            with pytest.raises(MismatchError, match=(
+                    f"^{len(coefficients)} coefficients for {len(pairs)} "
+                    r"pairs, need m! with m >= 1$")):
                 evaluate(p, coefficients, pairs)
 
     def test_pairs_must_be_comparable(self):
@@ -107,7 +109,8 @@ class TestIdentitySlice:
         assert identity_slice(theta, (h, h)).nrows == 2
 
     def test_empty_multidegree_rejected(self):
-        with pytest.raises(DegreeMismatchError):
+        with pytest.raises(MismatchError,
+                           match="^multidegree must have length >= 1$"):
             identity_slice(trivial_grading(CORPUS["c2"]), ())
 
     def test_degree_cap(self):
@@ -345,7 +348,8 @@ class TestChainReduction:
         assert report["intersection_dimension"] == report["whole_dimension"]
 
     def test_empty_multidegree_rejected(self):
-        with pytest.raises(DegreeMismatchError):
+        with pytest.raises(MismatchError,
+                           match="^multidegree must have length >= 1$"):
             verify_chain_reduction(trivial_grading(CORPUS["c3"]), ())
 
     def test_worked_example_dimensions(self):

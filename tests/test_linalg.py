@@ -6,8 +6,8 @@ import pytest
 
 from incgrade import linalg
 from incgrade.errors import (
-    DimensionMismatchError,
     MalformedInputError,
+    MismatchError,
     ResultTooLongError,
     VerificationError,
 )
@@ -164,9 +164,11 @@ class TestSubspaces:
         assert pairwise_subspace_intersect(plane, line) == mat([[1, 1]])
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(MismatchError,
+                           match="^ambient dimensions differ: 2 vs 3$"):
             subspace_equal(mat([[1, 0]]), mat([[1, 0, 0]]))
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(MismatchError,
+                           match="^ambient dimensions differ: 2 vs 3$"):
             pairwise_subspace_intersect(mat([[1, 0]]), mat([[1, 0, 0]]))
 
     def test_intersection_contained_in_both(self):
@@ -246,7 +248,7 @@ class TestRowReducer:
         assert reducer.rank == 3
 
     def test_add_rejects_a_row_of_the_wrong_length(self):
-        with pytest.raises(DimensionMismatchError, match="expected 3"):
+        with pytest.raises(MismatchError, match="expected 3"):
             RowReducer(3).add([1, 0])
 
     def test_add_reports_rank_growth(self):

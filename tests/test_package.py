@@ -1,6 +1,7 @@
 """Checks on the package as a whole: every import in src/incgrade is
-used, every raise is of the package's own error types, every exported
-name resolves, and the CLI runs on the standard library alone."""
+used, every raise is of the package's own error types, every error type
+is raised somewhere, every exported name resolves, and the CLI runs on
+the standard library alone."""
 
 import ast
 import subprocess
@@ -58,17 +59,27 @@ ERROR_CLASSES = {name for name, value in vars(errors).items()
                  and issubclass(value, errors.IncgradeError)}
 
 
-def foreign_raises(name, source):
-    """The raises of a module that are neither a bare re-raise, nor of an
-    incgrade.errors class, nor listed in OTHER_RAISES."""
+def raises(source):
+    """(line, raised name) for each raise in source but a bare re-raise."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Raise) and node.exc is not None:
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            raised = ast.unparse(exc)
-            if raised not in ERROR_CLASSES and (name, raised) not in OTHER_RAISES:
-                found.append((node.lineno, raised))
+            found.append((node.lineno, ast.unparse(exc)))
     return found
+
+
+def foreign_raises(name, source):
+    """The raises of a module that are neither a bare re-raise, nor of an
+    incgrade.errors class, nor listed in OTHER_RAISES."""
+    return [(line, raised) for line, raised in raises(source)
+            if raised not in ERROR_CLASSES and (name, raised) not in OTHER_RAISES]
+
+
+def unraised_classes(classes, sources):
+    """The classes, IncgradeError aside, that no source raises by name."""
+    raised = {name for source in sources for _, name in raises(source)}
+    return sorted(classes - raised - {"IncgradeError"})
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
@@ -78,11 +89,25 @@ def test_every_raise_is_a_package_error(path):
 
 def test_foreign_raise_is_found():
     source = ("try:\n    pass\nexcept KeyError:\n    raise\n"
-              "raise ValueError('x')\nraise CycleError('y')\n"
+              "raise ValueError('x')\nraise MalformedInputError('y')\n"
               "raise FileNotFoundError\n")
     assert foreign_raises("poset.py", source) == [
         (5, "ValueError"), (7, "FileNotFoundError")]
     assert foreign_raises("corpus.py", source) == [(5, "ValueError")]
+
+
+def test_every_error_class_is_raised():
+    sources = [path.read_text(encoding="utf-8") for path in MODULES]
+    assert unraised_classes(ERROR_CLASSES, sources) == []
+
+
+def test_unraised_class_is_found():
+    sources = ["raise MismatchError('x')\n",
+               "try:\n    pass\nexcept CapExceededError:\n    raise\n"
+               "raise IncgradeError\n"]
+    assert unraised_classes(
+        {"IncgradeError", "MismatchError", "CapExceededError"},
+        sources) == ["CapExceededError"]
 
 
 def test_every_export_resolves():

@@ -8,9 +8,6 @@ import pytest
 from incgrade.corpus import corpus_posets, load_poset
 from incgrade.errors import (
     BudgetExceededError,
-    CycleError,
-    DuplicateLabelError,
-    EmptyPosetError,
     MalformedInputError,
     NotComparableError,
 )
@@ -88,19 +85,23 @@ class TestConstruction:
         assert not leq[0][1] and not leq[0][2] and not leq[2][3]
 
     def test_two_cycle_rejected(self):
-        with pytest.raises(CycleError):
+        with pytest.raises(MalformedInputError,
+                           match="^'x' and 'y' are mutually comparable$"):
             Poset(["x", "y"], [(0, 1), (1, 0)])
 
     def test_longer_cycle_rejected(self):
-        with pytest.raises(CycleError):
+        with pytest.raises(MalformedInputError,
+                           match="^'x' and 'y' are mutually comparable$"):
             Poset(["x", "y", "z"], [(0, 1), (1, 2), (2, 0)])
 
     def test_duplicate_labels_rejected(self):
-        with pytest.raises(DuplicateLabelError):
+        with pytest.raises(MalformedInputError,
+                           match="^duplicate label 'a'$"):
             Poset(["a", "a"], [])
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyPosetError):
+        with pytest.raises(MalformedInputError,
+                           match="^poset needs at least one element$"):
             Poset([], [])
 
     def test_axioms_on_corpus(self):
@@ -138,7 +139,7 @@ class TestAgainstLoopOracle:
     def build(build, elements, relation):
         try:
             return ("covers", build(elements, relation))
-        except (MalformedInputError, CycleError) as exc:
+        except MalformedInputError as exc:
             return (type(exc), str(exc))
 
     @staticmethod

@@ -18,9 +18,8 @@ from incgrade.algebra import (
     mult_auto,
 )
 from incgrade.errors import (
-    CycleError,
-    DimensionMismatchError,
     MalformedInputError,
+    MismatchError,
     NotAutomorphismError,
     NotInvertibleError,
     VerificationError,
@@ -281,7 +280,7 @@ class FractionRowReducer:
 
     def __init__(self, ncols):
         if ncols < 0:
-            raise DimensionMismatchError("negative column count")
+            raise MismatchError("negative column count")
         self.ncols = ncols
         self._rows = []      # pivot rows as lists, sorted by pivot column
         self._pivots = []    # pivot column of each stored row
@@ -294,7 +293,7 @@ class FractionRowReducer:
         """Return row minus its projection onto the stored pivot rows."""
         work = [Fraction(v) for v in row]
         if len(work) != self.ncols:
-            raise DimensionMismatchError(
+            raise MismatchError(
                 f"row has {len(work)} entries, expected {self.ncols}")
         for prow, pcol in zip(self._rows, self._pivots):
             factor = work[pcol]
@@ -440,7 +439,7 @@ def slice_search_upto(theta, mu, d):
 def subspace_equal(a, b):
     """True iff the row spaces coincide (identical canonical bases)."""
     if a.ncols != b.ncols:
-        raise DimensionMismatchError(
+        raise MismatchError(
             f"ambient dimensions differ: {a.ncols} vs {b.ncols}")
     return rref(a) == rref(b)
 
@@ -449,7 +448,7 @@ def pairwise_subspace_intersect(a, b):
     """Intersection of two row spaces as the kernel of their two kernel
     bases stacked, each result vector checked against both spaces."""
     if a.ncols != b.ncols:
-        raise DimensionMismatchError(
+        raise MismatchError(
             f"ambient dimensions differ: {a.ncols} vs {b.ncols}")
     constraints = (list(fraction_nullspace(a).rows)
                    + list(fraction_nullspace(b).rows))
@@ -620,7 +619,7 @@ def loop_poset_covers(elements, leq):
     for i in range(n):
         for j in range(n):
             if i != j and leq[i][j] and leq[j][i]:
-                raise CycleError(
+                raise MalformedInputError(
                     f"{elements[i]!r} and {elements[j]!r} are mutually comparable")
     covers = []
     for i in range(n):

@@ -6,13 +6,12 @@ the inner / multiplicative / induced automorphism families with
 constructive decomposition of an arbitrary automorphism into the three,
 which is also the check that a linear map is an automorphism.
 
-Values at the API are fractions.Fraction. Convolution, inversion and the
-decomposition run fraction-free inside: each operand is read once
-as integer numerators over one common denominator, and Fractions are
-built only for the values a routine returns.
+An IncidenceFunction is integer numerators over one positive denominator,
+and every routine computes on those integers. A fractions.Fraction is
+built only where a caller reads a value (f(x, y), f.entries) or gives one
+with no .denominator, such as a float or a string.
 """
 
-from fractions import Fraction
 from functools import reduce
 from itertools import permutations
 from math import factorial, gcd, lcm
@@ -30,27 +29,55 @@ from .poset import (_bits, _check_leq, _is_index_pair, inverse_permutation,
                     linear_extension)
 
 
+def _ratio(value):
+    """(numerator, denominator) of any value fractions.Fraction accepts."""
+    if not hasattr(value, "denominator"):
+        from fractions import Fraction
+
+        value = Fraction(value)
+    return value.numerator, value.denominator
+
+
+def _common(ratios):
+    """(num, den) for the values n / d of ratios (pair -> (n, d), d a
+    nonzero int of either sign): the numerators of the nonzero values over
+    one positive denominator, in lowest terms."""
+    den = lcm(*[d for _, d in ratios.values()])
+    num = {pair: n * (den // d) for pair, (n, d) in ratios.items() if n}
+    content = gcd(den, *num.values())
+    return {pair: n // content for pair, n in num.items()}, den // content
+
+
 class IncidenceFunction:
     """Element of the incidence algebra: a map from comparable pairs to
-    rationals, stored sparsely (absent pair = zero, stored values nonzero).
+    rationals, stored sparsely as num (pair -> nonzero int) over den > 0,
+    with gcd(den, *num.values()) == 1. Each value of entries, anything
+    fractions.Fraction accepts, is divided by the nonzero int den.
     """
 
-    def __init__(self, poset, entries=None):
+    def __init__(self, poset, entries=None, den=1):
         self.poset = poset
-        cleaned = {}
+        ratios = {}
         for (x, y), value in (entries or {}).items():
-            if type(value) is not Fraction:
-                value = Fraction(value)
+            n, d = _ratio(value)
             _check_leq(poset, x, y)
-            if value:
-                cleaned[(x, y)] = value
-        self.entries = cleaned
+            ratios[(x, y)] = n, d * den
+        self.num, self.den = _common(ratios)
 
     def __call__(self, x, y):
-        return self.entries.get((x, y), Fraction(0))
+        from fractions import Fraction
+
+        return Fraction(self.num.get((x, y), 0), self.den)
+
+    @property
+    def entries(self):
+        """The nonzero values by pair, as Fractions."""
+        from fractions import Fraction
+
+        return {pair: Fraction(n, self.den) for pair, n in self.num.items()}
 
     def support(self):
-        return tuple(sorted(self.entries))
+        return tuple(sorted(self.num))
 
     def _check_same(self, other):
         if self.poset != other.poset:
@@ -60,14 +87,15 @@ class IncidenceFunction:
         if not isinstance(other, IncidenceFunction):
             return NotImplemented
         self._check_same(other)
-        merged = dict(self.entries)
-        for pair, value in other.entries.items():
-            merged[pair] = merged.get(pair, Fraction(0)) + value
-        return IncidenceFunction(self.poset, merged)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        merged = {pair: n * a for pair, n in self.num.items()}
+        for pair, n in other.num.items():
+            merged[pair] = merged.get(pair, 0) + n * b
+        return IncidenceFunction(self.poset, merged, den)
 
     def __neg__(self):
-        return IncidenceFunction(
-            self.poset, {p: -v for p, v in self.entries.items()})
+        return -1 * self
 
     def __sub__(self, other):
         if not isinstance(other, IncidenceFunction):
@@ -77,9 +105,9 @@ class IncidenceFunction:
     def __mul__(self, other):
         if isinstance(other, IncidenceFunction):
             return convolve(self, other)
+        n, d = _ratio(other)
         return IncidenceFunction(
-            self.poset,
-            {p: v * Fraction(other) for p, v in self.entries.items()})
+            self.poset, {p: v * n for p, v in self.num.items()}, self.den * d)
 
     def __rmul__(self, scalar):
         return self.__mul__(scalar)
@@ -87,17 +115,19 @@ class IncidenceFunction:
     def __eq__(self, other):
         if not isinstance(other, IncidenceFunction):
             return NotImplemented
-        return self.poset == other.poset and self.entries == other.entries
+        return (self.poset == other.poset and self.den == other.den
+                and self.num == other.num)
 
     def __hash__(self):
-        return hash((self.poset, frozenset(self.entries.items())))
+        return hash((self.poset, frozenset(self.num.items()), self.den))
 
     def __repr__(self):
-        if not self.entries:
+        if not self.num:
             return "IncidenceFunction(0)"
         terms = " + ".join(
-            f"{format_rational(v)}*e({self.poset.elements[x]},{self.poset.elements[y]})"
-            for (x, y), v in sorted(self.entries.items()))
+            f"{format_rational(n, self.den)}"
+            f"*e({self.poset.elements[x]},{self.poset.elements[y]})"
+            for (x, y), n in sorted(self.num.items()))
         return f"IncidenceFunction({terms})"
 
 
@@ -118,44 +148,29 @@ def function_from_json(poset, obj):
         if (x, y) in values:
             raise MalformedInputError(f"entry index pair ({x}, {y}) listed twice")
         values[(x, y)] = value
-    return IncidenceFunction(
-        poset, {pair: parse_rational(value) for pair, value in values.items()})
+    return IncidenceFunction(poset, *_common(
+        {pair: parse_rational(value) for pair, value in values.items()}))
 
 
 def function_to_json(f):
-    return {"entries": [[x, y, format_rational(v)]
-                        for (x, y), v in sorted(f.entries.items())]}
+    return {"entries": [[x, y, format_rational(n, f.den)]
+                        for (x, y), n in sorted(f.num.items())]}
 
 
 def e_basis(poset, x, y):
     """Indicator of the single comparable pair (x, y)."""
-    return IncidenceFunction(poset, {(x, y): Fraction(1)})
+    return IncidenceFunction(poset, {(x, y): 1})
 
 
 def delta(poset):
     """The unit: 1 on the diagonal, 0 elsewhere."""
-    return IncidenceFunction(
-        poset, {(i, i): Fraction(1) for i in range(poset.n)})
+    return IncidenceFunction(poset, {(i, i): 1 for i in range(poset.n)})
 
 
 def zeta(poset):
     """All ones on every comparable pair."""
     return IncidenceFunction(
-        poset, {pair: Fraction(1) for pair in poset.comparable_pairs()})
-
-
-def _integer_entries(f):
-    """f's values as integer numerators over one common denominator, the
-    lcm of theirs: (numerators by pair, denominator)."""
-    den = lcm(*[v.denominator for v in f.entries.values()])
-    return {pair: v.numerator * (den // v.denominator)
-            for pair, v in f.entries.items()}, den
-
-
-def _function(poset, numerators, den):
-    """The IncidenceFunction with values numerators / den."""
-    return IncidenceFunction(
-        poset, {pair: Fraction(v, den) for pair, v in numerators.items()})
+        poset, dict.fromkeys(poset.comparable_pairs(), 1))
 
 
 def _product(a, b):
@@ -181,23 +196,19 @@ def _same(a, da, b, db):
 
 
 def convolve(f1, f2):
-    """(f1 f2)(x, y) = sum over x <= z <= y of f1(x, z) f2(z, y).
-
-    Multiplies and adds integer numerators; one Fraction is built per
-    nonzero entry of the result.
-    """
+    """(f1 f2)(x, y) = sum over x <= z <= y of f1(x, z) f2(z, y), on the
+    integer numerators, over the product of the denominators."""
     f1._check_same(f2)
-    a, da = _integer_entries(f1)
-    b, db = _integer_entries(f2)
-    return _function(f1.poset, _product(a, b), da * db)
+    return IncidenceFunction(
+        f1.poset, _product(f1.num, f2.num), f1.den * f2.den)
 
 
 def hadamard(f1, f2):
     """Entrywise product on comparable pairs."""
     f1._check_same(f2)
-    out = {pair: value * f2.entries[pair]
-           for pair, value in f1.entries.items() if pair in f2.entries}
-    return IncidenceFunction(f1.poset, out)
+    out = {pair: n * f2.num[pair] for pair, n in f1.num.items()
+           if pair in f2.num}
+    return IncidenceFunction(f1.poset, out, f1.den * f2.den)
 
 
 def evaluate(poset, coefficients, pairs):
@@ -252,8 +263,8 @@ def _inverse(poset, numerators, den):
     common = lcm(*[d for _, d in rows.values()])
     g = {(x, y): v * (common // d)
          for x, (row, d) in rows.items() for y, v in row.items()}
-    unit, unit_den = _integer_entries(delta(poset))
-    if not _same(_product(numerators, g), den * common, unit, unit_den):
+    unit = delta(poset)
+    if not _same(_product(numerators, g), den * common, unit.num, unit.den):
         raise VerificationError("inverse failed verification against the unit")
     return g, common
 
@@ -268,25 +279,23 @@ def invert(f):
     then descending index), so every row z above x comes before x. Only
     the nonzero entries f(x, z) and g(z, y) are visited.
 
-    The work is on integers: f is read once as numerators over one
-    denominator, and each row of g is kept as integer numerators over its
-    own positive denominator, divided by their common gcd. The check
-    f g = delta compares cross-multiplied integers, so on a unit diagonal
-    (the Mobius function, the inverse of zeta) no Fraction is built before
-    the result. It is two-sided: in the finite-dimensional algebra I(P),
+    The work is on f's integer numerators, and each row of g is kept as
+    integer numerators over its own positive denominator, divided by
+    their common gcd. The check f g = delta compares cross-multiplied
+    integers. It is two-sided: in the finite-dimensional algebra I(P),
     f g = delta forces g f = delta.
     """
-    g, den = _inverse(f.poset, *_integer_entries(f))
-    return _function(f.poset, g, den)
+    g, den = _inverse(f.poset, f.num, f.den)
+    return IncidenceFunction(f.poset, g, den)
 
 
 def is_multiplicative(s):
     """True iff s is nonzero on every comparable pair and
     s(x, z) s(z, y) = s(x, y) whenever x <= z <= y."""
-    poset = s.poset
+    poset, num, den = s.poset, s.num, s.den
     pairs = poset.comparable_pairs()
-    return all(s(x, y) != 0 for (x, y) in pairs) and all(
-        s(x, z) * s(z, y) == s(x, y)
+    return all(pair in num for pair in pairs) and all(
+        num[(x, z)] * num[(z, y)] == num[(x, y)] * den
         for (x, y) in pairs for z in _bits(poset.up[x] & poset.down[y]))
 
 
@@ -308,13 +317,17 @@ class AlgebraMorphism:
                 raise MismatchError("image over a different poset")
 
     def apply(self, f):
+        """The image of f, on numerators over the lcm of the image dens."""
         if f.poset != self.poset:
             raise MismatchError("argument over a different poset")
+        images = [(self.images[pair], n) for pair, n in f.num.items()]
+        den = lcm(*[image.den for image, _ in images])
         out = {}
-        for pair, value in f.entries.items():
-            for q, c in self.images[pair].entries.items():
-                out[q] = out.get(q, 0) + value * c
-        return IncidenceFunction(self.poset, out)
+        for image, n in images:
+            n *= den // image.den
+            for q, c in image.num.items():
+                out[q] = out.get(q, 0) + n * c
+        return IncidenceFunction(self.poset, out, den * f.den)
 
     def compose(self, other):
         """self after other."""
@@ -365,10 +378,9 @@ def _conjugator(r):
     """(conjugate, den) for an invertible r: conjugate(x, y) returns the
     integer numerators of r e_xy r^-1 over den, the outer product of
     column x of r and row y of r^-1 (see inner_auto)."""
-    numerators, r_den = _integer_entries(r)
-    inverse, inverse_den = _inverse(r.poset, numerators, r_den)
+    inverse, inverse_den = _inverse(r.poset, r.num, r.den)
     columns, rows = {}, {}
-    for (u, x), a in numerators.items():
+    for (u, x), a in r.num.items():
         columns.setdefault(x, []).append((u, a))
     for (y, v), b in inverse.items():
         rows.setdefault(y, []).append((v, b))
@@ -376,7 +388,7 @@ def _conjugator(r):
     def conjugate(x, y):
         return {(u, v): a * b for u, a in columns[x] for v, b in rows[y]}
 
-    return conjugate, r_den * inverse_den
+    return conjugate, r.den * inverse_den
 
 
 def inner_auto(r):
@@ -391,7 +403,7 @@ def inner_auto(r):
     poset = r.poset
     conjugate, den = _conjugator(r)
     return AlgebraMorphism(poset, {
-        pair: _function(poset, conjugate(*pair), den)
+        pair: IncidenceFunction(poset, conjugate(*pair), den)
         for pair in poset.comparable_pairs()})
 
 
@@ -400,8 +412,8 @@ def mult_auto(s):
     if not is_multiplicative(s):
         raise NotMultiplicativeError("s is not multiplicative")
     poset = s.poset
-    images = {(x, y): s(x, y) * e_basis(poset, x, y)
-              for (x, y) in poset.comparable_pairs()}
+    images = {pair: IncidenceFunction(poset, {pair: s.num[pair]}, s.den)
+              for pair in poset.comparable_pairs()}
     return AlgebraMorphism(poset, images)
 
 
@@ -454,7 +466,8 @@ def decompose_automorphism(phi):
     sigma = []
     for x in range(poset.n):
         image = phi.images[(x, x)]
-        hits = [y for y in range(poset.n) if image(y, y) == 1]
+        hits = [y for y in range(poset.n)
+                if image.num.get((y, y)) == image.den]
         if len(hits) != 1:
             raise NotAutomorphismError(
                 f"image of e({x},{x}) has no unique unit diagonal entry")
@@ -465,23 +478,22 @@ def decompose_automorphism(phi):
 
     back = inverse_permutation(sigma)
     _check_automorphism(poset, back)
-    images = {pair: _integer_entries(img) for pair, img in phi.images.items()}
-    r = IncidenceFunction(poset, {
-        (u, x): value for x in range(poset.n)
-        for (u, v), value in phi.images[(back[x], back[x])].entries.items()
-        if v == x})
+    idempotents = [phi.images[(back[x], back[x])] for x in range(poset.n)]
+    r = IncidenceFunction(poset, *_common({
+        (u, x): (n, image.den) for x, image in enumerate(idempotents)
+        for (u, v), n in image.num.items() if v == x}))
 
     conjugate, den = _conjugator(r)
     values = {}
     for (x, y) in poset.comparable_pairs():
-        image, image_den = images[(back[x], back[y])]
+        image = phi.images[(back[x], back[y])]
         target = conjugate(x, y)
-        a, t = image.get((x, y), 0), target[(x, y)]
-        if not a or not _same(image, a, target, t):
+        a, t = image.num.get((x, y), 0), target[(x, y)]
+        if not a or not _same(image.num, a, target, t):
             raise NotAutomorphismError(
                 f"residual map does not scale e({x},{y})")
-        values[(x, y)] = Fraction(a * den, image_den * t)
-    s = IncidenceFunction(poset, values)
+        values[(x, y)] = a * den, image.den * t
+    s = IncidenceFunction(poset, *_common(values))
     if not is_multiplicative(s):
         raise NotAutomorphismError("residual scaling is not multiplicative")
     return r, s, sigma

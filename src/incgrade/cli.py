@@ -20,7 +20,6 @@ repeated flag wins, and a usage error is one "incgrade: error:" line.
 
 import json
 import os
-import random
 import re
 import sys
 import time
@@ -50,8 +49,8 @@ from .poset import (
     poset_to_json,
 )
 
-# The algebra and identity layers are imported where they are used;
-# algebra and the slice's rational text load fractions and decimal.
+# The algebra and identity layers, and random for a theta drawn from
+# --seed, are imported where used. No command loads fractions or decimal.
 
 # A slice of multidegree length m has m! columns, so commands refuse a
 # longer multidegree or a higher --max-degree. The library has no cap.
@@ -160,10 +159,12 @@ def cmd_slice(inputs):
     from .linalg import format_rational
 
     basis = identity_slice(inputs.theta, inputs.multidegree)
+    leads = [next(v for v in row if v) for row in basis.rows]
     return {
         "multidegree": [inputs.group.names[g] for g in inputs.multidegree],
         "dimension": basis.nrows,
-        "basis": [[format_rational(v) for v in row] for row in basis.rows],
+        "basis": [[format_rational(v, lead) for v in row]
+                  for row, lead in zip(basis.rows, leads)],
     }
 
 
@@ -448,6 +449,8 @@ def _read_inputs(args, required, echoed):
 
         inputs.morphism = morphism_from_json(poset, read_json(args.morphism))
     if "theta" in names and args.theta is None:
+        import random
+
         rng = random.Random(args.seed)
         inputs.theta = GradingMap(
             poset, group, [rng.randrange(group.order) for _ in range(poset.n)])

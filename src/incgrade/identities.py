@@ -13,11 +13,10 @@ decide identities, so a slice is the nullspace of a finite 0/1
 evaluation matrix. Its distinct rows are collected as bitmasks and handed
 to linalg.nullspace as rows of 0/1 ints, which it eliminates
 fraction-free into the canonical basis in primitive integer vectors.
-Slice comparison and the chain reduction compare and count those
-integer bases. Only identity_slice, where a basis leaves the package,
-scales each row to a leading 1 as Fractions, so importing this module
-loads neither fractions nor decimal. algebra.evaluate substitutes into
-a polynomial; this module needs no algebra arithmetic.
+That basis is the slice: identity_slice returns it, and slice
+comparison and the chain reduction compare and count it.
+algebra.evaluate substitutes into a polynomial; this module needs no
+algebra arithmetic.
 
 Every nonzero product runs along a multichain, which lies in a maximal
 chain, and a chain's evaluation rows depend only on its word of degrees
@@ -92,35 +91,23 @@ def _slice_matrix(rows, width):
         [[mask >> i & 1 for i in range(width)] for mask in rows], width))
 
 
-def _slice(grading, multidegree):
-    """The slice of one multidegree tuple as its canonical basis of
-    primitive integer vectors."""
-    if not multidegree:
-        raise MismatchError("multidegree must have length >= 1")
-    components = grading.components()
-    bases = tuple(components.get(g, ()) for g in multidegree)
-    return _slice_matrix(_slice_rows(bases), math.factorial(len(multidegree)))
-
-
 def identity_slice(grading, multidegree):
     """All identities of one multidegree: the canonical echelon basis of
     the coefficient vectors (over the lex-ordered monomials) that vanish
     under every substitution, i.e. the nullspace of the evaluation map,
-    with each row scaled to a leading 1 as Fractions.
+    with each row scaled to primitive integers with a positive leading
+    entry. Two slices are equal exactly when these bases are.
 
     Rows are substitutions (one basis pair per variable) crossed with
     output pairs; columns are the m! monomials. A degree with an empty
     component admits no substitutions, so the slice is the full space.
     """
-    from fractions import Fraction
-
-    basis = _slice(grading, tuple(multidegree))
-    zero = Fraction(0)
-    rows = []
-    for row in basis.rows:
-        lead = next(v for v in row if v)
-        rows.append([Fraction(v, lead) if v else zero for v in row])
-    return RationalMatrix(rows, basis.ncols)
+    multidegree = tuple(multidegree)
+    if not multidegree:
+        raise MismatchError("multidegree must have length >= 1")
+    components = grading.components()
+    bases = tuple(components.get(g, ()) for g in multidegree)
+    return _slice_matrix(_slice_rows(bases), math.factorial(len(multidegree)))
 
 
 def chain_words(grading):
@@ -150,7 +137,8 @@ def slices_equal_upto(theta, mu, d):
     except BudgetExceededError:
         pass
     for multidegree in degrees:
-        if _slice(theta, multidegree) != _slice(mu, multidegree):
+        if (identity_slice(theta, multidegree)
+                != identity_slice(mu, multidegree)):
             return False, multidegree
     return True, None
 
@@ -167,7 +155,7 @@ def verify_chain_reduction(grading, multidegree):
     dimensions of the whole slice, each chain slice, and the intersection.
     """
     multidegree = tuple(multidegree)
-    whole = _slice(grading, multidegree)
+    whole = identity_slice(grading, multidegree)
     width = whole.ncols
     components = grading.components()
     chain_rows = []

@@ -5,10 +5,9 @@ A slice is the kernel of a 0/1 evaluation matrix, so integers are the
 only input format and the kernel stays in integers: RowReducer
 eliminates fraction-free on primitive integer rows, and nullspace
 returns the canonical basis with each vector scaled to primitive
-integers. Fraction appears only in the rational text helpers
-(parse_rational, format_rational), which import it on use, so importing
-this module loads neither fractions nor decimal. Matrices are immutable
-once built; RowReducer is the single mutable object, meant for
+integers. The rational text helpers (parse_rational, format_rational)
+read and write a rational as the integer pair (num, den). Matrices are
+immutable once built; RowReducer is the single mutable object, meant for
 streaming rows into a canonical reduced echelon basis one at a time.
 """
 
@@ -30,11 +29,10 @@ _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 def parse_rational(text):
     """Parse 'num' or 'num/den' (ASCII digits, num optionally signed) into
-    a Fraction. Any other form, exponents and decimal points included, a
-    part of more digits than int() converts (sys.get_int_max_str_digits(),
-    0 for no limit) or a zero denominator is malformed."""
-    from fractions import Fraction
-
+    the integers (num, den) in lowest terms, den positive. Any other form,
+    exponents and decimal points included, a part of more digits than
+    int() converts (sys.get_int_max_str_digits(), 0 for no limit) or a
+    zero denominator is malformed."""
     match = _RATIONAL.fullmatch(str(text).strip())
     if match is None:
         raise MalformedInputError(
@@ -43,31 +41,29 @@ def parse_rational(text):
     limit = sys.get_int_max_str_digits()
     if limit and max(len(num.lstrip("+-")), len(den or "")) > limit:
         raise MalformedInputError(f"rational part has more than {limit} digits")
+    num, den = int(num), int(den or 1)
+    if not den:
+        raise MalformedInputError(f"zero denominator in {text!r}")
+    content = gcd(num, den)
+    return num // content, den // content
+
+
+def format_rational(num, den=1):
+    """Canonical string form of num / den (den positive) in lowest terms:
+    'num' for an integer, 'num/den' otherwise."""
+    content = gcd(num, den)
+    num, den = num // content, den // content
     try:
-        return Fraction(int(num), int(den or 1))
-    except ZeroDivisionError:
-        raise MalformedInputError(f"zero denominator in {text!r}") from None
-
-
-def format_rational(value):
-    """Canonical string form: 'num' for integers, 'num/den' otherwise."""
-    from fractions import Fraction
-
-    value = Fraction(value)
-    try:
-        return str(value)
+        return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:  # a part past sys.get_int_max_str_digits()
         raise ResultTooLongError() from None
 
 
 class RationalMatrix:
-    """Dense matrix of exact rationals with a fixed column count.
-
-    Rows are kept as given: ints in a kernel basis, Fractions in an
-    identity slice scaled to leading 1s. As 1 == Fraction(1) with equal
-    hashes, equality and hashing ignore the format. The column
-    count must be given explicitly when there are no rows, so empty bases
-    still know their ambient dimension.
+    """Dense matrix of integers with a fixed column count, such as a 0/1
+    evaluation matrix or a kernel basis in primitive integer rows. The
+    column count must be given explicitly when there are no rows, so
+    empty bases still know their ambient dimension.
     """
 
     def __init__(self, rows, ncols=None):
@@ -98,8 +94,7 @@ class RationalMatrix:
         return hash((self.ncols, self.rows))
 
     def __repr__(self):
-        body = "; ".join(
-            " ".join(format_rational(v) for v in row) for row in self.rows)
+        body = "; ".join(" ".join(map(str, row)) for row in self.rows)
         return f"RationalMatrix({self.nrows}x{self.ncols}: {body})"
 
 

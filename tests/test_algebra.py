@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from fractions import Fraction
@@ -37,6 +38,7 @@ from incgrade.poset import Poset, automorphisms
 
 from util import (
     NONZERO,
+    SCALARS,
     all_pairs_convolve,
     all_pairs_validate,
     compose_chain_decompose,
@@ -96,6 +98,64 @@ class TestBasisCalculus:
             for (x, y) in p.comparable_pairs():
                 total = total + f(x, y) * e_basis(p, x, y)
             assert total == f
+
+
+class TestCanonicalForm:
+    # A function is integer numerators over one positive denominator in
+    # lowest terms, so equal functions have equal num, den and hash; each
+    # operation agrees with the Fraction oracle read through .entries.
+    @staticmethod
+    def cases():
+        rng = random.Random(91)
+        for _ in range(40):
+            p = random_poset(rng, 6)
+            yield (rng, p, random_function(rng, p), random_function(rng, p),
+                   random_invertible(rng, p))
+
+    @staticmethod
+    def assert_canonical(f):
+        assert f.den > 0
+        assert math.gcd(f.den, *f.num.values()) == 1
+        assert all(f.num.values())
+        rebuilt = IncidenceFunction(f.poset, f.entries)
+        assert rebuilt == f
+        assert hash(rebuilt) == hash(f)
+
+    def test_every_result_is_canonical(self):
+        for rng, p, f, g, h in self.cases():
+            c = rng.choice(SCALARS)
+            for result in (f, g, h, f + g, -f, f - g, c * f, f * c,
+                           convolve(f, g), hadamard(f, g), invert(h)):
+                self.assert_canonical(result)
+            assert f + g - g == f
+
+    def test_operations_match_the_fraction_oracles(self):
+        for rng, p, f, g, h in self.cases():
+            c = rng.choice(SCALARS)
+            a, b = f.entries, g.entries
+            pairs = p.comparable_pairs()
+
+            def nonzero(values):
+                return {pair: v for pair, v in values.items() if v}
+
+            assert convolve(f, g).entries == all_pairs_convolve(f, g).entries
+            assert invert(h).entries == segment_ordered_invert(h).entries
+            assert hadamard(f, g).entries == nonzero(
+                {pair: a[pair] * b[pair] for pair in a if pair in b})
+            assert (f + g).entries == nonzero(
+                {pair: a.get(pair, 0) + b.get(pair, 0) for pair in pairs})
+            assert (c * f).entries == nonzero(
+                {pair: c * v for pair, v in a.items()})
+
+    def test_values_are_divided_by_den(self):
+        p = CORPUS["c2"]
+        f = IncidenceFunction(p, {(0, 0): 4, (0, 1): Fraction(-2, 3),
+                                  (1, 1): "6/4"}, den=-6)
+        assert f.num == {(0, 0): -24, (0, 1): 4, (1, 1): -9}
+        assert f.den == 36
+        assert f.entries == {(0, 0): Fraction(-2, 3), (0, 1): Fraction(1, 9),
+                             (1, 1): Fraction(-1, 4)}
+        assert IncidenceFunction(p, {(0, 1): 0.5, (1, 1): 0}).num == {(0, 1): 1}
 
 
 class TestConvolution:

@@ -40,20 +40,22 @@ def random_matrix(rng, nrows, ncols):
 
 class TestRationalStrings:
     def test_integer_form(self):
-        assert format_rational(Fraction(7)) == "7"
-        assert format_rational(Fraction(-3)) == "-3"
+        assert format_rational(7) == "7"
+        assert format_rational(-3) == "-3"
+        assert format_rational(-6, 2) == "-3"
 
     def test_fraction_form(self):
-        assert format_rational(Fraction(1, 2)) == "1/2"
-        assert format_rational(Fraction(-2, 6)) == "-1/3"
+        assert format_rational(1, 2) == "1/2"
+        assert format_rational(-2, 6) == "-1/3"
 
     def test_round_trip(self):
         for text in ["0", "5", "-5", "2/3", "-7/4"]:
-            assert format_rational(parse_rational(text)) == text
+            assert format_rational(*parse_rational(text)) == text
 
     def test_only_num_and_num_den_parse(self):
-        assert parse_rational(" +6/4 ") == Fraction(3, 2)
-        assert parse_rational(12) == 12
+        assert parse_rational(" +6/4 ") == (3, 2)
+        assert parse_rational("0/5") == (0, 1)
+        assert parse_rational(12) == (12, 1)
         for text in ["1e100000000", "1.5", "1_000", "\u0663", "1/-2", "/2",
                      "", "True", 1.0]:
             with pytest.raises(MalformedInputError, match="^rational must be"):
@@ -62,7 +64,7 @@ class TestRationalStrings:
             parse_rational("1/0")
 
     def test_over_long_parts_are_malformed(self):
-        assert parse_rational("-" + "7" * 4300) == -int("7" * 4300)
+        assert parse_rational("-" + "7" * 4300) == (-int("7" * 4300), 1)
         for text in ["1" * 4301, "1/" + "2" * 4301, "0" * 4301 + "1"]:
             with pytest.raises(MalformedInputError,
                                match="^rational part has more than 4300 digits"):
@@ -72,10 +74,10 @@ class TestRationalStrings:
         limit = sys.get_int_max_str_digits()
         if not limit:
             pytest.skip("the interpreter has no digit limit")
-        for value in [10 ** limit, Fraction(1, 10 ** limit)]:
+        for value in [(10 ** limit,), (1, 10 ** limit)]:
             with pytest.raises(ResultTooLongError,
                                match=f"more than {limit} digits"):
-                format_rational(value)
+                format_rational(*value)
 
 
 class TestRref:
@@ -87,6 +89,12 @@ class TestRref:
 
     def test_dependent_rows_collapse(self):
         assert rref(mat([[2, 4], [1, 2]])) == mat([[1, 2]])
+
+    def test_oracle_matrices_print(self):
+        # The oracle keeps Fractions in a RationalMatrix; a failing
+        # comparison must still show it.
+        assert repr(rref(mat([[2, 3]]))) == "RationalMatrix(1x2: 1 3/2)"
+        assert repr(mat([], ncols=2)) == "RationalMatrix(0x2: )"
 
     def test_zero_matrix_empty(self):
         assert rref(mat([[0, 0], [0, 0]])).nrows == 0

@@ -1,17 +1,24 @@
 """Checks on the package as a whole: every import in src/incgrade is
-used, every raise is of the package's own error types, every error type
-is raised somewhere, every exported name resolves, and the CLI runs on
-the standard library alone."""
+used, no module imports a lazy standard module when it is imported,
+every raise is of the package's own error types, every error type is
+raised somewhere, every exported name resolves, and the CLI runs on the
+standard library alone."""
 
 import ast
+import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import incgrade
 from incgrade import errors
+from incgrade.algebra import delta, inner_auto, zeta
+from incgrade.corpus import load_poset
+
+from util import morphism_json
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 MODULES = sorted((SRC / "incgrade").glob("*.py"))
@@ -42,6 +49,49 @@ def test_unused_import_is_found():
     assert unused_imports(
         "import json\nfrom .grading import GradingMap, cyclic_group\n"
         "cyclic_group(2)\n") == [(1, "json"), (2, "GradingMap")]
+
+
+# Standard modules that a command imports on use only, if at all.
+LAZY_STDLIB = {"fractions", "decimal", "random"}
+
+
+def eager_imports(source):
+    """(line, module) for each import of a LAZY_STDLIB module that runs
+    when the module is imported: one outside every function body."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                names = [child.module]
+            else:
+                names = []
+            found.extend((child.lineno, name) for name in names
+                         if name.split(".")[0] in LAZY_STDLIB)
+            visit(child)
+
+    visit(ast.parse(source))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_lazy_module_is_imported_eagerly(path):
+    assert eager_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_eager_import_is_found():
+    source = ("import json, random\nfrom fractions import Fraction\n"
+              "from .decimal import x\nif x:\n    import decimal\n"
+              "def f():\n    import random\n"
+              "class C:\n    from random import choice\n"
+              "    def g(self):\n        import fractions\n")
+    assert eager_imports(source) == [
+        (1, "random"), (2, "fractions"), (5, "decimal"), (9, "random")]
 
 
 # The errors a module may raise besides those of incgrade.errors: the
@@ -127,10 +177,11 @@ print(sorted(sys.modules), file=sys.stderr)
 sys.exit(code)
 """
 
-# Loaded on use only: the rational layers and what they import, and the
-# fixture reader incgrade does without.
-LAZY = {"fractions", "decimal", "importlib.resources", "incgrade.algebra",
-        "incgrade.identities", "incgrade.linalg"}
+# Loaded on use only: the algebra and identity layers, random for a
+# theta drawn from --seed, and the fixture reader incgrade does without.
+# fractions and decimal are loaded by no command.
+LAZY = {"fractions", "decimal", "random", "importlib.resources",
+        "incgrade.algebra", "incgrade.identities", "incgrade.linalg"}
 
 
 def loaded_modules(*argv):
@@ -141,22 +192,35 @@ def loaded_modules(*argv):
     return proc.stdout, set(ast.literal_eval(proc.stderr))
 
 
-def test_cli_runs_on_the_standard_library_alone():
+def test_cli_runs_on_the_standard_library_alone(tmp_path):
     out, loaded = loaded_modules("validate", "--poset", "example")
     assert "valid: true" in out
     ours = sys.stdlib_module_names | {"incgrade", "__main__"}
     assert sorted(m for m in loaded if m.split(".")[0] not in ours) == []
     assert sorted(loaded & LAZY) == []
     assert sorted(loaded & {"argparse", "gettext"}) == []
-    out, loaded = loaded_modules("slice", "--poset", "c2", "--group", "C2",
-                                 "--theta", "1,h", "--multidegree", "h,h")
+    # The algebra and identity commands compute on integers and write a
+    # rational from its integer pair, so none loads fractions or decimal.
+    poset = load_poset("c3")
+    phi = inner_auto(2 * zeta(poset) - Fraction(1, 3) * delta(poset))
+    morphism = tmp_path / "phi.json"
+    morphism.write_text(json.dumps(morphism_json(phi)), encoding="utf-8")
+    for argv, layer in (
+            (("mobius", "--poset", "diamond"), "incgrade.algebra"),
+            (("decompose", "--poset", "c3", "--morphism", str(morphism)),
+             "incgrade.algebra"),
+            (("slice", "--poset", "c2", "--group", "C2", "--theta", "1,h",
+              "--multidegree", "h,h"), "incgrade.identities")):
+        out, loaded = loaded_modules(*argv)
+        assert f"command: {argv[0]}" in out
+        assert layer in loaded
+        assert sorted(loaded & {"argparse", "gettext", "fractions",
+                                "decimal", "random"}) == [], argv
+    # The last run is the slice, which needs no algebra arithmetic.
     assert "dimension: 2" in out
-    assert {"incgrade.identities", "incgrade.linalg", "fractions"} <= loaded
     assert "incgrade.algebra" not in loaded
-    assert sorted(loaded & {"argparse", "gettext"}) == []
-    # Only the slice's rational text needs fractions: comparing slices,
-    # by chain words or by search, and the other identity commands stay
-    # in integers.
+    # Comparing slices, by chain words or by search, and the other
+    # identity commands stay in integers too.
     for argv in (("compare-identities", "--mu", "1,1"),
                  ("compare-identities", "--mu", "h,1"),
                  ("verify-reduction",), ("monomials",)):
@@ -165,4 +229,17 @@ def test_cli_runs_on_the_standard_library_alone():
         assert f"command: {argv[0]}" in out
         assert "incgrade.identities" in loaded
         assert sorted(loaded & {"argparse", "gettext", "fractions",
-                                "decimal"}) == [], argv
+                                "decimal", "random"}) == [], argv
+
+
+def test_only_a_theta_drawn_from_seed_loads_random():
+    out, loaded = loaded_modules("verify-reduction", "--poset", "c2",
+                                 "--group", "C2", "--seed", "3",
+                                 "--max-degree", "2")
+    assert "command: verify-reduction" in out
+    assert "random" in loaded
+    out, loaded = loaded_modules("verify-reduction", "--poset", "c2",
+                                 "--group", "C2", "--seed", "3",
+                                 "--theta", "1,h", "--max-degree", "2")
+    assert "command: verify-reduction" in out
+    assert "random" not in loaded

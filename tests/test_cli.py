@@ -11,9 +11,10 @@ import jsonschema
 import pytest
 
 from incgrade import algebra, grading, poset, zeta
-from incgrade.cli import COMMANDS, FLAGS, UsageError, main, parse_args
+from incgrade.cli import COMMANDS, FLAGS, UsageError, _plain, main, parse_args
 from incgrade.corpus import corpus_posets
 
+from test_readme import COMMANDS as README_COMMANDS
 from util import argparse_reading, morphism_json
 
 # Run the CLI module from the source tree, so no installed script is needed.
@@ -804,7 +805,8 @@ class TestCommandTable:
 
 # Arguments the reading test draws from: every flag spelled out, cut to a
 # prefix (ambiguous or not) and given with "="; values that look like
-# flags, negative numbers or have spaces; "--", "-" and -h in its forms.
+# flags, negative numbers, have spaces or are not a choice as written;
+# "--", "-" and -h in its forms.
 ARGV_TOKENS = [
     "validate", "count", "compare-identities", "frobnicate", "--poset",
     "--pos", "--p", "--poset=c2", "--pos=c2", "--poset=", "c2", "--group",
@@ -815,7 +817,32 @@ ARGV_TOKENS = [
     "json", "xml", "--format=json", "--seed", "--s", "--seed=7", "7", "--",
     "-", "-h", "--help", "--he", "--h", "-hh", "-hx", "-h=", "-h=x", "-hhx",
     "--help=x", "-x", "-x=5", "---x", "--=x", "--bogus", "a b", "-a b", "",
-    "-5\n", "x", "9" * 40]
+    "-5\n", "x", "9" * 40, " -3", "JSON"]
+
+
+def reading(argv):
+    """How parse_args reads argv, in argparse_reading's terms."""
+    try:
+        args = parse_args(argv)
+    except UsageError as exc:
+        return "error", f"incgrade: error: {exc}"
+    return ("help",) if args is None else ("ok", vars(args))
+
+
+# Command lines in the plain form, which parse_args reads without
+# argparse, and near misses, which only argparse reads: a value that
+# int() reads as negative, a choice in the wrong case, a missing value,
+# "=", an abbreviation and a flag before the command.
+PLAIN = [argv for argv, _ in ECHO_CASES.values()] + README_COMMANDS
+NOT_PLAIN = [
+    ["compare-identities", *_C2, "--theta", "1,h", "--mu", "1,1",
+     "--max-degree", " -3"],
+    ["validate", "--poset", "c2", "--format", "JSON"],
+    ["validate", "--poset"],
+    ["count", *_C2, "--verify=x"],
+    ["validate", "--pos", "c2"],
+    ["--poset", "c2", "validate"],
+]
 
 
 class TestArgv:
@@ -874,3 +901,10 @@ class TestArgv:
             assert mine == argparse_reading(argv, COMMANDS), argv
             outcomes.add(mine[0])
         assert outcomes == {"ok", "help", "error"}
+
+    @pytest.mark.parametrize("argv, plain",
+                             [(argv, True) for argv in PLAIN]
+                             + [(argv, False) for argv in NOT_PLAIN])
+    def test_plain_form_is_read_as_argparse_reads_it(self, argv, plain):
+        assert (_plain(argv) is not None) == plain
+        assert reading(argv) == argparse_reading(argv, COMMANDS)

@@ -1,8 +1,8 @@
-"""Checks on the package as a whole: every import in src/incgrade is
-used, no module imports a lazy standard module when it is imported,
-every raise is of the package's own error types, every error type is
-raised somewhere, every exported name resolves, and the CLI runs on the
-standard library alone."""
+"""Checks on the package as a whole: every module parses as Python 3.10,
+every import in src/incgrade is used, no module imports a lazy standard
+module when it is imported, every raise is of the package's own error
+types, every error type is raised somewhere, every exported name
+resolves, and the CLI runs on the standard library alone."""
 
 import ast
 import json
@@ -22,6 +22,18 @@ from util import morphism_json
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 MODULES = sorted((SRC / "incgrade").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_parses_as_python_3_10(path):
+    # pyproject.toml declares Python 3.10.7 as the floor.
+    ast.parse(path.read_text(encoding="utf-8"), feature_version=(3, 10))
+
+
+def test_newer_syntax_is_found():
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
+                  feature_version=(3, 10))
 
 
 def unused_imports(source):
@@ -96,12 +108,14 @@ def test_eager_import_is_found():
 
 # The errors a module may raise besides those of incgrade.errors: the
 # CLI's counterexample signal and usage error, which never leave the CLI,
-# the unknown --poset that load_poset reports, and the AttributeError
-# that a module __getattr__ owes an unknown name (PEP 562).
+# the --max-degree converter's error, which argparse catches inside
+# parse_args, the unknown --poset that load_poset reports, and the
+# AttributeError that a module __getattr__ owes an unknown name (PEP 562).
 OTHER_RAISES = {
     ("__init__.py", "AttributeError"),
     ("cli.py", "CounterexampleFound"),
     ("cli.py", "UsageError"),
+    ("cli.py", "argparse.ArgumentTypeError"),
     ("corpus.py", "FileNotFoundError"),
 }
 ERROR_CLASSES = {name for name, value in vars(errors).items()
@@ -230,6 +244,16 @@ def test_cli_runs_on_the_standard_library_alone(tmp_path):
         assert "incgrade.identities" in loaded
         assert sorted(loaded & {"argparse", "gettext", "fractions",
                                 "decimal", "random"}) == [], argv
+
+
+def test_only_a_command_line_off_the_plain_form_loads_argparse():
+    plain, loaded = loaded_modules("validate", "--poset", "example",
+                                   "--format", "json")
+    assert sorted(loaded & {"argparse", "gettext"}) == []
+    out, loaded = loaded_modules("validate", "--pos", "example",
+                                 "--format", "json")
+    assert out == plain
+    assert "argparse" in loaded
 
 
 def test_only_a_theta_drawn_from_seed_loads_random():

@@ -16,6 +16,7 @@ from functools import reduce
 from itertools import permutations
 from math import factorial, gcd, lcm
 
+from .corpus import format_rational, parse_rational
 from .errors import (
     MalformedInputError,
     MismatchError,
@@ -24,17 +25,20 @@ from .errors import (
     NotMultiplicativeError,
     VerificationError,
 )
-from .linalg import format_rational, parse_rational
 from .poset import (_bits, _check_leq, _is_index_pair, inverse_permutation,
                     linear_extension)
 
 
 def _ratio(value):
-    """(numerator, denominator) of any value fractions.Fraction accepts."""
+    """(numerator, denominator) of any value fractions.Fraction accepts;
+    any other value is malformed."""
     if not hasattr(value, "denominator"):
         from fractions import Fraction
 
-        value = Fraction(value)
+        try:
+            value = Fraction(value)
+        except (ValueError, TypeError, ZeroDivisionError, OverflowError):
+            raise MalformedInputError(f"not a rational number: {value!r}") from None
     return value.numerator, value.denominator
 
 
@@ -56,6 +60,8 @@ class IncidenceFunction:
     """
 
     def __init__(self, poset, entries=None, den=1):
+        if not isinstance(den, int) or not den:
+            raise MalformedInputError(f"den must be a nonzero integer, got {den!r}")
         self.poset = poset
         ratios = {}
         for (x, y), value in (entries or {}).items():
@@ -109,8 +115,7 @@ class IncidenceFunction:
         return IncidenceFunction(
             self.poset, {p: v * n for p, v in self.num.items()}, self.den * d)
 
-    def __rmul__(self, scalar):
-        return self.__mul__(scalar)
+    __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, IncidenceFunction):

@@ -28,7 +28,7 @@ import time
 from types import SimpleNamespace
 
 from . import __version__
-from .corpus import FIXTURE_NAMES, load_poset, read_json
+from .corpus import FIXTURE_NAMES, format_rational, load_poset, read_json
 from .errors import (
     CapExceededError,
     IncgradeError,
@@ -158,7 +158,6 @@ def cmd_equiv(inputs):
 
 def cmd_slice(inputs):
     from .identities import identity_slice
-    from .linalg import format_rational
 
     basis = identity_slice(inputs.theta, inputs.multidegree)
     leads = [next(v for v in row if v) for row in basis.rows]

@@ -1,13 +1,16 @@
-"""Bundled poset fixtures used by the CLI and the test suite.
-
-Fixtures are addressed by short name; anything that is not a known name
-is treated as a filesystem path to a poset JSON file.
+"""Input formats: the bundled poset fixtures, JSON input files, and the
+rational text form 'num' or 'num/den', read and written as the integer
+pair (num, den). A poset is named by fixture, or else by the path of a
+poset JSON file.
 """
 
 import json
 import os
+import re
+import sys
+from math import gcd
 
-from .errors import MalformedInputError
+from .errors import MalformedInputError, ResultTooLongError
 from .poset import poset_from_json
 
 FIXTURE_NAMES = (
@@ -27,6 +30,39 @@ FIXTURE_NAMES = (
 # Read by path rather than through importlib.resources, whose import
 # costs more than the rest of the package's.
 _FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+def parse_rational(text):
+    """Parse 'num' or 'num/den' (ASCII digits, num optionally signed) into
+    the integers (num, den) in lowest terms, den positive. Any other form,
+    exponents and decimal points included, a part of more digits than
+    int() converts (sys.get_int_max_str_digits(), 0 for no limit) or a
+    zero denominator is malformed. The pattern is compiled on first use,
+    through re's cache, so a command that reads no rational skips it."""
+    match = re.fullmatch(r"([+-]?[0-9]+)(?:/([0-9]+))?", str(text).strip())
+    if match is None:
+        raise MalformedInputError(
+            f"rational must be 'num' or 'num/den', got {text!r}")
+    num, den = match.groups()
+    limit = sys.get_int_max_str_digits()
+    if limit and max(len(num.lstrip("+-")), len(den or "")) > limit:
+        raise MalformedInputError(f"rational part has more than {limit} digits")
+    num, den = int(num), int(den or 1)
+    if not den:
+        raise MalformedInputError(f"zero denominator in {text!r}")
+    content = gcd(num, den)
+    return num // content, den // content
+
+
+def format_rational(num, den=1):
+    """Canonical string form of num / den (den positive) in lowest terms:
+    'num' for an integer, 'num/den' otherwise."""
+    content = gcd(num, den)
+    num, den = num // content, den // content
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:  # a part past sys.get_int_max_str_digits()
+        raise ResultTooLongError() from None
 
 
 def load_fixture(name):

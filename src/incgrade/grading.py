@@ -10,6 +10,7 @@ spanned by the basis elements of the pairs graded g.
 import itertools
 import json
 import math
+import operator
 import types
 
 from .corpus import _parse_json
@@ -73,7 +74,10 @@ class FiniteGroup:
             raise MalformedInputError("a group needs at least one element")
         if len(set(self.names)) != m:
             raise MalformedInputError("element names must be distinct")
-        self.table = tuple(tuple(int(v) for v in row) for row in table)
+        try:
+            self.table = tuple(tuple(map(operator.index, row)) for row in table)
+        except TypeError:
+            raise MalformedInputError("Cayley table entries must be integers") from None
         if len(self.table) != m or any(len(row) != m for row in self.table):
             raise MalformedInputError("Cayley table must be square")
         for row in self.table:
@@ -210,7 +214,11 @@ class GradingMap:
     """A map theta from poset elements to group elements, as indices."""
 
     def __init__(self, poset, group, theta):
-        theta = tuple(int(v) for v in theta)
+        try:
+            theta = tuple(map(operator.index, theta))
+        except TypeError:
+            raise MalformedInputError(
+                f"theta values must be integers: {theta!r}") from None
         if len(theta) != poset.n:
             raise MismatchError(f"a grading needs one value per poset element: "
                                 f"got {len(theta)} for {poset.n} elements")

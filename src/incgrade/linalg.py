@@ -1,62 +1,16 @@
 """Exact linear algebra for identity slices: the canonical kernel basis
 of an integer matrix.
 
-A slice is the kernel of a 0/1 evaluation matrix, so integers are the
-only input format and the kernel stays in integers: RowReducer
-eliminates fraction-free on primitive integer rows, and nullspace
-returns the canonical basis with each vector scaled to primitive
-integers. The rational text helpers (parse_rational, format_rational)
-read and write a rational as the integer pair (num, den). Matrices are
-immutable once built; RowReducer is the single mutable object, meant for
-streaming rows into a canonical reduced echelon basis one at a time.
+A slice is the kernel of a 0/1 evaluation matrix, so the kernel stays in
+integers: RowReducer eliminates fraction-free on primitive integer rows,
+and nullspace returns the canonical basis with each vector scaled to
+primitive integers. Matrices are immutable once built; RowReducer is the
+one mutable object, streaming rows into a reduced echelon basis.
 """
 
-import re
-import sys
-from bisect import bisect
 from math import gcd, lcm
-from operator import itemgetter, mul
 
-from .errors import (
-    MalformedInputError,
-    MismatchError,
-    ResultTooLongError,
-    VerificationError,
-)
-
-_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
-
-
-def parse_rational(text):
-    """Parse 'num' or 'num/den' (ASCII digits, num optionally signed) into
-    the integers (num, den) in lowest terms, den positive. Any other form,
-    exponents and decimal points included, a part of more digits than
-    int() converts (sys.get_int_max_str_digits(), 0 for no limit) or a
-    zero denominator is malformed."""
-    match = _RATIONAL.fullmatch(str(text).strip())
-    if match is None:
-        raise MalformedInputError(
-            f"rational must be 'num' or 'num/den', got {text!r}")
-    num, den = match.groups()
-    limit = sys.get_int_max_str_digits()
-    if limit and max(len(num.lstrip("+-")), len(den or "")) > limit:
-        raise MalformedInputError(f"rational part has more than {limit} digits")
-    num, den = int(num), int(den or 1)
-    if not den:
-        raise MalformedInputError(f"zero denominator in {text!r}")
-    content = gcd(num, den)
-    return num // content, den // content
-
-
-def format_rational(num, den=1):
-    """Canonical string form of num / den (den positive) in lowest terms:
-    'num' for an integer, 'num/den' otherwise."""
-    content = gcd(num, den)
-    num, den = num // content, den // content
-    try:
-        return str(num) if den == 1 else f"{num}/{den}"
-    except ValueError:  # a part past sys.get_int_max_str_digits()
-        raise ResultTooLongError() from None
+from .errors import MismatchError, VerificationError
 
 
 class RationalMatrix:
@@ -98,22 +52,30 @@ class RationalMatrix:
         return f"RationalMatrix({self.nrows}x{self.ncols}: {body})"
 
 
+def _cancel(row, prow, col):
+    """a * row - b * prow, zero at col, for a = prow[col] / g and
+    b = row[col] / g, g = gcd(prow[col], row[col]); a > 0 at a pivot."""
+    common = gcd(prow[col], row[col])
+    a, b = prow[col] // common, row[col] // common
+    return [a * r - b * p for r, p in zip(row, prow)]
+
+
 class RowReducer:
     """Incrementally maintained reduced echelon basis of integer rows.
 
     add() folds one row into the basis and reports whether the rank grew.
-    Each stored row is primitive (its entries have gcd 1), its pivot is its
-    last nonzero entry and positive, and it is zero in every other stored
-    row's pivot column. kernel() reads the canonical kernel basis, in
-    primitive integer vectors, off the stored rows.
+    Each stored row, kept by its pivot column, is dense and primitive (its
+    entries have gcd 1); its pivot is its last nonzero entry and positive,
+    and it is zero in every other stored row's pivot column. kernel()
+    reads the canonical kernel basis, in primitive integer vectors, off
+    the stored rows.
     """
 
     def __init__(self, ncols):
         if ncols < 0:
             raise MismatchError("negative column count")
         self.ncols = ncols
-        self._rows = []      # primitive integer rows, sorted by pivot column
-        self._pivots = []    # pivot column of each stored row
+        self._rows = {}   # pivot column -> primitive integer row
 
     @property
     def rank(self):
@@ -122,35 +84,27 @@ class RowReducer:
     def add(self, row):
         """Fold an integer row in; return True iff it was independent of
         the basis. The row minus its projection onto the stored rows is
-        kept integral by positive integer scaling; the stored rows vanish
-        in each other's pivot columns, so each clears its own column alone."""
+        kept integral by positive integer scaling. The stored rows vanish
+        in each other's pivot columns, so each, in any order, clears its
+        own column alone."""
         if len(row) != self.ncols:
             raise MismatchError(
                 f"row has {len(row)} entries, expected {self.ncols}")
         work = row
-        for prow, pcol in zip(self._rows, self._pivots):
-            factor = work[pcol]
-            if factor:
-                common = gcd(prow[pcol], factor)
-                a, b = prow[pcol] // common, factor // common
-                work = [a * w - b * p for w, p in zip(work, prow)]
+        for pcol, prow in self._rows.items():
+            if work[pcol]:
+                work = _cancel(work, prow, pcol)
         lead = next((j for j in reversed(range(self.ncols)) if work[j]), None)
         if lead is None:
             return False
         content = gcd(*work) if work[lead] > 0 else -gcd(*work)
         work = [v // content for v in work]
-        pivot = work[lead]
-        for i, prow in enumerate(self._rows):
-            factor = prow[lead]
-            if factor:
-                common = gcd(pivot, factor)
-                a, b = pivot // common, factor // common
-                prow = [a * p - b * w for p, w in zip(prow, work)]
+        for pcol, prow in self._rows.items():
+            if prow[lead]:
+                prow = _cancel(prow, work, lead)
                 content = gcd(*prow)
-                self._rows[i] = [p // content for p in prow]
-        at = bisect(self._pivots, lead)
-        self._rows.insert(at, work)
-        self._pivots.insert(at, lead)
+                self._rows[pcol] = [p // content for p in prow]
+        self._rows[lead] = work
         return True
 
     def kernel(self):
@@ -163,17 +117,16 @@ class RowReducer:
         positive entry, where every other vector is zero: the canonical
         echelon basis, each vector scaled to primitive integers with a
         positive leading entry."""
-        pivots = set(self._pivots)
         basis = []
         for free in range(self.ncols):
-            if free in pivots:
+            if free in self._rows:
                 continue
-            hits = [(prow, pcol) for prow, pcol in zip(self._rows, self._pivots)
+            hits = [(pcol, prow) for pcol, prow in self._rows.items()
                     if prow[free]]
-            scale = lcm(*(prow[pcol] for prow, pcol in hits))
+            scale = lcm(*(prow[pcol] for pcol, prow in hits))
             vec = [0] * self.ncols
             vec[free] = scale
-            for prow, pcol in hits:
+            for pcol, prow in hits:
                 vec[pcol] = -prow[free] * (scale // prow[pcol])
             content = gcd(*vec)
             basis.append([v // content for v in vec])
@@ -198,11 +151,7 @@ def nullspace(matrix):
         reducer.add(row)
     kernel = reducer.kernel()
     for vec in kernel:
-        # Column 0 rides along with weight 0, so pick returns a tuple even
-        # when vec has a single nonzero entry.
-        support = [j for j, v in enumerate(vec) if v]
-        pick = itemgetter(0, *support)
-        weights = [0] + [vec[j] for j in support]
-        if any(sum(map(mul, pick(row), weights)) for row in matrix.rows):
+        support = [(j, v) for j, v in enumerate(vec) if v]
+        if any(sum(row[j] * v for j, v in support) for row in matrix.rows):
             raise VerificationError("nullspace vector fails M v = 0")
     return RationalMatrix(kernel, ncols)

@@ -157,6 +157,33 @@ class TestCanonicalForm:
                              (1, 1): Fraction(-1, 4)}
         assert IncidenceFunction(p, {(0, 1): 0.5, (1, 1): 0}).num == {(0, 1): 1}
 
+    @pytest.mark.parametrize("value, den, message", [
+        (1, 0, "den must be a nonzero integer, got 0"),
+        (1, 0.5, "den must be a nonzero integer, got 0.5"),
+        (1, "2", "den must be a nonzero integer, got '2'"),
+        (1, None, "den must be a nonzero integer, got None"),
+        ("1/0", 1, "not a rational number: '1/0'"),
+        ("abc", 1, "not a rational number: 'abc'"),
+        ("1" * 5000, 1, "not a rational number: '1111"),
+        (float("nan"), 1, "not a rational number: nan"),
+        (float("inf"), 1, "not a rational number: inf"),
+        (None, 1, "not a rational number: None"),
+        ([1], 1, "not a rational number: [1]"),
+    ], ids=["den-0", "den-float", "den-str", "den-None", "zero-den", "word",
+            "long-digits", "nan", "inf", "None", "list"])
+    def test_a_value_that_is_not_rational_is_malformed(self, value, den,
+                                                      message):
+        with pytest.raises(MalformedInputError, match=f"^{re.escape(message)}"):
+            IncidenceFunction(CORPUS["c2"], {(0, 0): value}, den)
+
+    @pytest.mark.parametrize("scalar", ["x", None, float("nan")])
+    def test_a_scalar_that_is_not_rational_is_malformed(self, scalar):
+        f = zeta(CORPUS["c2"])
+        for product in (lambda: f * scalar, lambda: scalar * f):
+            with pytest.raises(MalformedInputError,
+                               match="^not a rational number: "):
+                product()
+
 
 class TestConvolution:
     def test_delta_is_two_sided_unit(self):

@@ -14,6 +14,7 @@ from incgrade.errors import (
 )
 from incgrade.grading import (
     EquivalenceWitness,
+    FiniteGroup,
     GradingMap,
     burnside_class_count,
     classify_gradings,
@@ -210,6 +211,20 @@ class TestGroups:
                            match="^unknown group element 'g'$"):
             cyclic_group(2).index_of("g")
 
+    @pytest.mark.parametrize("table", [[[0.0, 1.2], [1, 0]],
+                                       [["0", "1"], [1, 0]],
+                                       [[0, None], [1, 0]]])
+    def test_table_entries_are_not_truncated(self, table):
+        # 1.2 is not read as 1: an entry must be an int (or a bool).
+        with pytest.raises(MalformedInputError,
+                           match="^Cayley table entries must be integers$"):
+            FiniteGroup(["e", "a"], table)
+
+    def test_table_takes_ints_and_bools(self):
+        group = FiniteGroup(["e", "a"], [[False, True], [1, 0]])
+        assert group.table == ((0, 1), (1, 0))
+        assert {type(v) for row in group.table for v in row} == {int}
+
 
 class TestGradingMap:
     def test_grades_are_label_differences(self):
@@ -285,6 +300,18 @@ class TestGradingMap:
         with pytest.raises(MalformedInputError,
                            match="^theta value out of group range$"):
             GradingMap(CORPUS["c2"], cyclic_group(2), (0, 5))
+
+    @pytest.mark.parametrize("theta", [[0.7, 1.9], [0, "1"], [None, 0]])
+    def test_theta_values_are_not_truncated(self, theta):
+        # 0.7 is not read as 0: a value must be an int (or a bool).
+        with pytest.raises(MalformedInputError, match=(
+                f"^theta values must be integers: {re.escape(repr(theta))}$")):
+            GradingMap(CORPUS["c2"], cyclic_group(2), theta)
+
+    def test_theta_takes_ints_and_bools(self):
+        theta = GradingMap(CORPUS["c2"], cyclic_group(2), [True, 0]).theta
+        assert theta == (1, 0)
+        assert {type(v) for v in theta} == {int}
 
 
 class TestCounting:

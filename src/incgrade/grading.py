@@ -112,6 +112,18 @@ class FiniteGroup:
     def inv(self, a):
         return self.inverse[a]
 
+    def element_indices(self, values, what):
+        """values as a tuple of element indices, refusing a value that is
+        not an integer or not below the order, with `what` naming them."""
+        try:
+            values = tuple(map(operator.index, values))
+        except TypeError:
+            raise MalformedInputError(
+                f"{what} values must be integers: {values!r}") from None
+        if any(not 0 <= v < self.order for v in values):
+            raise MalformedInputError(f"{what} value out of group range")
+        return values
+
     def index_of(self, name):
         try:
             return self.names.index(str(name))
@@ -214,16 +226,10 @@ class GradingMap:
     """A map theta from poset elements to group elements, as indices."""
 
     def __init__(self, poset, group, theta):
-        try:
-            theta = tuple(map(operator.index, theta))
-        except TypeError:
-            raise MalformedInputError(
-                f"theta values must be integers: {theta!r}") from None
+        theta = group.element_indices(theta, "theta")
         if len(theta) != poset.n:
             raise MismatchError(f"a grading needs one value per poset element: "
                                 f"got {len(theta)} for {poset.n} elements")
-        if any(not 0 <= v < group.order for v in theta):
-            raise MalformedInputError("theta value out of group range")
         self.poset = poset
         self.group = group
         self.theta = theta
@@ -259,6 +265,11 @@ class GradingMap:
 
     def shift(self, shifts):
         """Left-multiply by one group element per connected component."""
+        shifts = self.group.element_indices(shifts, "shift")
+        k = len(connected_components(self.poset))
+        if len(shifts) != k:
+            raise MismatchError(f"a shift needs one value per connected component: "
+                                f"got {len(shifts)} for {k} components")
         owner = component_index(self.poset)
         return GradingMap(
             self.poset, self.group,

@@ -102,7 +102,7 @@ def identity_slice(grading, multidegree):
     output pairs; columns are the m! monomials. A degree with an empty
     component admits no substitutions, so the slice is the full space.
     """
-    multidegree = tuple(multidegree)
+    multidegree = grading.group.element_indices(multidegree, "multidegree")
     if not multidegree:
         raise MismatchError("multidegree must have length >= 1")
     components = grading.components()

@@ -197,6 +197,8 @@ def subposet(p, indices):
     relation is its covers: each element's minimal strict upper bounds
     among the indices."""
     indices = list(indices)
+    if any(not 0 <= j < p.n for j in indices):
+        raise MalformedInputError(f"subposet index out of range for {p.n} elements")
     position = {j: b for b, j in enumerate(indices)}
     inside = sum(1 << j for j in position)
     covers = []

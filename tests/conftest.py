@@ -1,7 +1,13 @@
-"""Print the acceptance scoreboard after every run, one line per
-criterion, regardless of output capture."""
+"""Put the bench's reference modules on the import path, and print the
+acceptance scoreboard after every run, one line per criterion,
+regardless of output capture."""
 
 import re
+import sys
+from pathlib import Path
+
+# The bench's reference modules import each other by top-level name.
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 _CRITERION = re.compile(r"test_criterion_(\d+)_(\w+)")
 

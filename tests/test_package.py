@@ -1,8 +1,9 @@
 """Checks on the package as a whole: every module parses as Python 3.10,
 every import in src/incgrade is used, no module imports a lazy standard
 module when it is imported, every raise is of the package's own error
-types, every error type is raised somewhere, every exported name
-resolves, and the CLI runs on the standard library alone."""
+types, every error type is raised somewhere, out-of-range values raise
+them, every exported name resolves, the CLI runs on the standard library
+alone, and the bench's reference imports no incgrade."""
 
 import ast
 import json
@@ -17,11 +18,17 @@ import incgrade
 from incgrade import errors
 from incgrade.algebra import delta, inner_auto, zeta
 from incgrade.corpus import load_poset
+from incgrade.errors import MalformedInputError, MismatchError
+from incgrade.grading import GradingMap, cyclic_group
+from incgrade.identities import identity_slice, verify_chain_reduction
+from incgrade.poset import subposet
 
 from util import morphism_json
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 MODULES = sorted((SRC / "incgrade").glob("*.py"))
+# The reference that tier-1 and the bench check incgrade's answers with.
+REFERENCE = [SRC.parent / "perfbench" / name for name in ("oracle.py", "checks.py")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
@@ -174,6 +181,31 @@ def test_unraised_class_is_found():
         sources) == ["CapExceededError"]
 
 
+DIAMOND = load_poset("diamond")
+THETA = GradingMap(DIAMOND, cyclic_group(2), (0, 1, 0, 1))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: identity_slice(THETA, (5,)), MalformedInputError,
+     "multidegree value out of group range"),
+    (lambda: identity_slice(THETA, ("a", "b")), MalformedInputError,
+     "multidegree values must be integers: ('a', 'b')"),
+    (lambda: verify_chain_reduction(THETA, (7,)), MalformedInputError,
+     "multidegree value out of group range"),
+    (lambda: subposet(DIAMOND, [0, 99]), MalformedInputError,
+     "subposet index out of range for 4 elements"),
+    (lambda: THETA.shift([9]), MalformedInputError,
+     "shift value out of group range"),
+    (lambda: THETA.shift([]), MismatchError,
+     "a shift needs one value per connected component: got 0 for 1 components"),
+], ids=["slice-range", "slice-names", "reduction-range", "subposet-range",
+        "shift-range", "shift-length"])
+def test_out_of_range_values_raise_package_errors(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_every_export_resolves():
     missing = [name for name in incgrade.__all__
                if not hasattr(incgrade, name)]
@@ -270,3 +302,26 @@ def test_only_a_theta_drawn_from_seed_loads_random():
                                  "--theta", "1,h", "--max-degree", "2")
     assert "command: verify-reduction" in out
     assert "random" not in loaded
+
+
+def imported_modules(source):
+    """The top-level names of the modules a source imports, "." for a
+    relative import."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add("." if node.level else node.module.split(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("path", REFERENCE, ids=[p.name for p in REFERENCE])
+def test_reference_imports_no_incgrade(path):
+    assert "incgrade" not in imported_modules(path.read_text(encoding="utf-8"))
+
+
+def test_incgrade_import_is_found():
+    assert imported_modules(
+        "import os.path\ndef f():\n    from incgrade.poset import Poset\n"
+    ) == {"os", "incgrade"}

@@ -1,5 +1,12 @@
 """Shared helpers for the test suite: seeded random algebra elements and
-small brute-force oracles kept independent of the library internals."""
+the oracles that check one algorithm step or one error message.
+
+Whole answers (Aut(P), maximal chains, components, classes of gradings)
+come from perfbench/oracle.py, which imports no incgrade. The oracles
+here that build on them hand it the order closed from the covers
+(`reference_leq`) and its own copy of the group (`reference_group`).
+The step oracles use library objects where the step needs them.
+"""
 
 import argparse
 import contextlib
@@ -7,6 +14,8 @@ import io
 import itertools
 from fractions import Fraction
 from math import gcd, lcm
+
+import oracle
 
 from incgrade.algebra import (
     AlgebraMorphism,
@@ -95,41 +104,23 @@ def morphism_json(phi):
             for (x, y) in sorted(phi.images)]
 
 
-def brute_force_chains(poset):
-    """All maximal chains by filtering every subset of elements."""
-    leq = leq_matrix(poset)
-    chains = []
-    for size in range(1, poset.n + 1):
-        for subset in itertools.combinations(range(poset.n), size):
-            if all(leq[a][b] or leq[b][a]
-                   for a, b in itertools.combinations(subset, 2)):
-                chains.append(frozenset(subset))
-    maximal = [c for c in chains
-               if not any(c < other for other in chains)]
-    out = []
-    for members in maximal:
-        out.append(tuple(sorted(
-            members, key=lambda i: sum(leq[j][i] for j in members))))
-    return sorted(out)
+def reference_leq(poset):
+    """The order as the reference closes it from the poset's covers."""
+    return oracle.closure(poset.n, poset.covers)
 
 
-def brute_force_automorphisms(poset):
-    """All permutations preserving the relation in both directions."""
-    leq = leq_matrix(poset)
-    found = []
-    for perm in itertools.permutations(range(poset.n)):
-        if all(leq[i][j] == leq[perm[i]][perm[j]]
-               for i in range(poset.n) for j in range(poset.n)):
-            found.append(perm)
-    return sorted(found)
+def reference_group(group):
+    """The group as the reference's own Group on the same Cayley table."""
+    return oracle.Group(group.names, group.table)
 
 
 def scan_chain_transitive(poset):
     """Chain transitivity by testing every pair of maximal chains against
     the automorphisms in sorted order: (True, table) with the first
     witness per pair, or (False, the first unreachable pair)."""
-    chains = brute_force_chains(poset)
-    auts = brute_force_automorphisms(poset)
+    leq = reference_leq(poset)
+    chains = oracle.maximal_chains(leq)
+    auts = oracle.automorphisms(leq)
     table = {}
     for i, src in enumerate(chains):
         for j, dst in enumerate(chains):
@@ -139,27 +130,6 @@ def scan_chain_transitive(poset):
                 return False, (i, j)
             table[(i, j)] = witness
     return True, table
-
-
-def brute_force_components(poset):
-    """Connected components via closure of the symmetric comparability."""
-    leq = leq_matrix(poset)
-    adj = [[leq[i][j] or leq[j][i] for j in range(poset.n)]
-           for i in range(poset.n)]
-    for k in range(poset.n):
-        for i in range(poset.n):
-            for j in range(poset.n):
-                if adj[i][k] and adj[k][j]:
-                    adj[i][j] = True
-    seen = set()
-    out = []
-    for i in range(poset.n):
-        if i in seen:
-            continue
-        members = tuple(j for j in range(poset.n) if adj[i][j])
-        seen.update(members)
-        out.append(members)
-    return out
 
 
 def is_associative(table):
@@ -188,41 +158,20 @@ def brute_force_witness(theta, mu):
     vector mapping theta o sigma^{-1} to mu, or None. Every automorphism
     is tried against every shift of each component; the components'
     shifts are independent, so this is the search over all vectors."""
-    poset, group = theta.poset, theta.group
-    for sigma in brute_force_automorphisms(poset):
+    poset, group = theta.poset, reference_group(theta.group)
+    leq = reference_leq(poset)
+    comps = oracle.components(leq)
+    for sigma in oracle.automorphisms(leq):
         moved = [None] * poset.n
         for x in range(poset.n):
             moved[sigma[x]] = theta.theta[x]
         shifts = tuple(next((h for h in range(group.order)
                              if all(group.mul(h, moved[x]) == mu.theta[x]
                                     for x in members)), None)
-                       for members in brute_force_components(poset))
+                       for members in comps)
         if None not in shifts:
             return sigma, shifts
     return None
-
-
-def brute_force_classes(poset, group):
-    """The least map of each equivalence class, ascending: walk all |G|^n
-    maps and mark the whole orbit, |Aut| * |G|^k maps, of each new one."""
-    comps = brute_force_components(poset)
-    owner = {x: c for c, members in enumerate(comps) for x in members}
-    auts = brute_force_automorphisms(poset)
-    seen = set()
-    reps = []
-    for theta in itertools.product(range(group.order), repeat=poset.n):
-        if theta in seen:
-            continue
-        reps.append(theta)
-        for sigma in auts:
-            moved = [None] * poset.n
-            for x in range(poset.n):
-                moved[sigma[x]] = theta[x]
-            for shifts in itertools.product(range(group.order),
-                                            repeat=len(comps)):
-                seen.add(tuple(group.mul(shifts[owner[x]], moved[x])
-                               for x in range(poset.n)))
-    return reps
 
 
 def brute_force_burnside(poset, group):
@@ -230,9 +179,11 @@ def brute_force_burnside(poset, group):
     (shifts, sigma). A map is fixed when it is constant up to the shifts
     along each cycle of sigma, which closes when the shifts met around the
     cycle multiply to the identity; then the cycle has |G| fixed choices."""
-    comps = brute_force_components(poset)
-    owner = {x: c for c, members in enumerate(comps) for x in members}
-    auts = brute_force_automorphisms(poset)
+    group = reference_group(group)
+    leq = reference_leq(poset)
+    owner = oracle.component_owner(leq)
+    k = max(owner) + 1
+    auts = oracle.automorphisms(leq)
     total = 0
     for sigma in auts:
         cycles = []
@@ -243,7 +194,7 @@ def brute_force_burnside(poset, group):
             while sigma[cycle[-1]] != start:
                 cycle.append(sigma[cycle[-1]])
             cycles.append(cycle)
-        for shifts in itertools.product(range(group.order), repeat=len(comps)):
+        for shifts in itertools.product(range(group.order), repeat=k):
             fixed = 1
             for cycle in cycles:
                 acc = group.identity
@@ -251,7 +202,7 @@ def brute_force_burnside(poset, group):
                     acc = group.mul(shifts[owner[x]], acc)
                 fixed *= group.order if acc == group.identity else 0
             total += fixed
-    count, rem = divmod(total, group.order ** len(comps) * len(auts))
+    count, rem = divmod(total, group.order ** k * len(auts))
     assert rem == 0
     return count
 
@@ -355,39 +306,38 @@ def primitive(matrix):
     positive leading entry: the form in which nullspace returns a basis."""
     rows = []
     for row in matrix.rows:
-        values = [Fraction(v) for v in row]
-        scale = lcm(*(v.denominator for v in values))
-        ints = [int(v * scale) for v in values]
+        scale = lcm(*(v.denominator for v in row))
+        ints = [v.numerator * (scale // v.denominator) for v in row]
         content = gcd(*ints) if next(v for v in ints if v) > 0 else -gcd(*ints)
         rows.append([v // content for v in ints])
     return RationalMatrix(rows, matrix.ncols)
 
 
 def fraction_nullspace(matrix):
-    """Kernel basis from the Fraction RREF: one vector per free column,
-    then reduced once more to the canonical echelon form."""
-    reduced = rref(matrix)
-    pivots = set()
-    col_of_row = []
-    for row in reduced.rows:
-        lead = next(j for j, v in enumerate(row) if v)
-        pivots.add(lead)
-        col_of_row.append(lead)
+    """Kernel basis in the canonical echelon form, read off the Fraction
+    RREF of the matrix with its columns reversed: one vector per free
+    column f, 1 at f, 0 at every other free column, and otherwise nonzero
+    only right of f. So f leads it and no other vector has an entry
+    there. Every vector is checked against every row."""
+    n = matrix.ncols
+    reduced = rref(RationalMatrix([row[::-1] for row in matrix.rows], n))
+    pivot_rows = {next(j for j, v in enumerate(row) if v): row
+                  for row in reduced.rows}
     basis = []
-    for free in range(matrix.ncols):
-        if free in pivots:
+    for free in reversed(range(n)):
+        if free in pivot_rows:
             continue
-        vec = [Fraction(0)] * matrix.ncols
+        vec = [Fraction(0)] * n
         vec[free] = Fraction(1)
-        for row, pcol in zip(reduced.rows, col_of_row):
+        for pcol, row in pivot_rows.items():
             vec[pcol] = -row[free]
-        basis.append(vec)
-    result = fraction_row_reducer(matrix.ncols, basis).matrix()
-    for vec in result.rows:
-        for row in matrix.rows:
-            if sum(a * b for a, b in zip(row, vec)) != 0:
+        basis.append(vec[::-1])
+    for row in matrix.rows:
+        support = [(j, a) for j, a in enumerate(row) if a]
+        for vec in basis:
+            if sum(a * vec[j] for j, a in support) != 0:
                 raise VerificationError("nullspace vector fails M v = 0")
-    return result
+    return RationalMatrix(basis, n)
 
 
 def brute_force_slice(grading, multidegree):
@@ -416,9 +366,7 @@ def brute_force_slice(grading, multidegree):
                 start = pairs[perm[0]][0]
                 by_output.setdefault((start, cur), set()).add(idx)
         for hits in by_output.values():
-            row = [Fraction(1) if i in hits else Fraction(0)
-                   for i in range(fact)]
-            reducer.add(row)
+            reducer.add([int(i in hits) for i in range(fact)])
     return fraction_nullspace(reducer.matrix())
 
 
@@ -502,7 +450,7 @@ def segment_ordered_invert(f):
         if f(i, i) == 0:
             raise NotInvertibleError(
                 f"zero diagonal at {poset.elements[i]!r}")
-    leq = leq_matrix(poset)
+    leq = reference_leq(poset)
     pairs = sorted(poset.comparable_pairs(), key=lambda p: segment(poset, *p).n)
     inv = {}
     for (x, y) in pairs:

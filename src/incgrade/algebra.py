@@ -12,6 +12,7 @@ built only where a caller reads a value (f(x, y), f.entries) or gives one
 with no .denominator, such as a float or a string.
 """
 
+from collections.abc import Hashable, Mapping
 from functools import reduce
 from itertools import permutations
 from math import factorial, gcd, lcm
@@ -25,8 +26,8 @@ from .errors import (
     NotMultiplicativeError,
     VerificationError,
 )
-from .poset import (_bits, _check_leq, _is_index_pair, inverse_permutation,
-                    linear_extension)
+from .poset import (_bits, _check_leq, _indices, _sequence,
+                    inverse_permutation, linear_extension)
 
 
 def _ratio(value):
@@ -44,10 +45,10 @@ def _ratio(value):
 
 def _common(ratios):
     """(num, den) for the values n / d of ratios (pair -> (n, d), d a
-    nonzero int of either sign): the numerators of the nonzero values over
+    nonzero int of either sign): their numerators, zeros included, over
     one positive denominator, in lowest terms."""
     den = lcm(*[d for _, d in ratios.values()])
-    num = {pair: n * (den // d) for pair, (n, d) in ratios.items() if n}
+    num = {pair: n * (den // d) for pair, (n, d) in ratios.items()}
     content = gcd(den, *num.values())
     return {pair: n // content for pair, n in num.items()}, den // content
 
@@ -55,20 +56,23 @@ def _common(ratios):
 class IncidenceFunction:
     """Element of the incidence algebra: a map from comparable pairs to
     rationals, stored sparsely as num (pair -> nonzero int) over den > 0,
-    with gcd(den, *num.values()) == 1. Each value of entries, anything
-    fractions.Fraction accepts, is divided by the nonzero int den.
+    with gcd(den, *num.values()) == 1. entries maps comparable pairs to
+    values, anything fractions.Fraction accepts, divided by the int den.
     """
 
     def __init__(self, poset, entries=None, den=1):
         if not isinstance(den, int) or not den:
             raise MalformedInputError(f"den must be a nonzero integer, got {den!r}")
+        if not isinstance(entries, (Mapping, type(None))):
+            raise MalformedInputError(
+                f"entries must be a mapping, not {type(entries).__name__}")
         self.poset = poset
         ratios = {}
-        for (x, y), value in (entries or {}).items():
+        for pair, value in (entries or {}).items():
             n, d = _ratio(value)
-            _check_leq(poset, x, y)
-            ratios[(x, y)] = n, d * den
-        self.num, self.den = _common(ratios)
+            ratios[_check_leq(poset, pair)] = n, d * den
+        num, self.den = _common(ratios)
+        self.num = {pair: n for pair, n in num.items() if n}
 
     def __call__(self, x, y):
         from fractions import Fraction
@@ -137,24 +141,20 @@ class IncidenceFunction:
 
 
 def function_from_json(poset, obj):
-    """Read {"entries": [[x, y, "num/den"], ...]} with 0 <= x, y < n, each
-    index pair listed at most once."""
+    """Read {"entries": [[x, y, "num/den"], ...]}, each pair listed at most
+    once; IncidenceFunction checks the pairs."""
     entries = obj.get("entries") if isinstance(obj, dict) else None
     if not isinstance(entries, list) or not all(
-            isinstance(e, list) and len(e) == 3 and _is_index_pair(e[:2])
+            isinstance(e, list) and len(e) == 3
+            and isinstance(e[0], Hashable) and isinstance(e[1], Hashable)
             for e in entries):
-        raise MalformedInputError(
-            'entries must be a list of [x, y, "num/den"] with integer x, y')
+        raise MalformedInputError('entries must be a list of [x, y, "num/den"]')
     values = {}
     for x, y, value in entries:
-        if not (0 <= x < poset.n and 0 <= y < poset.n):
-            raise MalformedInputError(
-                f"entry index pair ({x}, {y}) out of range for {poset.n} elements")
         if (x, y) in values:
             raise MalformedInputError(f"entry index pair ({x}, {y}) listed twice")
-        values[(x, y)] = value
-    return IncidenceFunction(poset, *_common(
-        {pair: parse_rational(value) for pair, value in values.items()}))
+        values[(x, y)] = parse_rational(value)
+    return IncidenceFunction(poset, *_common(values))
 
 
 def function_to_json(f):
@@ -164,7 +164,7 @@ def function_to_json(f):
 
 def e_basis(poset, x, y):
     """Indicator of the single comparable pair (x, y)."""
-    return IncidenceFunction(poset, {(x, y): 1})
+    return IncidenceFunction(poset, {_check_leq(poset, (x, y)): 1})
 
 
 def delta(poset):
@@ -222,13 +222,12 @@ def evaluate(poset, coefficients, pairs):
     m! coefficients over the monomials x_{pi(1)} ... x_{pi(m)}, pi in
     itertools.permutations(range(m)) order, as a slice's rows hold them.
     Every pair is checked, even one only zero coefficients use."""
-    pairs = [(int(x), int(y)) for x, y in pairs]
+    pairs = [_check_leq(poset, pair) for pair in _sequence(pairs, "pairs")]
+    coefficients = _sequence(coefficients, "coefficients")
     m = len(pairs)
     if not m or len(coefficients) != factorial(m):
         raise MismatchError(
             f"{len(coefficients)} coefficients for {m} pairs, need m! with m >= 1")
-    for x, y in pairs:
-        _check_leq(poset, x, y)
     out = IncidenceFunction(poset, {})
     for perm, coeff in zip(permutations(range(m)), coefficients):
         if coeff:
@@ -312,14 +311,16 @@ class AlgebraMorphism:
     """
 
     def __init__(self, poset, images):
+        if not isinstance(images, Mapping):
+            raise MalformedInputError(
+                f"images must be a mapping, not {type(images).__name__}")
         self.poset = poset
-        self.images = dict(images)
-        pairs = set(poset.comparable_pairs())
-        if set(self.images) != pairs:
+        self.images = {_indices(pair, poset.n, "image pair", 2): image
+                       for pair, image in images.items()}
+        if self.images.keys() != set(poset.comparable_pairs()):
             raise NotAutomorphismError("image table must cover every basis pair")
-        for img in self.images.values():
-            if img.poset != poset:
-                raise MismatchError("image over a different poset")
+        if any(img.poset != poset for img in self.images.values()):
+            raise MismatchError("image over a different poset")
 
     def apply(self, f):
         """The image of f, on numerators over the lcm of the image dens."""
@@ -364,17 +365,17 @@ class AlgebraMorphism:
 
 def morphism_from_json(poset, obj):
     """Read a list of {"pair": [x, y], "image": [[u, v, "c"], ...]}, each
-    pair listed at most once."""
+    pair listed at most once; AlgebraMorphism checks the pairs."""
     if not isinstance(obj, list) or not all(
-            isinstance(item, dict) and _is_index_pair(item.get("pair"))
-            for item in obj):
+            isinstance(item, dict) and isinstance(item.get("pair"), list)
+            and all(isinstance(v, Hashable) for v in item["pair"]) for item in obj):
         raise MalformedInputError(
             'morphism JSON must be a list of {"pair": [x, y], "image": [...]}')
     images = {}
     for item in obj:
         pair = tuple(item["pair"])
         if pair in images:
-            raise MalformedInputError(f"pair ({pair[0]}, {pair[1]}) listed twice")
+            raise MalformedInputError(f"pair {pair} listed twice")
         images[pair] = function_from_json(poset, {"entries": item.get("image")})
     return AlgebraMorphism(poset, images)
 
@@ -435,7 +436,7 @@ def _check_automorphism(poset, sigma):
 def induced_auto(poset, sigma):
     """Relabeling automorphism e_xy -> e_{sigma(x) sigma(y)} from a poset
     automorphism sigma given as a permutation tuple."""
-    sigma = tuple(sigma)
+    sigma = _indices(sigma, poset.n, "sigma")
     _check_automorphism(poset, sigma)
     images = {(x, y): e_basis(poset, sigma[x], sigma[y])
               for (x, y) in poset.comparable_pairs()}

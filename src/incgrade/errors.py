@@ -1,12 +1,12 @@
 """Exception types raised across the package.
 
-Every error raised by this package derives from IncgradeError, so callers
-can catch one type at the boundary (the CLI maps them to exit code 2).
-The only other type the CLI maps to 2 is the OSError of an input file
-that cannot be opened or read. A class names a kind of failure that a
-caller could act on, not the check that found it: an input that is not
-a poset, group or grading is MalformedInputError, and values that do
-not fit together are MismatchError, each told apart by its message.
+Every error raised by this package derives from IncgradeError but one:
+load_poset raises FileNotFoundError for a name that is neither a fixture
+nor a file. The CLI maps both, and any OSError of an input file it cannot
+read, to exit code 2. A class names a kind of failure that a caller could
+act on, not the check that found it: an input that is not a poset, group
+or grading is MalformedInputError, and values that do not fit together
+are MismatchError, each told apart by its message.
 """
 
 import sys
@@ -17,7 +17,8 @@ class IncgradeError(Exception):
 
 
 class NotComparableError(IncgradeError):
-    """A pair (x, y) with x not below y was used where comparability is required."""
+    """Two element indices x, y, each in range, with x not below y, used
+    where comparability is required."""
 
 
 class NotInvertibleError(IncgradeError):
@@ -33,11 +34,11 @@ class NotAutomorphismError(IncgradeError):
 
 
 class MalformedInputError(IncgradeError):
-    """An input is not what it claims to be: a poset, function, morphism or
-    group document of the wrong shape, a poset that is empty, has two
-    elements with one label or a cycle, a group spec that is unknown or
-    violates a group axiom, an unknown group element, or a theta value
-    outside the group."""
+    """An input is not what it claims to be: a value or document of the
+    wrong shape, an index that is not an int in 0..n-1 (no bool is one), a
+    poset that is empty, has two elements with one label or a cycle, a
+    group spec that is unknown or violates a group axiom, or an unknown
+    group element."""
 
 
 class MismatchError(IncgradeError):

@@ -10,7 +10,6 @@ spanned by the basis elements of the pairs graded g.
 import itertools
 import json
 import math
-import operator
 import types
 
 from .corpus import _parse_json
@@ -23,6 +22,8 @@ from .poset import (
     _check_budget,
     _check_leq,
     _derived,
+    _indices,
+    _sequence,
     automorphisms,
     component_index,
     connected_components,
@@ -68,21 +69,17 @@ class FiniteGroup:
     """
 
     def __init__(self, names, table):
-        self.names = tuple(str(v) for v in names)
+        self.names = tuple(map(str, _sequence(names, "group names")))
         m = len(self.names)
+        _check_order(m)
         if m == 0:
             raise MalformedInputError("a group needs at least one element")
         if len(set(self.names)) != m:
             raise MalformedInputError("element names must be distinct")
-        try:
-            self.table = tuple(tuple(map(operator.index, row)) for row in table)
-        except TypeError:
-            raise MalformedInputError("Cayley table entries must be integers") from None
+        self.table = tuple(_indices(row, m, "Cayley table row")
+                           for row in _sequence(table, "Cayley table"))
         if len(self.table) != m or any(len(row) != m for row in self.table):
             raise MalformedInputError("Cayley table must be square")
-        for row in self.table:
-            if any(not 0 <= v < m for v in row):
-                raise MalformedInputError("Cayley table entry out of range")
         t = self.table
         identity = next((e for e in range(m)
                          if all(t[e][a] == a == t[a][e] for a in range(m))), None)
@@ -111,18 +108,6 @@ class FiniteGroup:
 
     def inv(self, a):
         return self.inverse[a]
-
-    def element_indices(self, values, what):
-        """values as a tuple of element indices, refusing a value that is
-        not an integer or not below the order, with `what` naming them."""
-        try:
-            values = tuple(map(operator.index, values))
-        except TypeError:
-            raise MalformedInputError(
-                f"{what} values must be integers: {values!r}") from None
-        if any(not 0 <= v < self.order for v in values):
-            raise MalformedInputError(f"{what} value out of group range")
-        return values
 
     def index_of(self, name):
         try:
@@ -188,16 +173,11 @@ def group_from_spec(spec):
     if spec.startswith("{"):
         obj = _parse_json(json.loads, spec, "bad group JSON")
         if (not isinstance(obj, dict) or not isinstance(obj.get("names"), list)
-                or not isinstance(obj.get("table"), list)
-                or any(not isinstance(row, list) for row in obj["table"])):
+                or not isinstance(obj.get("table"), list)):
             raise MalformedInputError(
-                'group JSON must be an object with a "names" list and a '
-                '"table" list of lists')
+                'group JSON must be an object with "names" and "table" lists')
         if any(type(v) is not str for v in obj["names"]):
             raise MalformedInputError("group element names must be strings")
-        _check_order(len(obj["names"]))
-        if any(type(v) is not int for row in obj["table"] for v in row):
-            raise MalformedInputError("Cayley table entries must be integers")
         return FiniteGroup(obj["names"], obj["table"])
     factors = []
     for part in spec.split("x"):
@@ -226,7 +206,7 @@ class GradingMap:
     """A map theta from poset elements to group elements, as indices."""
 
     def __init__(self, poset, group, theta):
-        theta = group.element_indices(theta, "theta")
+        theta = _indices(theta, group.order, "theta")
         if len(theta) != poset.n:
             raise MismatchError(f"a grading needs one value per poset element: "
                                 f"got {len(theta)} for {poset.n} elements")
@@ -236,7 +216,7 @@ class GradingMap:
         self._derived = {}
 
     def grade_of_pair(self, x, y):
-        _check_leq(self.poset, x, y)
+        x, y = _check_leq(self.poset, (x, y))
         g = self.group
         return g.mul(g.inv(self.theta[x]), self.theta[y])
 
@@ -265,7 +245,7 @@ class GradingMap:
 
     def shift(self, shifts):
         """Left-multiply by one group element per connected component."""
-        shifts = self.group.element_indices(shifts, "shift")
+        shifts = _indices(shifts, self.group.order, "shift")
         k = len(connected_components(self.poset))
         if len(shifts) != k:
             raise MismatchError(f"a shift needs one value per connected component: "

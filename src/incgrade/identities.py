@@ -31,24 +31,25 @@ import math
 
 from .errors import (
     BudgetExceededError,
+    MalformedInputError,
     MismatchError,
     NotChainTransitiveError,
 )
 from .grading import classify_gradings
 from .linalg import RationalMatrix, nullspace
-from .poset import _check_budget, bound, is_chain_transitive, maximal_chains
-
-
-def _word_count(k, d):
-    """The number of words of length 1..d over k letters."""
-    return sum(k ** m for m in range(1, d + 1))
+from .poset import (_check_budget, _indices, bound, is_chain_transitive,
+                    maximal_chains)
 
 
 def words(alphabet, d):
-    """Every tuple over alphabet of length 1..d, shorter ones first and
-    each length in itertools.product order. A sweep of more than MAX_MAPS
-    words is refused before the first one."""
-    _check_budget(_word_count(len(alphabet), d), "words")
+    """Every tuple over alphabet of length 1..d (an int of at least 0, not
+    a bool), shorter ones first, each length in itertools.product order. A
+    sweep past MAX_MAPS words is refused at the first length that passes."""
+    if isinstance(d, bool) or not isinstance(d, int) or d < 0:
+        raise MalformedInputError("a degree must be an integer of at least 0")
+    lengths = range(1, d + 1) if alphabet else ()
+    for count in itertools.accumulate(len(alphabet) ** m for m in lengths):
+        _check_budget(count, "words")
     return itertools.chain.from_iterable(
         itertools.product(alphabet, repeat=m) for m in range(1, d + 1))
 
@@ -102,7 +103,7 @@ def identity_slice(grading, multidegree):
     output pairs; columns are the m! monomials. A degree with an empty
     component admits no substitutions, so the slice is the full space.
     """
-    multidegree = grading.group.element_indices(multidegree, "multidegree")
+    multidegree = _indices(multidegree, grading.group.order, "multidegree")
     if not multidegree:
         raise MismatchError("multidegree must have length >= 1")
     components = grading.components()
@@ -154,7 +155,7 @@ def verify_chain_reduction(grading, multidegree):
     exactly when the spaces are. Returns (equal, report) with the
     dimensions of the whole slice, each chain slice, and the intersection.
     """
-    multidegree = tuple(multidegree)
+    multidegree = _indices(multidegree, grading.group.order, "multidegree")
     whole = identity_slice(grading, multidegree)
     width = whole.ncols
     components = grading.components()
@@ -216,7 +217,8 @@ def chain_transitivity_identity_check(poset, group):
             f"no automorphism maps maximal chain {i} onto {j}")
     d = bound(poset)
     reps = classify_gradings(poset, group)
-    _check_budget(len(reps) * _word_count(group.order, d), "word sweeps")
+    _check_budget(len(reps) * sum(group.order ** m for m in range(1, d + 1)),
+                  "word sweeps")
     signatures = [frozenset(monomial_identities(rep, d)) for rep in reps]
     unseparated = [(a, b) for (a, sa), (b, sb)
                    in itertools.combinations(zip(reps, signatures), 2) if sa == sb]

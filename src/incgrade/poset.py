@@ -15,6 +15,7 @@ bounds the grading enumerations and the identity degree sweeps.
 """
 
 import functools
+import operator
 
 from .errors import (
     BudgetExceededError,
@@ -45,6 +46,32 @@ def _derived(compute):
     return once
 
 
+def _sequence(values, what):
+    """values as a tuple; a value that is not iterable is malformed."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise MalformedInputError(
+            f"{what} must be a list, not {type(values).__name__}") from None
+
+
+def _indices(values, bound, what, length=None):
+    """values as a tuple of ints in 0..bound-1, of the given length if one
+    is given: the one rule for an index of a poset or group element.
+    Anything else, a bool included, is malformed; `what` names the values."""
+    items = _sequence(values, what)
+    if length not in (None, len(items)):
+        raise MalformedInputError(f"{what} must have {length} values, got {len(items)}")
+    for v in items:
+        if isinstance(v, bool) or not hasattr(type(v), "__index__"):
+            raise MalformedInputError(
+                f"{what} values must be integers, not {type(v).__name__}")
+    indices = tuple(map(operator.index, items))
+    if not all(map(range(bound).__contains__, indices)):
+        raise MalformedInputError(f"{what} value out of range 0..{bound - 1}")
+    return indices
+
+
 def _bits(mask):
     """The indices of the set bits of a nonnegative mask, ascending."""
     return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
@@ -56,10 +83,8 @@ class Poset:
     pairs with i below j: the covers, every comparable pair, or between."""
 
     def __init__(self, elements, relation):
-        elements = tuple(str(e) for e in elements)
-        relation = tuple(relation)
+        elements = tuple(map(str, _sequence(elements, "poset elements")))
         n = len(elements)
-        up = _close(n, relation)
         if not elements:
             raise MalformedInputError("poset needs at least one element")
         seen = set()
@@ -67,6 +92,9 @@ class Poset:
             if label in seen:
                 raise MalformedInputError(f"duplicate label {label!r}")
             seen.add(label)
+        relation = [_indices(pair, n, "relation pair", 2)
+                    for pair in _sequence(relation, "poset relation")]
+        up = _close(n, relation)
         down = _close(n, [(j, i) for i, j in relation])
         # The members of a cycle share their rows, so i is on one when up[i]
         # and down[i] meet beyond i; name the least other member.
@@ -107,12 +135,13 @@ class Poset:
         return f"Poset({list(self.elements)}, {list(self.covers)})"
 
 
-def _check_leq(p, x, y, message="({}, {}) is not a comparable pair"):
-    """Raise NotComparableError unless x is below-or-equal y in p. An
-    index outside 0..n-1 is below nothing and is named by its number."""
-    if not (0 <= x < p.n and 0 <= y < p.n and p.up[x] >> y & 1):
-        names = [repr(p.elements[i]) if 0 <= i < p.n else str(i) for i in (x, y)]
-        raise NotComparableError(message.format(*names))
+def _check_leq(p, pair, message="({}, {}) is not a comparable pair"):
+    """pair as indices (x, y) with x below-or-equal y in p. A pair that
+    breaks the index rule is malformed; NotComparableError names the rest."""
+    x, y = _indices(pair, p.n, "pair", 2)
+    if not p.up[x] >> y & 1:
+        raise NotComparableError(message.format(repr(p.elements[x]), repr(p.elements[y])))
+    return x, y
 
 
 def _close(n, edges):
@@ -123,8 +152,6 @@ def _close(n, edges):
     refuses. A row stays 0 until its component completes."""
     succ = [[] for _ in range(n)]
     for i, j in edges:
-        if not (0 <= i < n and 0 <= j < n):
-            raise MalformedInputError(f"index pair ({i}, {j}) out of range")
         succ[i].append(j)
     up, low = [0] * n, [0] * n
     at = [0] * n  # 1 + position on the stack when visited, 0 before
@@ -162,7 +189,7 @@ def _close(n, edges):
 def poset_from_json(obj):
     """Read {"elements": [...], "covers": [[i,j],...]} or
     {"elements": [...], "relation": [[i,j],...]}: either key names a
-    relation for Poset to close."""
+    relation for Poset to close and check."""
     if not isinstance(obj, dict) or not isinstance(obj.get("elements"), list):
         raise MalformedInputError(
             'poset JSON must be an object with an "elements" list')
@@ -174,17 +201,7 @@ def poset_from_json(obj):
     key = "covers" if "covers" in obj else "relation"
     if key not in obj:
         raise MalformedInputError("poset JSON needs a 'covers' or 'relation' key")
-    pairs = obj[key]
-    if not isinstance(pairs, list) or not all(map(_is_index_pair, pairs)):
-        raise MalformedInputError(
-            f"poset JSON {key!r} must be a list of [i, j] integer pairs")
-    return Poset(obj["elements"], [tuple(p) for p in pairs])
-
-
-def _is_index_pair(value):
-    """Whether a JSON value is a list of two integers."""
-    return (isinstance(value, list) and len(value) == 2
-            and type(value[0]) is int and type(value[1]) is int)
+    return Poset(obj["elements"], obj[key])
 
 
 def poset_to_json(p):
@@ -196,9 +213,7 @@ def subposet(p, indices):
     """Induced subposet on the given indices, kept in the given order. Its
     relation is its covers: each element's minimal strict upper bounds
     among the indices."""
-    indices = list(indices)
-    if any(not 0 <= j < p.n for j in indices):
-        raise MalformedInputError(f"subposet index out of range for {p.n} elements")
+    indices = _indices(indices, p.n, "subposet")
     position = {j: b for b, j in enumerate(indices)}
     inside = sum(1 << j for j in position)
     covers = []
@@ -211,7 +226,7 @@ def subposet(p, indices):
 
 def segment(p, x, z):
     """The interval [x, z] = {y : x below y below z} with induced order."""
-    _check_leq(p, x, z, "{} is not below {}")
+    x, z = _check_leq(p, (x, z), "{} is not below {}")
     return subposet(p, _bits(p.up[x] & p.down[z]))
 
 

@@ -392,7 +392,9 @@ class TestCliContract:
         def build(*args):
             raise AssertionError("built a group past the order cap")
 
-        monkeypatch.setattr("incgrade.grading.FiniteGroup", build)
+        # FiniteGroup checks the cap on the names, before it reads a row
+        # of the table, and a C<n> or product spec before it builds one.
+        monkeypatch.setattr("incgrade.grading._indices", build)
         assert main(["classify", "--poset", "c2", "--group", spec]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -9,6 +9,7 @@ from incgrade.algebra import evaluate
 from incgrade.corpus import corpus_posets
 from incgrade.errors import (
     BudgetExceededError,
+    MalformedInputError,
     MismatchError,
     NotChainTransitiveError,
     NotComparableError,
@@ -81,10 +82,12 @@ class TestEvaluate:
                 evaluate(p, coefficients, pairs)
 
     def test_pairs_must_be_comparable(self):
-        # Even a pair that only a zero coefficient would use is checked.
+        # Even a pair that only a zero coefficient would use is checked;
+        # index 2 is outside c2, which the index rule refuses.
         p = CORPUS["c2"]
-        for pairs in ([(1, 0), (0, 1)], [(0, 1), (0, 2)]):
-            with pytest.raises(NotComparableError):
+        for pairs, error in (([(1, 0), (0, 1)], NotComparableError),
+                             ([(0, 1), (0, 2)], MalformedInputError)):
+            with pytest.raises(error):
                 evaluate(p, [0, 0], pairs)
 
 

@@ -16,12 +16,15 @@ import pytest
 
 import incgrade
 from incgrade import errors
-from incgrade.algebra import delta, inner_auto, zeta
+from incgrade.algebra import (AlgebraMorphism, IncidenceFunction, delta,
+                              e_basis, evaluate, induced_auto, inner_auto,
+                              zeta)
 from incgrade.corpus import load_poset
 from incgrade.errors import MalformedInputError, MismatchError
-from incgrade.grading import GradingMap, cyclic_group
-from incgrade.identities import identity_slice, verify_chain_reduction
-from incgrade.poset import subposet
+from incgrade.grading import FiniteGroup, GradingMap, cyclic_group
+from incgrade.identities import (identity_slice, monomial_identities,
+                                 slices_equal_upto, verify_chain_reduction)
+from incgrade.poset import Poset, segment, subposet
 
 from util import morphism_json
 
@@ -187,21 +190,66 @@ THETA = GradingMap(DIAMOND, cyclic_group(2), (0, 1, 0, 1))
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: identity_slice(THETA, (5,)), MalformedInputError,
-     "multidegree value out of group range"),
+     "multidegree value out of range 0..1"),
     (lambda: identity_slice(THETA, ("a", "b")), MalformedInputError,
-     "multidegree values must be integers: ('a', 'b')"),
+     "multidegree values must be integers, not str"),
     (lambda: verify_chain_reduction(THETA, (7,)), MalformedInputError,
-     "multidegree value out of group range"),
+     "multidegree value out of range 0..1"),
+    (lambda: verify_chain_reduction(THETA, None), MalformedInputError,
+     "multidegree must be a list, not NoneType"),
     (lambda: subposet(DIAMOND, [0, 99]), MalformedInputError,
-     "subposet index out of range for 4 elements"),
+     "subposet value out of range 0..3"),
     (lambda: THETA.shift([9]), MalformedInputError,
-     "shift value out of group range"),
+     "shift value out of range 0..1"),
     (lambda: THETA.shift([]), MismatchError,
      "a shift needs one value per connected component: got 0 for 1 components"),
-], ids=["slice-range", "slice-names", "reduction-range", "subposet-range",
-        "shift-range", "shift-length"])
+], ids=["slice-range", "slice-names", "reduction-range", "reduction-none",
+        "subposet-range", "shift-range", "shift-length"])
 def test_out_of_range_values_raise_package_errors(call, error, message):
     with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
+AB = ["a", "b"]
+DEGREE = "a degree must be an integer of at least 0"
+
+
+# Each call breaks the index rule (an int in 0..n-1, never a bool), asks
+# for a list or a mapping and gets none, or breaks the degree rule.
+@pytest.mark.parametrize("call, message", [
+    (lambda: Poset(None, []), "poset elements must be a list, not NoneType"),
+    (lambda: Poset(AB, None), "poset relation must be a list, not NoneType"),
+    (lambda: Poset(AB, [(0, 1.0)]), "relation pair values must be integers, not float"),
+    (lambda: Poset(AB, [("0", 1)]), "relation pair values must be integers, not str"),
+    (lambda: Poset(AB, [(0, 1, 2)]), "relation pair must have 2 values, got 3"),
+    (lambda: Poset(AB, [(True, 1)]), "relation pair values must be integers, not bool"),
+    (lambda: FiniteGroup(None, [[0]]), "group names must be a list, not NoneType"),
+    (lambda: AlgebraMorphism(DIAMOND, None),
+     "images must be a mapping, not NoneType"),
+    (lambda: IncidenceFunction(DIAMOND, [1, 2]),
+     "entries must be a mapping, not list"),
+    (lambda: IncidenceFunction(DIAMOND, {(0, 1.0): 1}),
+     "pair values must be integers, not float"),
+    (lambda: e_basis(DIAMOND, 0.5, 1), "pair values must be integers, not float"),
+    (lambda: segment(DIAMOND, 0, True), "pair values must be integers, not bool"),
+    (lambda: subposet(DIAMOND, [True, 0]), "subposet values must be integers, not bool"),
+    (lambda: evaluate(DIAMOND, [1], [(0.7, 1)]),
+     "pair values must be integers, not float"),
+    (lambda: induced_auto(DIAMOND, None), "sigma must be a list, not NoneType"),
+    (lambda: induced_auto(DIAMOND, (0.0, 2.0, 1.0, 3.0)),
+     "sigma values must be integers, not float"),
+    (lambda: slices_equal_upto(THETA, THETA, "x"), DEGREE),
+    (lambda: slices_equal_upto(THETA, THETA, 2.5), DEGREE),
+    (lambda: monomial_identities(THETA, None), DEGREE),
+    (lambda: monomial_identities(THETA, -1), DEGREE),
+], ids=["poset-none", "relation-none", "relation-float", "relation-str",
+        "relation-triple", "relation-bool", "group-none", "morphism-none",
+        "function-list", "function-float", "basis-float", "segment-bool",
+        "subposet-bool", "evaluate-float", "sigma-none", "sigma-float",
+        "slices-str", "slices-float", "monomials-none", "monomials-negative"])
+def test_malformed_arguments_raise_package_errors(call, message):
+    with pytest.raises(MalformedInputError) as info:
         call()
     assert str(info.value) == message
 

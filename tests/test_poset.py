@@ -191,9 +191,16 @@ class TestAgainstLoopOracle:
         except MalformedInputError as exc:
             return str(exc)
 
+    @staticmethod
+    def read_and_close(n, edges):
+        """The closure of edges as Poset reads them: each pair through the
+        index rule, then _close."""
+        edges = [poset._indices(pair, n, "relation pair", 2) for pair in edges]
+        return matrix_of(poset._close(n, edges), n)
+
     def test_close_matches_triple_loop(self):
         # Random relations, cycles included; a few pairs reach one index
-        # past either end.
+        # past either end, which the index rule refuses.
         rng = random.Random(71)
         kinds = set()
         for _ in range(300):
@@ -205,8 +212,7 @@ class TestAgainstLoopOracle:
 
             edges = [(index(), index()) for _ in range(rng.randint(0, 2 * n))]
             want = self.close(loop_close, n, edges)
-            got = self.close(lambda n, e: matrix_of(poset._close(n, e), n),
-                             n, edges)
+            got = self.close(self.read_and_close, n, edges)
             assert got == want
             kinds.add(type(want))
         assert kinds == {list, str}
@@ -243,21 +249,21 @@ class TestAgainstLoopOracle:
         assert p.up == tuple(up) and p.covers == tuple(edges)
 
 
-def test_out_of_range_pairs_are_not_comparable():
-    # Index -1 would read the last row and index 5 would overrun c3.
+def test_out_of_range_pairs_are_malformed():
+    # Index -1 would read the last row and index 5 would overrun c3. An
+    # index outside 0..n-1 is malformed, not incomparable.
     p = CORPUS["c3"]
     theta = GradingMap(p, cyclic_group(2), (0, 1, 0))
     cases = [
-        (lambda: e_basis(p, 0, -1), "('x1', -1) is not a comparable pair"),
-        (lambda: segment(p, 0, -1), "'x1' is not below -1"),
-        (lambda: theta.grade_of_pair(0, -1), "('x1', -1) is not a comparable pair"),
-        (lambda: IncidenceFunction(p, {(0, 5): 1}),
-         "('x1', 5) is not a comparable pair"),
+        lambda: e_basis(p, 0, -1),
+        lambda: segment(p, 0, -1),
+        lambda: theta.grade_of_pair(0, -1),
+        lambda: IncidenceFunction(p, {(0, 5): 1}),
     ]
-    for call, message in cases:
-        with pytest.raises(NotComparableError) as info:
+    for call in cases:
+        with pytest.raises(MalformedInputError) as info:
             call()
-        assert str(info.value) == message
+        assert str(info.value) == "pair value out of range 0..2"
 
 
 class TestSegment:

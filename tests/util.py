@@ -592,7 +592,7 @@ def loop_close(n, edges):
     leq = [[i == j for j in range(n)] for i in range(n)]
     for i, j in edges:
         if not (0 <= i < n and 0 <= j < n):
-            raise MalformedInputError(f"index pair ({i}, {j}) out of range")
+            raise MalformedInputError(f"relation pair value out of range 0..{n - 1}")
         leq[i][j] = True
     for k in range(n):
         for i in range(n):

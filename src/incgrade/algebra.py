@@ -26,8 +26,8 @@ from .errors import (
     NotMultiplicativeError,
     VerificationError,
 )
-from .poset import (_bits, _check_leq, _indices, _sequence,
-                    inverse_permutation, linear_extension)
+from .poset import (_bits, _check_automorphism, _check_leq, _indices,
+                    _sequence, _written, inverse_permutation, linear_extension)
 
 
 def _ratio(value):
@@ -39,7 +39,8 @@ def _ratio(value):
         try:
             value = Fraction(value)
         except (ValueError, TypeError, ZeroDivisionError, OverflowError):
-            raise MalformedInputError(f"not a rational number: {value!r}") from None
+            shown = _written(value, "function value", repr)
+            raise MalformedInputError(f"not a rational number: {shown}") from None
     return value.numerator, value.denominator
 
 
@@ -62,7 +63,8 @@ class IncidenceFunction:
 
     def __init__(self, poset, entries=None, den=1):
         if not isinstance(den, int) or not den:
-            raise MalformedInputError(f"den must be a nonzero integer, got {den!r}")
+            raise MalformedInputError("den must be a nonzero integer, got "
+                                      f"{_written(den, 'den', repr)}")
         if not isinstance(entries, (Mapping, type(None))):
             raise MalformedInputError(
                 f"entries must be a mapping, not {type(entries).__name__}")
@@ -423,21 +425,10 @@ def mult_auto(s):
     return AlgebraMorphism(poset, images)
 
 
-def _check_automorphism(poset, sigma):
-    """Raise NotAutomorphismError unless the tuple sigma is an order
-    automorphism of poset."""
-    if sorted(sigma) != list(range(poset.n)):
-        raise NotAutomorphismError("sigma is not a permutation")
-    if any(sum(1 << sigma[j] for j in _bits(row)) != poset.up[sigma[i]]
-           for i, row in enumerate(poset.up)):
-        raise NotAutomorphismError("sigma does not preserve the order")
-
-
 def induced_auto(poset, sigma):
     """Relabeling automorphism e_xy -> e_{sigma(x) sigma(y)} from a poset
     automorphism sigma given as a permutation tuple."""
-    sigma = _indices(sigma, poset.n, "sigma")
-    _check_automorphism(poset, sigma)
+    sigma = _check_automorphism(poset, sigma)
     images = {(x, y): e_basis(poset, sigma[x], sigma[y])
               for (x, y) in poset.comparable_pairs()}
     return AlgebraMorphism(poset, images)

@@ -12,13 +12,15 @@ Exit codes: 0 success, 1 a verification subcommand found a counterexample
 or a cross-check failed, 2 input or usage error or a report that cannot
 be written.
 
-argparse reads the command line against COMMANDS and FLAGS: a flag may
-be abbreviated to any unambiguous prefix and take its value as the next
-argument or after "=", the last of a repeated flag wins, and a usage
-error is one "incgrade: error:" line. A command line in the plain form
-(the command, then full flag names, each value flag followed by a value
-that does not start with "-") is read without importing argparse, which
-would read it the same way.
+Each FLAGS row is the keyword arguments of argparse's add_argument. One
+argparse parser, built from COMMANDS and FLAGS, reads the command line
+and writes --help, which ends with each command and the flags it
+requires. A flag may be abbreviated to any unambiguous prefix and take
+its value as the next argument or after "=", the last of a repeated flag
+wins, and a usage error is one "incgrade: error:" line. A command line
+in the plain form (the command, then full flag names, each value flag
+followed by a value that does not start with "-") is read off the same
+rows without importing argparse, which would read it the same way.
 """
 
 import json
@@ -266,82 +268,82 @@ COMMANDS = {
 
 
 class UsageError(Exception):
-    """A command line that cannot be read; reported as one
-    "incgrade: error:" line, with exit code 2."""
+    """A command line that cannot be read: one "incgrade: error:" line, exit 2."""
 
 
-# Each flag: its kind (None for a switch, str, int, or a tuple of the
-# values it allows), its default and its help. argparse is handed the
-# flags in this order, which orders the flags an ambiguous prefix names.
+def _max_degree(text):
+    """--max-degree's value, an int of at least 0, or argparse's ArgumentTypeError."""
+    try:
+        value = int(text)
+    except ValueError:
+        message = f"invalid int value: {text!r}"
+    else:
+        if value >= 0:
+            return value
+        message = f"must not be negative: {value}"
+    import argparse
+
+    raise argparse.ArgumentTypeError(message)
+
+
+# Each flag's keyword arguments to argparse's add_argument, which _plain
+# reads too: a switch has an action; a value flag may have a type (else
+# str), choices and a default (else None). argparse gets the flags in this
+# order, after its own -h, which orders the flags an ambiguous prefix names.
 FLAGS = {
-    "help": (None, None, "show this help and exit"),
-    "poset": (str, None,
-              f"poset JSON file or fixture name ({', '.join(FIXTURE_NAMES)})"),
-    "group": (str, None, "group spec such as C2, C3, C2xC2, S3"),
-    "theta": (str, None, "grading map as CSV of element names"),
-    "mu": (str, None, "second grading map as CSV"),
-    "multidegree": (str, None, "multidegree as CSV of group element names"),
-    "morphism": (str, None, "morphism JSON file"),
-    "max_degree": (int, 3, "degree limit for identity sweeps"),
-    "verify": (None, False, "enable brute-force cross-checks"),
-    "format": (("json", "table"), "table", "output format: json or table"),
-    "seed": (int, 0, "seed for randomized subcommands"),
+    "poset": {"help": f"poset JSON file or fixture name ({', '.join(FIXTURE_NAMES)})"},
+    "group": {"help": "group spec such as C2, C3, C2xC2, S3"},
+    "theta": {"help": "grading map as CSV of element names"},
+    "mu": {"help": "second grading map as CSV"},
+    "multidegree": {"help": "multidegree as CSV of group element names"},
+    "morphism": {"help": "morphism JSON file"},
+    "max_degree": {"type": _max_degree, "default": 3,
+                   "help": "degree limit for identity sweeps (default %(default)s)"},
+    "verify": {"action": "store_true", "default": False,
+               "help": "enable brute-force cross-checks"},
+    "format": {"choices": ("json", "table"), "default": "table",
+               "help": "output format (default %(default)s)"},
+    "seed": {"type": int, "default": 0,
+             "help": "seed for randomized subcommands (default %(default)s)"},
 }
 
 
 def _plain(argv):
-    """The values of argv in the plain form, or None for any other argv.
-
-    The plain form is the command first, then flags by their full names,
-    each value flag followed by a value of its kind that does not start
-    with "-" (and --max-degree not negative). argparse reads every such
-    value as a value, so it would read the same values.
-    """
+    """The values of argv in the plain form, or None for any other argv:
+    the command, then flags by their full names, each value flag followed
+    by a value that does not start with "-" and that the flag's type and
+    choices take. argparse would read the same values."""
     if not argv or argv[0] not in COMMANDS:
         return None
-    options = {f"--{flag.replace('_', '-')}": flag
-               for flag in FLAGS if flag != "help"}
-    values = {flag: FLAGS[flag][1] for flag in options.values()}
+    options = {f"--{flag.replace('_', '-')}": flag for flag in FLAGS}
+    values = {flag: row.get("default") for flag, row in FLAGS.items()}
     tokens = iter(argv[1:])
     for token in tokens:
         flag = options.get(token)
         if flag is None:
             return None
-        kind = FLAGS[flag][0]
-        if kind is None:
+        row = FLAGS[flag]
+        if "action" in row:  # store_true
             values[flag] = True
             continue
         value = next(tokens, "-")
         if value.startswith("-"):
             return None
-        if kind is int:
-            try:
-                value = int(value)
-            except ValueError:
-                return None
-            if flag == "max_degree" and value < 0:
-                return None
-        elif kind is not str and value not in kind:
+        try:
+            value = row.get("type", str)(value)
+        except Exception:  # int's ValueError or _max_degree's ArgumentTypeError
+            return None
+        if "choices" in row and value not in row["choices"]:
             return None
         values[flag] = value
     return SimpleNamespace(command=argv[0], **values)
 
 
-def _argparse(argv):
-    """How argparse reads argv against COMMANDS and FLAGS: the values, or
-    None when -h or --help comes before any error. Its error message is
-    raised as a UsageError; its help is not printed."""
+def _parser():
+    """The argparse parser of COMMANDS and FLAGS. Its error message is
+    raised as a UsageError; its help action prints nothing, as run returns
+    format_help(), whose epilog keeps one row per command at any width."""
     import argparse
-
-    def max_degree(text):
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"invalid int value: {text!r}") from None
-        if value < 0:
-            raise argparse.ArgumentTypeError(f"must not be negative: {value}")
-        return value
 
     class Parser(argparse.ArgumentParser):
         def error(self, message):
@@ -350,52 +352,29 @@ def _argparse(argv):
         def print_help(self, file=None):
             pass
 
-    parser = Parser(prog="incgrade")
-    parser.add_argument("command", choices=sorted(COMMANDS))
-    for flag, (kind, default, _) in FLAGS.items():
-        if flag == "help":  # argparse adds -h and --help itself
-            continue
-        option = f"--{flag.replace('_', '-')}"
-        if kind is None:
-            parser.add_argument(option, action="store_true")
-        elif isinstance(kind, tuple):
-            parser.add_argument(option, choices=kind, default=default)
-        else:
-            parser.add_argument(option, default=default, type=(
-                max_degree if flag == "max_degree" else kind))
-    try:
-        return parser.parse_args(argv)
-    except SystemExit:  # the help action exits once it has printed
-        return None
+    rows = [f"  {command:<20}" + " ".join(
+        f"--{flag.replace('_', '-')}" for flag in required)
+        for command, (_, required, _) in sorted(COMMANDS.items())]
+    parser = Parser(
+        prog="incgrade", usage="%(prog)s COMMAND [--FLAG VALUE ...]",
+        description="Elementary group gradings on incidence algebras of finite posets.",
+        epilog="\n".join(["commands and the flags they require:", *rows]),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("command", choices=sorted(COMMANDS), help=argparse.SUPPRESS)
+    for flag, kwargs in FLAGS.items():
+        parser.add_argument(f"--{flag.replace('_', '-')}", **kwargs)
+    return parser
 
 
 def parse_args(argv):
     """The command and flag values of argv, or None when -h or --help
     comes before any error. A command line in the plain form is read
-    without importing argparse and gettext, which would add about 3 ms
-    to each command (2-vCPU VM, Python 3.11)."""
-    return _plain(argv) or _argparse(argv)
-
-
-def _usage():
-    """The --help text, read off COMMANDS and FLAGS."""
-    lines = ["usage: incgrade COMMAND [--FLAG VALUE ...]", "",
-             "Elementary group gradings on incidence algebras of finite "
-             "posets.", "", "commands and the flags they require:"]
-    for command, (_, required, _) in sorted(COMMANDS.items()):
-        lines.append(f"  {command:<20}" + " ".join(
-            f"--{flag.replace('_', '-')}" for flag in required))
-    lines += ["", "flags (a unique prefix also works):"]
-    for flag, (kind, default, text) in FLAGS.items():
-        option = f"--{flag.replace('_', '-')}"
-        if flag == "help":
-            option = "-h, --help"
-        elif kind is not None:
-            option += " VALUE"
-        if kind is not None and default is not None:
-            text += f" (default {default})"
-        lines.append(f"  {option:<22}{text}")
-    return "\n".join(lines)
+    without importing argparse and gettext, which would add about 3 ms to
+    each command (2-vCPU VM, Python 3.11); _parser reads any other."""
+    try:
+        return _plain(argv) or _parser().parse_args(argv)
+    except SystemExit:  # the help action exits once it has run
+        return None
 
 
 def _echo_flags(args, required, echoed):
@@ -487,7 +466,7 @@ def run(argv):
     command line that cannot be read raises UsageError."""
     args = parse_args(argv)
     if args is None:
-        return _usage(), 0
+        return _parser().format_help().rstrip("\n"), 0
     command = args.command
     handler, required, echoed = COMMANDS[command]
     for field in required:

@@ -30,7 +30,7 @@ class NotMultiplicativeError(IncgradeError):
 
 
 class NotAutomorphismError(IncgradeError):
-    """A basis-image table does not extend to an algebra automorphism."""
+    """A basis-image table, or a permutation sigma, that is no automorphism."""
 
 
 class MalformedInputError(IncgradeError):

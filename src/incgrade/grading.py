@@ -19,11 +19,13 @@ from .errors import (
     VerificationError,
 )
 from .poset import (
+    _check_automorphism,
     _check_budget,
     _check_leq,
     _derived,
     _indices,
     _sequence,
+    _written,
     automorphisms,
     component_index,
     connected_components,
@@ -69,7 +71,8 @@ class FiniteGroup:
     """
 
     def __init__(self, names, table):
-        self.names = tuple(map(str, _sequence(names, "group names")))
+        self.names = tuple(_written(name, "group name")
+                           for name in _sequence(names, "group names"))
         m = len(self.names)
         _check_order(m)
         if m == 0:
@@ -111,7 +114,7 @@ class FiniteGroup:
 
     def index_of(self, name):
         try:
-            return self.names.index(str(name))
+            return self.names.index(_written(name, "group element"))
         except ValueError:
             raise MalformedInputError(f"unknown group element {name!r}") from None
 
@@ -232,16 +235,17 @@ class GradingMap:
     def components(self):
         """Read-only map from each realized degree, ascending, to its basis
         pairs; derived once, as the grading is immutable."""
+        t, inverse, theta = self.group.table, self.group.inverse, self.theta
         out = {}
         for (x, y) in self.poset.comparable_pairs():
-            out.setdefault(self.grade_of_pair(x, y), []).append((x, y))
+            out.setdefault(t[inverse[theta[x]]][theta[y]], []).append((x, y))
         return types.MappingProxyType(
             {g: tuple(pairs) for g, pairs in sorted(out.items())})
 
     def compose_with_automorphism(self, sigma):
         """theta after sigma^{-1}, the right action used in transport."""
-        return GradingMap(self.poset, self.group,
-                          [self.theta[i] for i in inverse_permutation(sigma)])
+        back = inverse_permutation(_check_automorphism(self.poset, sigma))
+        return GradingMap(self.poset, self.group, [self.theta[i] for i in back])
 
     def shift(self, shifts):
         """Left-multiply by one group element per connected component."""
@@ -277,8 +281,8 @@ class EquivalenceWitness:
     automorphism: mu(x) = shifts[component(x)] * theta(sigma^{-1}(x))."""
 
     def __init__(self, shifts, sigma):
-        self.shifts = tuple(shifts)
-        self.sigma = tuple(sigma)
+        self.shifts = _sequence(shifts, "shifts")
+        self.sigma = _sequence(sigma, "sigma")
 
     def check(self, theta, mu):
         moved = theta.compose_with_automorphism(self.sigma).shift(self.shifts)

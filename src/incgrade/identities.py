@@ -114,7 +114,8 @@ def identity_slice(grading, multidegree):
 def chain_words(grading):
     """The set of words (deg(x_0, x_1), ..., deg(x_{L-1}, x_L)) of the
     maximal chains x_0 < ... < x_L of the poset."""
-    return {tuple(grading.grade_of_pair(x, y) for x, y in zip(chain, chain[1:]))
+    t, inverse, theta = grading.group.table, grading.group.inverse, grading.theta
+    return {tuple(t[inverse[theta[x]]][theta[y]] for x, y in zip(chain, chain[1:]))
             for chain in maximal_chains(grading.poset)}
 
 

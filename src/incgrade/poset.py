@@ -16,10 +16,12 @@ bounds the grading enumerations and the identity degree sweeps.
 
 import functools
 import operator
+import sys
 
 from .errors import (
     BudgetExceededError,
     MalformedInputError,
+    NotAutomorphismError,
     NotComparableError,
 )
 
@@ -72,6 +74,15 @@ def _indices(values, bound, what, length=None):
     return indices
 
 
+def _written(value, what, write=str):
+    """write(value); a value holding an int too long to write is malformed."""
+    try:
+        return write(value)
+    except ValueError:  # an int past sys.get_int_max_str_digits()
+        raise MalformedInputError(f"{what} holds an int of more than "
+                                  f"{sys.get_int_max_str_digits()} digits") from None
+
+
 def _bits(mask):
     """The indices of the set bits of a nonnegative mask, ascending."""
     return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
@@ -83,7 +94,8 @@ class Poset:
     pairs with i below j: the covers, every comparable pair, or between."""
 
     def __init__(self, elements, relation):
-        elements = tuple(map(str, _sequence(elements, "poset elements")))
+        elements = tuple(_written(label, "poset element")
+                         for label in _sequence(elements, "poset elements"))
         n = len(elements)
         if not elements:
             raise MalformedInputError("poset needs at least one element")
@@ -353,6 +365,18 @@ def automorphisms(p):
                   if not used >> j & 1 and p.up[j] & used == above
                   and p.down[j] & used == below]
     return tuple(sorted(found))
+
+
+def _check_automorphism(p, sigma):
+    """sigma as a tuple of indices, by the index rule, that is a permutation
+    preserving the order of p, or NotAutomorphismError."""
+    sigma = _indices(sigma, p.n, "sigma")
+    if sorted(sigma) != list(range(p.n)):
+        raise NotAutomorphismError("sigma is not a permutation")
+    if any(sum(1 << sigma[j] for j in _bits(row)) != p.up[sigma[i]]
+           for i, row in enumerate(p.up)):
+        raise NotAutomorphismError("sigma does not preserve the order")
+    return sigma
 
 
 def inverse_permutation(perm):

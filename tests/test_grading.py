@@ -25,6 +25,7 @@ from incgrade.grading import (
     product_group,
     symmetric_group,
 )
+from incgrade.identities import chain_words
 from incgrade.poset import (
     Poset,
     automorphisms,
@@ -284,6 +285,27 @@ class TestGradingMap:
         assert dict(again) == {0: ((0, 0), (1, 1), (2, 2)),
                                1: ((0, 1), (1, 2)), 2: ((0, 2),)}
         assert theta.support() == (0, 1, 2)
+
+    @pytest.mark.parametrize("group", [
+        cyclic_group(2), cyclic_group(3), symmetric_group(3),
+        relabelled_group(symmetric_group(3), [3, 1, 4, 0, 5, 2])],
+        ids=["C2", "C3", "S3", "S3-identity-at-3"])
+    def test_degrees_match_the_reference(self, group):
+        # components() and chain_words read each degree off the Cayley
+        # table. S3 is not abelian, so a wrong inverse or a swapped product
+        # shows, and the relabelled S3 has its identity away from index 0.
+        rng = random.Random(38)
+        ref = reference_group(group)
+        for _ in range(40):
+            p = random_poset(rng, 7)
+            theta = random_grading(rng, p, group)
+            leq = reference_leq(p)
+            assert dict(theta.components()) == {
+                g: tuple(pairs) for g, pairs
+                in oracle.component_pairs(leq, ref, theta.theta).items() if pairs}
+            assert chain_words(theta) == {
+                tuple(oracle.grade(ref, theta.theta, x, y) for x, y in zip(c, c[1:]))
+                for c in oracle.maximal_chains(leq)}
 
     def test_compose_with_automorphism(self):
         p = CORPUS["antichain2"]

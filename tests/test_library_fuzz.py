@@ -4,9 +4,9 @@ degree. Each call must return or raise an IncgradeError; no Python error
 may leak. The poset, group and grading arguments stay valid objects (the
 diamond, C2 and a grading of it), so the values reach the checks behind
 them. The enumeration budget is lowered for the test, so that a drawn
-degree sweeps at most a thousand words. Integers stay within the digits
-that str() writes: a poset label, a rational value or a den of more
-digits still leaks the ValueError of str() or repr().
+degree sweeps at most a thousand words. Integers include some of more
+digits than str() writes, which must not leak the ValueError of str() or
+repr() from a label or a message.
 """
 
 import math
@@ -21,7 +21,8 @@ from incgrade.algebra import (AlgebraMorphism, IncidenceFunction,  # noqa: E402
                               e_basis, evaluate, induced_auto)
 from incgrade.corpus import load_poset  # noqa: E402
 from incgrade.errors import IncgradeError  # noqa: E402
-from incgrade.grading import FiniteGroup, GradingMap, cyclic_group  # noqa: E402
+from incgrade.grading import (EquivalenceWitness, FiniteGroup,  # noqa: E402
+                              GradingMap, cyclic_group)
 from incgrade.identities import (identity_slice,  # noqa: E402
                                  monomial_identities, slices_equal_upto,
                                  verify_chain_reduction)
@@ -31,11 +32,13 @@ DIAMOND = load_poset("diamond")
 C2 = cyclic_group(2)
 THETA = GradingMap(DIAMOND, C2, (0, 1, 0, 1))
 
-# None, bools, ints small, negative and huge, floats with NaN and the
-# infinities, strings, and lists and objects of them.
+# None, bools, ints small, negative, huge and too long for str(), floats
+# with NaN and the infinities, strings, and lists and objects of them.
 SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(-2, 5),
     st.sampled_from([-1, 2 ** 64, -(2 ** 64), 10 ** 30, -(10 ** 4000)]),
+    # Built by map, as hypothesis writes a sampled_from list with repr().
+    st.sampled_from([1, -1]).map(lambda sign: sign * 10 ** 5000),
     st.floats(allow_nan=True, allow_infinity=True), st.sampled_from([math.nan]),
     st.text(max_size=3))
 JSON = st.recursive(SCALARS, lambda inner: st.one_of(
@@ -61,6 +64,8 @@ CALLS = {
     "e_basis": lambda a, b: e_basis(DIAMOND, a, b),
     "evaluate": lambda a, b: evaluate(DIAMOND, a, b),
     "induced_auto": lambda a, _: induced_auto(DIAMOND, a),
+    "compose_with_automorphism": lambda a, _: THETA.compose_with_automorphism(a),
+    "EquivalenceWitness": lambda a, b: EquivalenceWitness(a, b).check(THETA, THETA),
     "identity_slice": lambda a, _: identity_slice(THETA, a),
     "verify_chain_reduction": lambda a, _: verify_chain_reduction(THETA, a),
     "slices_equal_upto": lambda a, _: slices_equal_upto(THETA, THETA, a),

@@ -20,8 +20,10 @@ from incgrade.algebra import (AlgebraMorphism, IncidenceFunction, delta,
                               e_basis, evaluate, induced_auto, inner_auto,
                               zeta)
 from incgrade.corpus import load_poset
-from incgrade.errors import MalformedInputError, MismatchError
-from incgrade.grading import FiniteGroup, GradingMap, cyclic_group
+from incgrade.errors import (MalformedInputError, MismatchError,
+                             NotAutomorphismError)
+from incgrade.grading import (EquivalenceWitness, FiniteGroup, GradingMap,
+                              cyclic_group)
 from incgrade.identities import (identity_slice, monomial_identities,
                                  slices_equal_upto, verify_chain_reduction)
 from incgrade.poset import Poset, segment, subposet
@@ -186,6 +188,9 @@ def test_unraised_class_is_found():
 
 DIAMOND = load_poset("diamond")
 THETA = GradingMap(DIAMOND, cyclic_group(2), (0, 1, 0, 1))
+# sigma must pass the index rule, be a permutation and preserve the order.
+APART = GradingMap(load_poset("antichain2"), cyclic_group(2), (0, 1))
+CHAIN = GradingMap(load_poset("c2"), cyclic_group(2), (0, 1))
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -203,8 +208,24 @@ THETA = GradingMap(DIAMOND, cyclic_group(2), (0, 1, 0, 1))
      "shift value out of range 0..1"),
     (lambda: THETA.shift([]), MismatchError,
      "a shift needs one value per connected component: got 0 for 1 components"),
+    (lambda: APART.compose_with_automorphism((0.0, 1.0)), MalformedInputError,
+     "sigma values must be integers, not float"),
+    (lambda: APART.compose_with_automorphism((0, 5)), MalformedInputError,
+     "sigma value out of range 0..1"),
+    (lambda: APART.compose_with_automorphism((0, 0)), NotAutomorphismError,
+     "sigma is not a permutation"),
+    (lambda: CHAIN.compose_with_automorphism((1, 0)), NotAutomorphismError,
+     "sigma does not preserve the order"),
+    (lambda: EquivalenceWitness(None, None), MalformedInputError,
+     "shifts must be a list, not NoneType"),
+    (lambda: EquivalenceWitness([0], 5), MalformedInputError,
+     "sigma must be a list, not int"),
+    (lambda: EquivalenceWitness([0], (1, 0)).check(CHAIN, CHAIN),
+     NotAutomorphismError, "sigma does not preserve the order"),
 ], ids=["slice-range", "slice-names", "reduction-range", "reduction-none",
-        "subposet-range", "shift-range", "shift-length"])
+        "subposet-range", "shift-range", "shift-length", "compose-float",
+        "compose-range", "compose-repeat", "compose-order", "witness-none",
+        "witness-sigma", "witness-order"])
 def test_out_of_range_values_raise_package_errors(call, error, message):
     with pytest.raises(error) as info:
         call()
@@ -213,10 +234,12 @@ def test_out_of_range_values_raise_package_errors(call, error, message):
 
 AB = ["a", "b"]
 DEGREE = "a degree must be an integer of at least 0"
+DIGITS = sys.get_int_max_str_digits()
 
 
 # Each call breaks the index rule (an int in 0..n-1, never a bool), asks
-# for a list or a mapping and gets none, or breaks the degree rule.
+# for a list or a mapping and gets none, breaks the degree rule, or gets
+# an int too long for str() or repr() to write.
 @pytest.mark.parametrize("call, message", [
     (lambda: Poset(None, []), "poset elements must be a list, not NoneType"),
     (lambda: Poset(AB, None), "poset relation must be a list, not NoneType"),
@@ -243,11 +266,22 @@ DEGREE = "a degree must be an integer of at least 0"
     (lambda: slices_equal_upto(THETA, THETA, 2.5), DEGREE),
     (lambda: monomial_identities(THETA, None), DEGREE),
     (lambda: monomial_identities(THETA, -1), DEGREE),
+    (lambda: Poset([10 ** 5000], []),
+     f"poset element holds an int of more than {DIGITS} digits"),
+    (lambda: FiniteGroup([10 ** 5000], [[0]]),
+     f"group name holds an int of more than {DIGITS} digits"),
+    (lambda: IncidenceFunction(load_poset("c2"), {(0, 1): [10 ** 5000]}),
+     f"function value holds an int of more than {DIGITS} digits"),
+    (lambda: IncidenceFunction(load_poset("c2"), {}, den=[10 ** 5000]),
+     f"den holds an int of more than {DIGITS} digits"),
+    (lambda: cyclic_group(2).index_of(10 ** 5000),
+     f"group element holds an int of more than {DIGITS} digits"),
 ], ids=["poset-none", "relation-none", "relation-float", "relation-str",
         "relation-triple", "relation-bool", "group-none", "morphism-none",
         "function-list", "function-float", "basis-float", "segment-bool",
         "subposet-bool", "evaluate-float", "sigma-none", "sigma-float",
-        "slices-str", "slices-float", "monomials-none", "monomials-negative"])
+        "slices-str", "slices-float", "monomials-none", "monomials-negative",
+        "label-long", "name-long", "value-long", "den-long", "element-long"])
 def test_malformed_arguments_raise_package_errors(call, message):
     with pytest.raises(MalformedInputError) as info:
         call()
